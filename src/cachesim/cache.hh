@@ -11,6 +11,7 @@
 #ifndef MEMORIA_CACHESIM_CACHE_HH
 #define MEMORIA_CACHESIM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
@@ -61,7 +62,23 @@ struct CacheStats
     void checkConsistent() const;
 };
 
-/** Interface for components observing the memory reference stream. */
+/** One scalar memory access, as buffered by the interpreter. */
+struct AccessRecord
+{
+    uint64_t addr = 0;
+    uint32_t size = 0;
+    bool isWrite = false;
+};
+
+/**
+ * Interface for components observing the memory reference stream.
+ *
+ * The interpreter buffers accesses and delivers them in batches
+ * through consumeBatch(); the default forwards each record to
+ * access(), so a listener that only cares about single accesses
+ * implements access() alone. Listeners with a cheaper bulk path
+ * (MultiCacheSim) override consumeBatch().
+ */
 class MemoryListener
 {
   public:
@@ -69,6 +86,16 @@ class MemoryListener
 
     /** One scalar access of `size` bytes at virtual address `addr`. */
     virtual void access(uint64_t addr, int size, bool isWrite) = 0;
+
+    /** Consume `n` records, in stream order; called repeatedly over
+     *  the stream. */
+    virtual void
+    consumeBatch(const AccessRecord *rec, size_t n)
+    {
+        for (size_t i = 0; i < n; ++i)
+            access(rec[i].addr, static_cast<int>(rec[i].size),
+                   rec[i].isWrite);
+    }
 };
 
 /** A single-level set-associative LRU cache. */

@@ -4,21 +4,6 @@
 
 namespace memoria {
 
-BatchingListener::BatchingListener(AccessBatchSink &sink, size_t capacity)
-    : sink_(sink), capacity_(capacity ? capacity : 1)
-{
-    buf_.reserve(capacity_);
-}
-
-void
-BatchingListener::flush()
-{
-    if (buf_.empty())
-        return;
-    sink_.consumeBatch(buf_.data(), buf_.size());
-    buf_.clear();
-}
-
 MultiCacheSim::MultiCacheSim(const std::vector<CacheConfig> &configs,
                              SweepReuseOptions reuse)
     : reuseOpts_(reuse)

@@ -12,13 +12,14 @@
  * same pass (cachesim/reuse.hh; cf. Fauzia et al., "Beyond Reuse
  * Distance Analysis").
  *
- * Accesses arrive in batches (AccessBatchSink) rather than one virtual
- * call per reference: the interpreter fills a fixed buffer and flushes
- * it in chunks, so the per-access cost inside the simulator is a plain
- * array walk. Each per-config cache is the ordinary `Cache` — the same
- * code path as a standalone run — which is what makes the sweep's
- * counters bitwise-identical to independent per-config simulations
- * (asserted in tests/test_cachesim.cc).
+ * Accesses arrive in batches (MemoryListener::consumeBatch) rather
+ * than one virtual call per reference: the interpreter fills a fixed
+ * buffer and flushes it in chunks, so the per-access cost inside the
+ * simulator is a plain array walk. Each per-config cache is the
+ * ordinary `Cache` — the same code path as a standalone run — which
+ * is what makes the sweep's counters bitwise-identical to independent
+ * per-config simulations (asserted in tests/test_cachesim.cc, against
+ * the reference evaluator feeding a plain Cache).
  */
 
 #ifndef MEMORIA_CACHESIM_SWEEP_HH
@@ -33,56 +34,6 @@
 
 namespace memoria {
 
-/** One scalar memory access, as buffered by the interpreter. */
-struct AccessRecord
-{
-    uint64_t addr = 0;
-    uint32_t size = 0;
-    bool isWrite = false;
-};
-
-/** Consumer of batched access records. */
-class AccessBatchSink
-{
-  public:
-    virtual ~AccessBatchSink() = default;
-
-    /** Consume `n` records; called repeatedly over the stream. */
-    virtual void consumeBatch(const AccessRecord *rec, size_t n) = 0;
-};
-
-/**
- * MemoryListener adapter that buffers accesses into a fixed-capacity
- * array and flushes it to an AccessBatchSink in chunks. The producer
- * (interpreter) pays one append per access and one virtual call per
- * batch; the buffer is allocated once up front, never per access.
- */
-class BatchingListener final : public MemoryListener
-{
-  public:
-    static constexpr size_t kDefaultBatch = 4096;
-
-    explicit BatchingListener(AccessBatchSink &sink,
-                              size_t capacity = kDefaultBatch);
-
-    void
-    access(uint64_t addr, int size, bool isWrite) override
-    {
-        buf_.push_back({addr, static_cast<uint32_t>(size), isWrite});
-        if (buf_.size() == capacity_)
-            flush();
-    }
-
-    /** Drain the buffer. Callers must flush after the final access
-     *  (runBatched does). Safe on an empty buffer. */
-    void flush();
-
-  private:
-    AccessBatchSink &sink_;
-    size_t capacity_;
-    std::vector<AccessRecord> buf_;
-};
-
 /** Optional reuse-distance mode for a MultiCacheSim sweep. */
 struct SweepReuseOptions
 {
@@ -94,11 +45,18 @@ struct SweepReuseOptions
  * N set-associative caches advanced in lockstep over one access
  * stream, with an optional reuse-distance histogram sharing the pass.
  */
-class MultiCacheSim final : public AccessBatchSink
+class MultiCacheSim final : public MemoryListener
 {
   public:
     explicit MultiCacheSim(const std::vector<CacheConfig> &configs,
                            SweepReuseOptions reuse = {});
+
+    void
+    access(uint64_t addr, int size, bool isWrite) override
+    {
+        AccessRecord rec{addr, static_cast<uint32_t>(size), isWrite};
+        consumeBatch(&rec, 1);
+    }
 
     void consumeBatch(const AccessRecord *rec, size_t n) override;
 

@@ -1,12 +1,8 @@
 #include "interp/interp.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 
-#include "harness/budget.hh"
 #include "harness/fault.hh"
 #include "interp/tape.hh"
 #include "support/logging.hh"
@@ -18,13 +14,6 @@ namespace memoria {
 namespace {
 
 harness::FaultSite gInterpFault("interp.run", /*supportsDiag=*/true);
-
-/** Poll the budget token every this many loop iterations (shared with
- *  the tape path via kInterpPollStride in interp/tape.hh). */
-constexpr uint64_t kPollStride = kInterpPollStride;
-
-/** Process-wide default engine; -1 until first resolved. */
-std::atomic<int> gDefaultMode{-1};
 
 /** Deterministic small integer-valued initial data. Using integers in a
  *  narrow range keeps floating-point arithmetic exact, so reordered
@@ -42,51 +31,6 @@ initialValue(ArrayId a, uint64_t index, uint64_t seed)
 }
 
 constexpr uint64_t kBaseAddress = 0x100000;
-
-/** Internal unwind for program-dependent faults; never escapes run().
- *  Shared with the tape engine (interp/tape.hh). */
-using Fault = interp_detail::Fault;
-
-} // namespace
-
-InterpMode
-defaultInterpMode()
-{
-    int m = gDefaultMode.load(std::memory_order_relaxed);
-    if (m >= 0)
-        return static_cast<InterpMode>(m);
-    InterpMode resolved = InterpMode::Tape;
-    if (const char *env = std::getenv("MEMORIA_INTERP"))
-        if (std::optional<InterpMode> parsed = parseInterpMode(env))
-            resolved = *parsed;
-    gDefaultMode.store(static_cast<int>(resolved),
-                       std::memory_order_relaxed);
-    return resolved;
-}
-
-void
-setDefaultInterpMode(InterpMode mode)
-{
-    gDefaultMode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-std::optional<InterpMode>
-parseInterpMode(const std::string &name)
-{
-    if (name == "tree")
-        return InterpMode::Tree;
-    if (name == "tape")
-        return InterpMode::Tape;
-    return std::nullopt;
-}
-
-const char *
-interpModeName(InterpMode mode)
-{
-    return mode == InterpMode::Tree ? "tree" : "tape";
-}
-
-namespace {
 
 /** Mark every array id a statement tree references (writes, loads,
  *  and loads inside opaque subscripts). Shared Value spines may be
@@ -131,7 +75,7 @@ markNodeArrays(const Node &n, std::vector<uint8_t> &mark)
 } // namespace
 
 Interpreter::Interpreter(const Program &prog)
-    : prog_(prog), mode_(defaultInterpMode())
+    : prog_(prog)
 {
     env_.assign(prog_.vars.size(), 0);
     for (size_t v = 0; v < prog_.vars.size(); ++v)
@@ -159,13 +103,6 @@ Interpreter::Interpreter(const Program &prog)
 }
 
 Interpreter::~Interpreter() = default;
-
-void
-Interpreter::setMode(InterpMode mode)
-{
-    MEMORIA_ASSERT(!ran_, "setMode after run");
-    mode_ = mode;
-}
 
 const Tape &
 Interpreter::compiledTape()
@@ -294,12 +231,6 @@ Interpreter::loopContext() const
     return s;
 }
 
-void
-Interpreter::fault(std::string code, std::string msg) const
-{
-    throw Fault{Diag::error(std::move(code), msg + loopContext())};
-}
-
 int64_t
 Interpreter::evalAffine(const AffineExpr &e) const
 {
@@ -314,164 +245,8 @@ Interpreter::paramValue(VarId v) const
     return env_[v];
 }
 
-uint64_t
-Interpreter::elementIndex(const ArrayRef &ref, MemoryListener *listener)
-{
-    if (ref.array < 0 ||
-        static_cast<size_t>(ref.array) >= data_.size())
-        fault("interp.array",
-              "reference to out-of-range array id " +
-                  std::to_string(ref.array));
-    const int64_t *ext = extentsOf(ref.array);
-    const size_t rank = static_cast<size_t>(rankOf(ref.array));
-    if (ref.subs.size() != rank)
-        fault("interp.rank",
-              "rank " + std::to_string(ref.subs.size()) +
-                  " reference to rank " + std::to_string(rank) +
-                  " array " + prog_.arrayDecl(ref.array).name);
-    uint64_t index = 0;
-    uint64_t stride = 1;
-    for (size_t k = 0; k < ref.subs.size(); ++k) {
-        int64_t s;
-        if (ref.subs[k].isAffine())
-            s = evalAffine(ref.subs[k].affine);
-        else
-            s = std::llround(evalValue(ref.subs[k].opaque, listener));
-        if (s < 1 || s > ext[k])
-            fault("interp.oob",
-                  "subscript " + std::to_string(k + 1) + " = " +
-                      std::to_string(s) + " out of bounds 1.." +
-                      std::to_string(ext[k]) + " on array " +
-                      prog_.arrayDecl(ref.array).name);
-        index += static_cast<uint64_t>(s - 1) * stride;
-        stride *= static_cast<uint64_t>(ext[k]);
-    }
-    return index;
-}
-
-double
-Interpreter::evalValue(const ValuePtr &v, MemoryListener *listener)
-{
-    MEMORIA_ASSERT(v != nullptr, "null value");
-    switch (v->op) {
-      case ValOp::Const:
-        return v->constant;
-      case ValOp::Index:
-        return static_cast<double>(evalAffine(v->index));
-      case ValOp::Load: {
-        uint64_t idx = elementIndex(v->load, listener);
-        const ArrayDecl &decl = prog_.arrayDecl(v->load.array);
-        if (!decl.isRegister) {
-            ++stats_.memRefs;
-            if (listener)
-                listener->access(bases_[v->load.array] +
-                                     idx * decl.elemSize,
-                                 decl.elemSize, false);
-        }
-        return data_[v->load.array][idx];
-      }
-      case ValOp::Add:
-        return evalValue(v->kids[0], listener) +
-               evalValue(v->kids[1], listener);
-      case ValOp::Sub:
-        return evalValue(v->kids[0], listener) -
-               evalValue(v->kids[1], listener);
-      case ValOp::Mul:
-        return evalValue(v->kids[0], listener) *
-               evalValue(v->kids[1], listener);
-      case ValOp::Div:
-        return evalValue(v->kids[0], listener) /
-               evalValue(v->kids[1], listener);
-      case ValOp::Neg:
-        return -evalValue(v->kids[0], listener);
-      case ValOp::Sqrt:
-        return std::sqrt(evalValue(v->kids[0], listener));
-      case ValOp::Min:
-        return std::min(evalValue(v->kids[0], listener),
-                        evalValue(v->kids[1], listener));
-      case ValOp::Max:
-        return std::max(evalValue(v->kids[0], listener),
-                        evalValue(v->kids[1], listener));
-      case ValOp::IMod: {
-        int64_t a = std::llround(evalValue(v->kids[0], listener));
-        int64_t b = std::llround(evalValue(v->kids[1], listener));
-        if (b == 0)
-            fault("interp.mod_zero", "MOD by zero");
-        int64_t m = a % b;
-        if (m < 0)
-            m += std::abs(b);
-        return static_cast<double>(m);
-      }
-    }
-    panic("unhandled value op");
-}
-
-void
-Interpreter::execStmt(const Statement &s, MemoryListener *listener)
-{
-    curStmt_ = s.id;
-    double value = evalValue(s.rhs, listener);
-    uint64_t idx = elementIndex(s.write, listener);
-    const ArrayDecl &decl = prog_.arrayDecl(s.write.array);
-    if (!decl.isRegister) {
-        ++stats_.memRefs;
-        if (listener)
-            listener->access(bases_[s.write.array] + idx * decl.elemSize,
-                             decl.elemSize, true);
-    }
-    data_[s.write.array][idx] = value;
-    ++stats_.stmtsExecuted;
-}
-
-void
-Interpreter::execNode(const Node &n, MemoryListener *listener)
-{
-    if (n.isStmt()) {
-        execStmt(n.stmt, listener);
-        return;
-    }
-    if (n.step == 0)
-        fault("interp.step",
-              "loop over '" + prog_.varName(n.var) + "' has step 0");
-    loopStack_.push_back(n.var);
-    int64_t lb = evalAffine(n.lb);
-    int64_t ub = evalAffine(n.ub);
-    if (n.step > 0) {
-        for (int64_t v = lb; v <= ub; v += n.step) {
-            if ((++stats_.loopIterations & (kPollStride - 1)) == 0)
-                harness::chargeIterations(kPollStride, "interp.loop");
-            env_[n.var] = v;
-            for (const auto &kid : n.body)
-                execNode(*kid, listener);
-        }
-    } else {
-        for (int64_t v = lb; v >= ub; v += n.step) {
-            if ((++stats_.loopIterations & (kPollStride - 1)) == 0)
-                harness::chargeIterations(kPollStride, "interp.loop");
-            env_[n.var] = v;
-            for (const auto &kid : n.body)
-                execNode(*kid, listener);
-        }
-    }
-    loopStack_.pop_back();
-}
-
 Status
 Interpreter::run(MemoryListener *listener)
-{
-    return runInternal(listener, nullptr);
-}
-
-Status
-Interpreter::runBatched(AccessBatchSink *sink)
-{
-    if (!sink)
-        return run(nullptr);
-    return runInternal(nullptr, sink);
-}
-
-Status
-Interpreter::runInternal(MemoryListener *listener, AccessBatchSink *sink)
 {
     obs::TraceScope span("interp", "run");
     span.arg("program", prog_.name);
@@ -488,45 +263,15 @@ Interpreter::runInternal(MemoryListener *listener, AccessBatchSink *sink)
 
     ensureReferenced();
 
-    Status st;
-    if (mode_ == InterpMode::Tape) {
-        if (!tape_)
-            tape_ = std::make_unique<Tape>(prog_, *this);
-        try {
-            if (sink)
-                tape_->runBatched(*this, sink);
-            else
-                tape_->run(*this, listener);
-        } catch (const Fault &f) {
-            st = Status::err(f.diag);
-        }
-    } else {
-        // Tree walker: batched sinks go through the buffering adapter
-        // (one virtual call per access). Kept verbatim as the
-        // differential reference for the tape.
-        std::optional<BatchingListener> batcher;
-        if (sink) {
-            batcher.emplace(*sink);
-            listener = &*batcher;
-        }
-        try {
-            for (const auto &n : prog_.body)
-                execNode(*n, listener);
-        } catch (const Fault &f) {
-            st = Status::err(f.diag);
-        }
-        // Flush the trailing partial batch, also after a fault; a
-        // cancellation has already propagated past us, unflushed,
-        // matching the historical behaviour.
-        if (batcher)
-            batcher->flush();
-    }
-
-    if (!st.ok()) {
+    if (!tape_)
+        tape_ = std::make_unique<Tape>(prog_, *this);
+    try {
+        tape_->run(*this, listener);
+    } catch (const interp_detail::Fault &f) {
         ++obs::counter("interp.faults");
         if (span.active())
-            span.arg("fault", st.diag().str());
-        return st;
+            span.arg("fault", f.diag.str());
+        return Status::err(f.diag);
     }
 
     // Publish aggregates once per run: the per-iteration path stays a
@@ -597,34 +342,15 @@ Result<RunResult>
 tryRunWithCache(const Program &prog, const CacheConfig &config,
                 const MachineModel &machine)
 {
-    obs::TraceScope span("interp", "run_with_cache");
-    span.arg("program", prog.name);
-    span.arg("cache", config.name);
-
-    Interpreter interp(prog);
-    Cache cache(config);
-    Status st = interp.run(&cache);
-    if (!st.ok()) {
-        if (span.active())
-            span.arg("fault", st.diag().str());
-        return Result<RunResult>::err(st.diag());
-    }
-    cache.publishStats();
-
+    Result<SweepResult> swept = tryRunWithCaches(prog, {config}, machine);
+    if (!swept.ok())
+        return Result<RunResult>::err(swept.diag());
+    const SweepResult &s = swept.value();
     RunResult r;
-    r.exec = interp.stats();
-    r.cache = cache.stats();
-    r.cycles = machine.cyclesPerStmt * r.exec.stmtsExecuted +
-               machine.cyclesPerRef * r.exec.memRefs +
-               machine.missPenalty * r.cache.misses;
-    r.checksum = interp.checksum();
-    if (span.active()) {
-        span.arg("accesses", r.cache.accesses);
-        span.arg("hits", r.cache.hits);
-        span.arg("misses", r.cache.misses);
-        span.arg("evictions", r.cache.evictions);
-        span.arg("cycles", r.cycles);
-    }
+    r.exec = s.exec;
+    r.cache = s.cache.front();
+    r.cycles = s.cycles.front();
+    r.checksum = s.checksum;
     return r;
 }
 
@@ -650,7 +376,7 @@ tryRunWithCaches(const Program &prog,
 
     Interpreter interp(prog);
     MultiCacheSim sim(configs);
-    Status st = interp.runBatched(&sim);
+    Status st = interp.run(&sim);
     if (!st.ok()) {
         if (span.active())
             span.arg("fault", st.diag().str());

@@ -11,10 +11,15 @@
  *  2. cache-hit-rate measurement for the paper's Table 4;
  *  3. a simple cycle model (statement cost + miss penalty) standing in
  *     for the paper's wall-clock numbers in Tables 1 and 3.
+ *
+ * There is one execution engine, the bytecode tape (interp/tape.hh),
+ * and one access path: accesses are buffered and delivered through
+ * MemoryListener::consumeBatch. An independent recursive evaluator
+ * lives in tests/reference_interp.hh as ground truth.
  */
 
-#ifndef MEMORIA_INTERP_INTERP_HH
-#define MEMORIA_INTERP_INTERP_HH
+#ifndef MEMORIA_SRC_INTERP_INTERP_HH
+#define MEMORIA_SRC_INTERP_INTERP_HH
 
 #include <cstdint>
 #include <map>
@@ -31,34 +36,6 @@
 namespace memoria {
 
 class Tape;
-
-/**
- * Interpreter execution engine. `Tape` (the default) compiles each
- * program binding once into a flat bytecode tape (interp/tape.hh) and
- * dispatches over it; `Tree` walks the pointer-based IR directly. Both
- * produce bit-identical results — array contents, ExecStats, access
- * streams, Diags — which the `memoria diffinterp` CI job enforces; the
- * tree walker is retained as the differential reference.
- */
-enum class InterpMode
-{
-    Tree,
-    Tape,
-};
-
-/** Process-wide default mode: an explicit setDefaultInterpMode() call
- *  wins, else the MEMORIA_INTERP environment variable ("tree"/"tape"),
- *  else Tape. */
-InterpMode defaultInterpMode();
-
-/** Override the process-wide default (the CLI's --interp flag). */
-void setDefaultInterpMode(InterpMode mode);
-
-/** Parse "tree"/"tape"; nullopt for anything else. */
-std::optional<InterpMode> parseInterpMode(const std::string &name);
-
-/** "tree" or "tape". */
-const char *interpModeName(InterpMode mode);
 
 /** Execution counters. */
 struct ExecStats
@@ -83,11 +60,6 @@ class Interpreter
     explicit Interpreter(const Program &prog);
     ~Interpreter();
 
-    /** Select the execution engine for this instance (before run());
-     *  new instances start from defaultInterpMode(). */
-    void setMode(InterpMode mode);
-    InterpMode mode() const { return mode_; }
-
     /** Override a parameter value before running (by name). Unknown
      *  names and non-positive resulting extents report a Diag. */
     Status setParam(const std::string &name, int64_t value);
@@ -98,23 +70,21 @@ class Interpreter
     void setInitSeed(uint64_t seed);
 
     /**
-     * Execute the whole program, reporting accesses to `listener`.
+     * Execute the whole program, delivering accesses to `listener` in
+     * batches (MemoryListener::consumeBatch).
      *
      * Program-dependent faults — out-of-bounds subscripts, rank
      * mismatches, MOD by zero — stop execution and come back as a
      * Diag; they are properties of the *input*, not internal bugs, so
      * they must not terminate the process (docs/ROBUSTNESS.md).
+     *
+     * Listener contract, one rule: a program fault flushes the batch,
+     * so after a Diag the listener has seen exactly stats().memRefs
+     * accesses; a cancellation (harness::CancelledError from a budget
+     * poll) propagates without flushing, so the listener's counters
+     * are partial and callers must not read them.
      */
     Status run(MemoryListener *listener = nullptr);
-
-    /**
-     * Execute the whole program, delivering accesses to `sink` in
-     * batches (cachesim/sweep.hh) instead of one virtual call per
-     * reference. The trailing partial batch is flushed even when the
-     * run faults, so the sink's counters always reflect the stream up
-     * to the fault. Null sink behaves like run(nullptr).
-     */
-    Status runBatched(AccessBatchSink *sink);
 
     /** Raw data of one array (valid after construction). Contents are
      *  materialized lazily; the first read fills the buffer with the
@@ -141,9 +111,8 @@ class Interpreter
     /** Virtual base address of an array. */
     uint64_t arrayBase(ArrayId a) const { return bases_.at(a); }
 
-    /** The compiled tape for the current binding (tape mode only;
-     *  compiled lazily on first run). Exposed for the disassembly
-     *  golden test and the diffinterp tooling. */
+    /** The compiled tape for the current binding (compiled lazily on
+     *  first run). Exposed for the disassembly golden test. */
     const Tape &compiledTape();
 
   private:
@@ -160,13 +129,7 @@ class Interpreter
     {
         return static_cast<int>(extentOff_[a + 1] - extentOff_[a]);
     }
-    Status runInternal(MemoryListener *listener, AccessBatchSink *sink);
-    void execNode(const Node &n, MemoryListener *listener);
-    void execStmt(const Statement &s, MemoryListener *listener);
-    double evalValue(const ValuePtr &v, MemoryListener *listener);
     int64_t evalAffine(const AffineExpr &e) const;
-    uint64_t elementIndex(const ArrayRef &ref, MemoryListener *listener);
-    [[noreturn]] void fault(std::string code, std::string msg) const;
     std::string loopContext() const;
 
     const Program &prog_;
@@ -193,7 +156,6 @@ class Interpreter
     std::vector<VarId> loopStack_;        ///< active loops, outer first
     int curStmt_ = -1;                    ///< executing statement id
     bool ran_ = false;
-    InterpMode mode_;
     std::unique_ptr<Tape> tape_;          ///< lazily compiled binding
 };
 
@@ -206,8 +168,9 @@ struct RunResult
     uint64_t checksum = 0;
 };
 
-/** Run a program against one cache configuration. Panics on a program
- *  fault; use tryRunWithCache for untrusted programs. */
+/** Run a program against one cache configuration: a one-config
+ *  runWithCaches. Panics on a program fault; use tryRunWithCache for
+ *  untrusted programs. */
 RunResult runWithCache(const Program &prog, const CacheConfig &config,
                        const MachineModel &machine = MachineModel{});
 
@@ -253,4 +216,4 @@ Result<uint64_t> tryRunChecksum(const Program &prog);
 
 } // namespace memoria
 
-#endif // MEMORIA_INTERP_INTERP_HH
+#endif // MEMORIA_SRC_INTERP_INTERP_HH

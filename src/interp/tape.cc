@@ -19,7 +19,7 @@ namespace {
  *  every factor below 2^20 bounds the strength-reduced affine away
  *  from int64 overflow (products <= 2^40, a handful of summands);
  *  anything wilder falls back to the guarded path, which evaluates
- *  dimension-by-dimension exactly like the tree walker. */
+ *  and checks dimension by dimension. */
 constexpr int64_t kLinLimit = int64_t(1) << 20;
 
 struct NullEmitter
@@ -27,30 +27,23 @@ struct NullEmitter
     void access(uint64_t, uint32_t, bool) {}
 };
 
-struct ListenerEmitter
-{
-    MemoryListener *listener;
-    void
-    access(uint64_t addr, uint32_t size, bool isWrite)
-    {
-        listener->access(addr, static_cast<int>(size), isWrite);
-    }
-};
+/** Accesses per batch handed to MemoryListener::consumeBatch. */
+constexpr size_t kBatch = 4096;
 
 /** Fills a fixed AccessRecord array and hands full batches to the
- *  sink: one store per access, one virtual call per 4096. */
+ *  listener: one store per access, one virtual call per kBatch. */
 struct BufferEmitter
 {
     AccessRecord *buf;
-    AccessBatchSink *sink;
+    MemoryListener *listener;
     size_t n = 0;
 
     void
     access(uint64_t addr, uint32_t size, bool isWrite)
     {
         buf[n] = {addr, size, isWrite};
-        if (++n == BatchingListener::kDefaultBatch) {
-            sink->consumeBatch(buf, n);
+        if (++n == kBatch) {
+            listener->consumeBatch(buf, n);
             n = 0;
         }
     }
@@ -58,7 +51,7 @@ struct BufferEmitter
     flush()
     {
         if (n) {
-            sink->consumeBatch(buf, n);
+            listener->consumeBatch(buf, n);
             n = 0;
         }
     }
@@ -200,8 +193,8 @@ Tape::compileNode(const ProgramArena &arena, ArenaId nodeId)
         return;
     }
     if (n.step == 0) {
-        // Faults at execution time, like the tree walker: a zero-step
-        // loop inside a never-entered region must not fault.
+        // Faults at execution time: a zero-step loop inside a
+        // never-entered region must not fault.
         emitFault("interp.step", "loop over '" + prog_->varName(n.var) +
                                      "' has step 0");
         return;
@@ -321,8 +314,8 @@ Tape::compileRef(const ProgramArena &arena, ArenaId refId, bool isStore)
     const Interpreter &I = *binding_;
 
     // Statically detectable faults compile to a FaultOp at the exact
-    // execution point the tree walker would fault (before any
-    // subscript of this reference is evaluated).
+    // execution point where the reference is reached (before any
+    // subscript of it is evaluated).
     if (r.array < 0 || static_cast<size_t>(r.array) >= I.data_.size()) {
         emitFault("interp.array", "reference to out-of-range array id " +
                                       std::to_string(r.array));
@@ -450,7 +443,7 @@ Tape::compileRef(const ProgramArena &arena, ArenaId refId, bool isStore)
         }
     }
 
-    // Guarded path: dimension-by-dimension, in tree-walker order —
+    // Guarded path: dimension by dimension, in source order —
     // dimension k is bounds-checked before dimension k+1's (possibly
     // load-streaming) opaque subscript is evaluated.
     ++guardedRefs_;
@@ -528,7 +521,7 @@ Tape::execute(Interpreter &interp, Emitter &em)
             int64_t lb = evalA(L.lb, env);
             int64_t ub = evalA(L.ub, env);
             // 128-bit span: the trip count is exact even for extreme
-            // bound pairs the tree walker would grind through.
+            // bound pairs.
             __int128 span = L.step > 0
                                 ? static_cast<__int128>(ub) - lb
                                 : static_cast<__int128>(lb) - ub;
@@ -734,22 +727,14 @@ Tape::run(Interpreter &interp, MemoryListener *listener)
         execute(interp, em);
         return;
     }
-    ListenerEmitter em{listener};
-    execute(interp, em);
-}
-
-void
-Tape::runBatched(Interpreter &interp, AccessBatchSink *sink)
-{
-    if (batchBuf_.size() < BatchingListener::kDefaultBatch)
-        batchBuf_.resize(BatchingListener::kDefaultBatch);
-    BufferEmitter em{batchBuf_.data(), sink};
+    if (batchBuf_.size() < kBatch)
+        batchBuf_.resize(kBatch);
+    BufferEmitter em{batchBuf_.data(), listener};
     try {
         execute(interp, em);
     } catch (const interp_detail::Fault &) {
-        // Match BatchingListener semantics: the sink sees the stream
-        // up to the fault. Cancellation, by contrast, propagates
-        // without a flush (same as the tree path).
+        // The listener sees the stream up to the fault. Cancellation,
+        // by contrast, propagates without a flush.
         em.flush();
         throw;
     }

@@ -1,13 +1,13 @@
 /**
  * @file
- * Flat bytecode tape for the interpreter hot loop.
+ * Flat bytecode tape: the interpreter's execution engine.
  *
- * The tree walker in interp/interp.cc spends most of its time chasing
- * shared_ptr value spines and re-discovering per-reference facts —
- * array rank, extents, strides, bounds — on every single access. The
- * tape compiles one program binding (program + concrete parameter
- * values + array layout) into a flat instruction vector once, hoisting
- * everything compile-time-knowable out of the loop:
+ * Walking the pointer-based IR directly spends most of its time
+ * chasing shared_ptr value spines and re-discovering per-reference
+ * facts — array rank, extents, strides, bounds — on every single
+ * access. The tape compiles one program binding (program + concrete
+ * parameter values + array layout) into a flat instruction vector
+ * once, hoisting everything compile-time-knowable out of the loop:
  *
  *  - **loop headers** carry their variable, bound expressions and step;
  *    the trip count is computed once per loop entry, so the back edge
@@ -20,30 +20,29 @@
  *    the loop-variable ranges shows every subscript in bounds; such
  *    references execute as a single fast load/store op. References it
  *    cannot prove (or with opaque subscripts) fall back to guarded
- *    per-dimension ops that reproduce the tree walker's fault codes,
- *    messages and fault *order* exactly;
+ *    per-dimension ops that check each subscript in source order;
  *  - **accesses stream straight into the batch buffer**: execution is
- *    templated over an emitter policy, so `runBatched` appends to an
- *    AccessRecord array and flushes whole batches to the
- *    AccessBatchSink — no virtual call per access, no allocation.
+ *    templated over an emitter policy, so `run` appends to an
+ *    AccessRecord array and flushes whole batches to the listener's
+ *    consumeBatch — no virtual call per access, no allocation.
  *
- * Semantics are bit-identical to the tree walker by construction:
- * identical ExecStats, identical access streams (same order, same
- * flush-on-fault behaviour), identical Diag codes and messages, and
- * identical budget polling on the 4096-iteration stride. The CI
- * differential job (`memoria diffinterp`) and tests/test_interp_tape.cc
- * enforce this for the corpus, the kernels and fuzz programs.
+ * Evaluation order is defined: statement right-hand side first, then
+ * the written reference's subscripts; binary operands left before
+ * right; subscripts first dimension first. tests/reference_interp.hh
+ * is an independent recursive evaluator with the same rules, and
+ * test_interp_reference requires identical ExecStats, access streams
+ * (through the cache counters), checksums and Diags on the kernels,
+ * the corpus and fuzz programs.
  */
 
-#ifndef MEMORIA_INTERP_TAPE_HH
-#define MEMORIA_INTERP_TAPE_HH
+#ifndef MEMORIA_SRC_INTERP_TAPE_HH
+#define MEMORIA_SRC_INTERP_TAPE_HH
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cachesim/cache.hh"
-#include "cachesim/sweep.hh"
 #include "check/diag.hh"
 #include "interp/arena.hh"
 #include "ir/program.hh"
@@ -55,8 +54,7 @@ class Interpreter;
 namespace interp_detail {
 
 /** Internal unwind for program-dependent faults; caught by
- *  Interpreter::run and converted to a Diag. Shared by the tree walker
- *  and the tape so both modes funnel through one handler. */
+ *  Interpreter::run and converted to a Diag. */
 struct Fault
 {
     Diag diag;
@@ -65,8 +63,7 @@ struct Fault
 } // namespace interp_detail
 
 /** Budget poll cadence of the interpreter inner loop, in iterations; a
- *  power of two so the hot check is one AND plus a branch. Shared by
- *  the tree walker and the tape so cancellation points line up. */
+ *  power of two so the hot check is one AND plus a branch. */
 constexpr uint64_t kInterpPollStride = 4096;
 
 /**
@@ -80,15 +77,12 @@ class Tape
     /** Compile `prog` against the interpreter's current binding. */
     Tape(const Program &prog, const Interpreter &interp);
 
-    /** Execute, reporting accesses to `listener` (null for none).
-     *  Throws interp_detail::Fault on program faults. */
+    /** Execute, streaming accesses to `listener` (null for none) in
+     *  batches. The trailing partial batch is flushed even when a
+     *  program fault unwinds; cooperative cancellation propagates
+     *  without a flush. Throws interp_detail::Fault on program
+     *  faults. */
     void run(Interpreter &interp, MemoryListener *listener);
-
-    /** Execute, streaming accesses to `sink` in batches. The trailing
-     *  partial batch is flushed even when a fault unwinds (matching
-     *  BatchingListener-based runs); cooperative cancellation is not
-     *  intercepted. Throws interp_detail::Fault on program faults. */
-    void runBatched(Interpreter &interp, AccessBatchSink *sink);
 
     /** Human-readable listing of the whole tape (golden-tested). */
     std::string disassemble() const;
@@ -245,4 +239,4 @@ class Tape
 
 } // namespace memoria
 
-#endif // MEMORIA_INTERP_TAPE_HH
+#endif // MEMORIA_SRC_INTERP_TAPE_HH

@@ -13,9 +13,6 @@
  *   memoria trace <program> [N]        Compound decision provenance
  *   memoria fuzz [--seed N] [--count K] [--jobs N]
  *                                      differential pipeline fuzzing
- *   memoria diffinterp [--seed N] [--count K]
- *                                      tree-vs-tape interpreter
- *                                      differential (CI hard gate)
  *   memoria batch [programs...]        resilient batch pipeline
  *   memoria serve [--port N] [--socket P]  long-running compile service
  *   memoria reduce <bundle|file>       re-minimize a failure offline
@@ -403,7 +400,6 @@ struct Options
     bool quiet = false;
     uint64_t fuzzSeed = 1;     ///< fuzz: --seed
     int fuzzCount = 100;       ///< fuzz: --count
-    std::string interp;        ///< --interp tree|tape (global)
 
     // batch
     bool batchAll = false;        ///< --all
@@ -490,8 +486,6 @@ parseArgs(int argc, char **argv)
              [&](const std::string &v) {
                  opts.fuzzCount = std::atoi(v.c_str());
              }},
-            {"--interp",
-             [&](const std::string &v) { opts.interp = v; }},
             {"--jobs",
              [&](const std::string &v) {
                  opts.jobs = std::atoi(v.c_str());
@@ -713,7 +707,6 @@ usageText()
         "[-v] [-q]\n"
         "       memoria fuzz [--seed N] [--count K] [--jobs N] "
         "[--no-incidents]\n"
-        "       memoria diffinterp [--seed N] [--count K]\n"
         "       memoria batch [programs...] [--all] [--stdin] "
         "[--jobs N]\n"
         "               [--deadline-ms N] [--max-iterations N] "
@@ -745,8 +738,6 @@ usageText()
         "[--json]\n"
         "       memoria version | --version\n"
         "       memoria --help\n"
-        "global: --interp tree|tape selects the interpreter engine\n"
-        "        (default tape; MEMORIA_INTERP env is the fallback)\n"
         "exit codes: 0 ok, 1 pipeline failure, 2 usage error\n";
 }
 
@@ -960,120 +951,6 @@ cmdFuzz(const Options &opts)
 
     std::cout << "FUZZING FOUND FAILURES\n";
     return 1;
-}
-
-/**
- * `memoria diffinterp`: differential check of the two interpreter
- * engines. Every input — kernels, the corpus, their Compound-transformed
- * variants, and `--count` fuzz programs — is executed once per engine
- * through the multi-config cache sweep, and the complete observable
- * surface is compared: ExecStats, array checksum, per-configuration
- * cache counters (accesses/hits/misses/cold/evictions), modeled cycles,
- * and — for faulting programs — the exact Diag text. Any divergence is
- * a bug in the bytecode compiler or the tree walker; CI hard-fails on
- * it.
- */
-int
-cmdDiffInterp(const Options &opts)
-{
-    const std::vector<CacheConfig> configs{CacheConfig::rs6000(),
-                                           CacheConfig::i860()};
-
-    struct ModeOutcome
-    {
-        bool ok = false;
-        std::string diag;
-        SweepResult sweep;
-    };
-    auto runMode = [&](const Program &prog, InterpMode m) {
-        InterpMode saved = defaultInterpMode();
-        setDefaultInterpMode(m);
-        Result<SweepResult> r = tryRunWithCaches(prog, configs);
-        setDefaultInterpMode(saved);
-        ModeOutcome out;
-        if (r.ok()) {
-            out.ok = true;
-            out.sweep = std::move(r.value());
-        } else {
-            out.diag = r.diag().str();
-        }
-        return out;
-    };
-
-    int checked = 0, divergent = 0;
-    auto compare = [&](const std::string &name, const Program &prog) {
-        ++checked;
-        ModeOutcome tree = runMode(prog, InterpMode::Tree);
-        ModeOutcome tape = runMode(prog, InterpMode::Tape);
-        std::string why;
-        if (tree.ok != tape.ok) {
-            why = std::string("tree ") +
-                  (tree.ok ? "runs" : "faults (" + tree.diag + ")") +
-                  ", tape " +
-                  (tape.ok ? "runs" : "faults (" + tape.diag + ")");
-        } else if (!tree.ok) {
-            if (tree.diag != tape.diag)
-                why = "fault diags differ: tree '" + tree.diag +
-                      "' vs tape '" + tape.diag + "'";
-        } else {
-            const SweepResult &a = tree.sweep;
-            const SweepResult &b = tape.sweep;
-            if (a.exec.stmtsExecuted != b.exec.stmtsExecuted ||
-                a.exec.memRefs != b.exec.memRefs ||
-                a.exec.loopIterations != b.exec.loopIterations)
-                why = "ExecStats differ";
-            else if (a.checksum != b.checksum)
-                why = "array checksums differ";
-            else if (a.cycles != b.cycles)
-                why = "modeled cycles differ";
-            for (size_t c = 0; why.empty() && c < configs.size(); ++c) {
-                const CacheStats &x = a.cache[c];
-                const CacheStats &y = b.cache[c];
-                if (x.accesses != y.accesses || x.hits != y.hits ||
-                    x.misses != y.misses ||
-                    x.coldMisses != y.coldMisses ||
-                    x.evictions != y.evictions)
-                    why = "cache counters differ on " +
-                          configs[c].name;
-            }
-        }
-        if (!why.empty()) {
-            ++divergent;
-            std::cout << "DIVERGENCE " << name << ": " << why << "\n";
-        }
-    };
-
-    // The transformed variant doubles the shape coverage (permuted,
-    // fused, distributed, scalar-replaced nests). Verification is off:
-    // the oracle itself interprets, and even a program Compound would
-    // have rolled back must still agree between the two engines.
-    auto compareBoth = [&](const std::string &name, Program prog) {
-        compare(name, prog);
-        ModelParams params;
-        CompoundOptions copts;
-        copts.verify = false;
-        compoundTransform(prog, params, copts);
-        compare(name + "#opt", prog);
-    };
-
-    for (const auto &[name, make] : kernels())
-        compareBoth(name, make(24));
-    for (const auto &spec : corpusSpecs())
-        compareBoth(spec.name, buildCorpusProgram(spec, 16));
-    for (int k = 0; k < opts.fuzzCount; ++k) {
-        uint64_t seed = opts.fuzzSeed + static_cast<uint64_t>(k);
-        compareBoth("fuzz-" + std::to_string(seed), fuzzProgram(seed));
-    }
-
-    std::cout << "diffinterp: " << checked
-              << " program variants compared (tree vs tape), "
-              << divergent << " divergent\n";
-    if (divergent > 0) {
-        std::cout << "INTERPRETERS DIVERGE\n";
-        return 1;
-    }
-    std::cout << "interpreters agree\n";
-    return 0;
 }
 
 int
@@ -1714,19 +1591,6 @@ run(int argc, char **argv)
     }
     applyVerbosity(opts);
 
-    if (!opts.interp.empty()) {
-        std::optional<InterpMode> mode = parseInterpMode(opts.interp);
-        if (!mode) {
-            std::cerr << "memoria: --interp wants tree or tape, got '"
-                      << opts.interp << "'\n";
-            return 2;
-        }
-        setDefaultInterpMode(*mode);
-        // Exported so re-exec'd children (the serve supervisor's shard
-        // workers) inherit the engine choice.
-        ::setenv("MEMORIA_INTERP", interpModeName(*mode), 1);
-    }
-
     if (opts.help) {
         std::cout << usageText();
         return 0;
@@ -1804,13 +1668,6 @@ run(int argc, char **argv)
             rc = 2;
         } else {
             rc = cmdFuzz(opts);
-        }
-    } else if (cmd == "diffinterp") {
-        if (opts.fuzzCount < 0) {
-            std::cerr << "memoria: --count must be non-negative\n";
-            rc = 2;
-        } else {
-            rc = cmdDiffInterp(opts);
         }
     } else if (opts.positional.size() < 2) {
         std::cerr << "missing program name; try `memoria list`\n";

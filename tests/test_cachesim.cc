@@ -4,6 +4,8 @@
  * independent per-config simulations, the reuse-distance analyzer must
  * agree with a direct fully-associative cache, and a sweep must cost
  * exactly one interpreter pass no matter how many configs it feeds.
+ * End-to-end counters are checked against the test-only reference
+ * evaluator (reference_interp.hh) feeding plain Caches.
  */
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include "cachesim/cache.hh"
 #include "cachesim/sweep.hh"
 #include "interp/interp.hh"
+#include "reference_interp.hh"
 #include "suite/kernels.hh"
 #include "support/stats.hh"
 
@@ -169,7 +172,7 @@ TEST(Sweep, ReuseDistanceMatchesFullyAssociativeCache)
     }
 }
 
-TEST(Sweep, RunWithCachesMatchesRunWithCache)
+TEST(Sweep, RunWithCachesMatchesReferencePerConfig)
 {
     Program p = makeMatmul("IJK", 24);
     std::vector<CacheConfig> configs = {CacheConfig::rs6000(),
@@ -179,16 +182,20 @@ TEST(Sweep, RunWithCachesMatchesRunWithCache)
     ASSERT_EQ(sweep.cycles.size(), configs.size());
 
     for (size_t i = 0; i < configs.size(); ++i) {
-        // tryRunWithCache keeps the original one-listener path, so the
-        // two implementations are independent.
-        Result<RunResult> direct = tryRunWithCache(p, configs[i]);
-        ASSERT_TRUE(direct.ok());
-        expectSameStats(sweep.cache[i], direct.value().cache);
-        EXPECT_DOUBLE_EQ(sweep.cycles[i], direct.value().cycles);
-        EXPECT_EQ(sweep.checksum, direct.value().checksum);
-        EXPECT_EQ(sweep.exec.memRefs, direct.value().exec.memRefs);
-        EXPECT_EQ(sweep.exec.loopIterations,
-                  direct.value().exec.loopIterations);
+        // The independent side: the test-only reference evaluator
+        // feeding a plain Cache one access at a time.
+        Cache direct(configs[i]);
+        ReferenceRun ref = runReference(p, &direct);
+        ASSERT_TRUE(ref.status.ok());
+        expectSameStats(sweep.cache[i], direct.stats());
+        EXPECT_EQ(sweep.checksum, ref.checksum);
+        EXPECT_EQ(sweep.exec.memRefs, ref.stats.memRefs);
+        EXPECT_EQ(sweep.exec.loopIterations, ref.stats.loopIterations);
+
+        // The one-config entry point is the same sweep.
+        RunResult one = runWithCache(p, configs[i]);
+        expectSameStats(one.cache, direct.stats());
+        EXPECT_DOUBLE_EQ(one.cycles, sweep.cycles[i]);
     }
 }
 
@@ -206,9 +213,17 @@ TEST(Sweep, OneInterpreterPassPerSweep)
     ASSERT_EQ(sweep.cache.size(), 2u);
     EXPECT_EQ(sweep.cache[0].accesses, sweep.cache[1].accesses);
 
+    // The reference evaluator is outside the interpreter's counters
+    // and sees the same stream.
     before = runs.value();
-    Result<RunResult> direct = tryRunWithCache(p, configs[0]);
-    ASSERT_TRUE(direct.ok());
+    Cache direct(configs[0]);
+    ASSERT_TRUE(runReference(p, &direct).status.ok());
+    EXPECT_EQ(runs.value() - before, 0u);
+    expectSameStats(sweep.cache[0], direct.stats());
+
+    before = runs.value();
+    Result<RunResult> one = tryRunWithCache(p, configs[0]);
+    ASSERT_TRUE(one.ok());
     EXPECT_EQ(runs.value() - before, 1u);
 }
 

@@ -1,14 +1,15 @@
 /**
  * Unit tests for the flat arena IR and the bytecode tape interpreter
  * (interp/arena.hh, interp/tape.hh): lossless flattening, the golden
- * disassembly, and tree/tape parity on faults, budgets and
- * cancellation. The jobs-determinism tests pin down the parallel
- * oracle and fuzz campaign contracts (identical output for every jobs
- * value).
+ * disassembly, pinned fault diagnostics and budget charges, the
+ * fault-flush contract for every listener kind, and cancellation. The
+ * jobs-determinism tests pin down the parallel oracle and fuzz
+ * campaign contracts (identical output for every jobs value).
  */
 
 #include <gtest/gtest.h>
 
+#include "cachesim/reuse.hh"
 #include "check/equiv.hh"
 #include "check/fuzz.hh"
 #include "driver/fuzzcheck.hh"
@@ -108,35 +109,27 @@ makeOobProgram()
     return b.finish();
 }
 
-TEST(Tape, OutOfBoundsParity)
+TEST(Tape, OutOfBoundsDiag)
 {
     // The tape compiles the reference guarded (it cannot prove I+1 in
-    // bounds) and must reproduce the tree walker's fault exactly:
-    // same code, same message, same counters up to the fault.
+    // bounds); the fault names the subscript, the loop iteration and
+    // the statement, and the counters stop at the fault.
     Program p = makeOobProgram();
-
-    Interpreter tree(p);
-    tree.setMode(InterpMode::Tree);
-    Status ts = tree.run();
-    ASSERT_FALSE(ts.ok());
-
-    Interpreter tape(p);
-    tape.setMode(InterpMode::Tape);
-    EXPECT_GT(tape.compiledTape().guardedRefs(), 0);
-    Status as = tape.run();
-    ASSERT_FALSE(as.ok());
-
-    EXPECT_EQ(ts.diag().str(), as.diag().str());
-    EXPECT_EQ(tree.stats().stmtsExecuted, tape.stats().stmtsExecuted);
-    EXPECT_EQ(tree.stats().memRefs, tape.stats().memRefs);
-    EXPECT_EQ(tree.stats().loopIterations, tape.stats().loopIterations);
-    EXPECT_EQ(tree.checksum(), tape.checksum());
+    Interpreter interp(p);
+    EXPECT_GT(interp.compiledTape().guardedRefs(), 0);
+    Status st = interp.run();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.diag().str(),
+              "interp.oob: subscript 1 = 7 out of bounds 1..6 on array A "
+              "in DO I=6 (statement 0)");
+    EXPECT_EQ(interp.stats().stmtsExecuted, 5u);
+    EXPECT_EQ(interp.stats().memRefs, 5u);
+    EXPECT_EQ(interp.stats().loopIterations, 6u);
 }
 
-TEST(Tape, ModZeroParity)
+TEST(Tape, ModZeroDiag)
 {
-    // I MOD (I - I) faults at runtime; both engines must agree on the
-    // diagnostic and on how much executed before it.
+    // I MOD (I - I) faults at runtime, in the first iteration.
     ProgramBuilder b("modzero");
     Var n = b.param("N", 4);
     Arr a = b.array("A", {n});
@@ -145,31 +138,62 @@ TEST(Tape, ModZeroParity)
                  b.assign(a(i), imodv(Val(i), Val(i) - Val(i)))));
     Program p = b.finish();
 
-    Interpreter tree(p);
-    tree.setMode(InterpMode::Tree);
-    Status ts = tree.run();
-    ASSERT_FALSE(ts.ok());
-
-    Interpreter tape(p);
-    tape.setMode(InterpMode::Tape);
-    Status as = tape.run();
-    ASSERT_FALSE(as.ok());
-
-    EXPECT_EQ(ts.diag().str(), as.diag().str());
-    EXPECT_EQ(tree.stats().stmtsExecuted, tape.stats().stmtsExecuted);
+    Interpreter interp(p);
+    Status st = interp.run();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.diag().str(),
+              "interp.mod_zero: MOD by zero in DO I=1 (statement 0)");
+    EXPECT_EQ(interp.stats().stmtsExecuted, 0u);
 }
 
-/** Run `p` in `mode` under an iteration budget; returns the cancel
- *  kind (or nullopt if the run finished) and the iterations charged. */
+/** A(I+1) = I over A(N), N = 10000: faults after 9999 stores, more
+ *  than two full access batches plus a partial one. */
+Program
+makeLongOobProgram()
+{
+    ProgramBuilder b("oob_long");
+    Var n = b.param("N", 10000);
+    Arr a = b.array("A", {n});
+    Var i = b.loopVar("I");
+    b.add(b.loop(i, 1, n, b.assign(a(Ix(i) + 1), Val(i))));
+    return b.finish();
+}
+
+TEST(Tape, FaultFlushesEveryListenerKind)
+{
+    // One rule for every listener: a program fault flushes the
+    // trailing partial batch, so the listener has seen exactly the
+    // accesses the interpreter counted.
+    Program p = makeLongOobProgram();
+
+    Interpreter i1(p);
+    Cache cache(CacheConfig::i860());
+    ASSERT_FALSE(i1.run(&cache).ok());
+    EXPECT_EQ(i1.stats().memRefs, 9999u);
+    EXPECT_EQ(cache.stats().accesses, i1.stats().memRefs);
+
+    Interpreter i2(p);
+    ReuseDistanceAnalyzer rd(32);
+    ASSERT_FALSE(i2.run(&rd).ok());
+    EXPECT_EQ(rd.warmAccesses() + rd.coldAccesses(), i2.stats().memRefs);
+
+    Interpreter i3(p);
+    MultiCacheSim sim({CacheConfig::rs6000(), CacheConfig::i860()});
+    ASSERT_FALSE(i3.run(&sim).ok());
+    EXPECT_EQ(sim.stats(0).accesses, i3.stats().memRefs);
+    EXPECT_EQ(sim.stats(1).accesses, i3.stats().memRefs);
+}
+
+/** Run `p` under an iteration budget; returns the cancel kind (or
+ *  nullopt if the run finished) and the iterations charged. */
 std::pair<std::optional<harness::CancelKind>, uint64_t>
-runUnderBudget(const Program &p, InterpMode mode, uint64_t maxIters)
+runUnderBudget(const Program &p, uint64_t maxIters)
 {
     harness::Budget budget;
     budget.maxInterpIterations = maxIters;
     harness::CancelToken token(budget);
     harness::BudgetScope scope(&token);
     Interpreter interp(p);
-    interp.setMode(mode);
     try {
         interp.run();
     } catch (const harness::CancelledError &e) {
@@ -178,81 +202,34 @@ runUnderBudget(const Program &p, InterpMode mode, uint64_t maxIters)
     return {std::nullopt, token.iterationsUsed()};
 }
 
-TEST(Tape, IterationBudgetParity)
+TEST(Tape, IterationBudgetCharge)
 {
-    // 32^3 = 32768 iterations against a 5000-iteration budget: both
-    // engines poll on the same 4096-iteration stride, so they cancel
-    // at the same charge point.
-    Program p = makeMatmul("JKI", 32);
-    auto [treeKind, treeIters] =
-        runUnderBudget(p, InterpMode::Tree, 5000);
-    auto [tapeKind, tapeIters] =
-        runUnderBudget(p, InterpMode::Tape, 5000);
-    ASSERT_TRUE(treeKind.has_value());
-    ASSERT_TRUE(tapeKind.has_value());
-    EXPECT_EQ(*treeKind, harness::CancelKind::IterBudget);
-    EXPECT_EQ(*tapeKind, harness::CancelKind::IterBudget);
-    EXPECT_EQ(treeIters, tapeIters);
+    // 32^3 = 32768 iterations against a 5000-iteration budget. The
+    // budget is polled every 4096 iterations, so the run is cancelled
+    // at the second charge point.
+    auto [kind, iters] = runUnderBudget(makeMatmul("JKI", 32), 5000);
+    ASSERT_TRUE(kind.has_value());
+    EXPECT_EQ(*kind, harness::CancelKind::IterBudget);
+    EXPECT_EQ(iters, 8192u);
 }
 
-TEST(Tape, ExternalCancellationParity)
+TEST(Tape, ExternalCancellation)
 {
-    // A pre-cancelled token stops both engines at their first poll.
+    // A pre-cancelled token stops the run at its first poll.
+    harness::Budget budget;
+    harness::CancelToken token(budget);
+    token.cancel();
+    harness::BudgetScope scope(&token);
     Program p = makeMatmul("JKI", 32);
-    for (InterpMode mode : {InterpMode::Tree, InterpMode::Tape}) {
-        harness::Budget budget;
-        harness::CancelToken token(budget);
-        token.cancel();
-        harness::BudgetScope scope(&token);
-        Interpreter interp(p);
-        interp.setMode(mode);
-        bool cancelled = false;
-        try {
-            interp.run();
-        } catch (const harness::CancelledError &e) {
-            cancelled = true;
-            EXPECT_EQ(e.kind, harness::CancelKind::External)
-                << interpModeName(mode);
-        }
-        EXPECT_TRUE(cancelled) << interpModeName(mode);
+    Interpreter interp(p);
+    bool cancelled = false;
+    try {
+        interp.run();
+    } catch (const harness::CancelledError &e) {
+        cancelled = true;
+        EXPECT_EQ(e.kind, harness::CancelKind::External);
     }
-}
-
-TEST(Tape, SweepParityAcrossModes)
-{
-    // End to end: the full sweep result — stats, per-config cache
-    // counters, cycles and checksum — is identical in both modes.
-    std::vector<CacheConfig> configs = {CacheConfig::rs6000(),
-                                        CacheConfig::i860()};
-    for (const Program &p : samplePrograms()) {
-        InterpMode saved = defaultInterpMode();
-        setDefaultInterpMode(InterpMode::Tree);
-        Result<SweepResult> tree = tryRunWithCaches(p, configs);
-        setDefaultInterpMode(InterpMode::Tape);
-        Result<SweepResult> tape = tryRunWithCaches(p, configs);
-        setDefaultInterpMode(saved);
-
-        ASSERT_EQ(tree.ok(), tape.ok()) << p.name;
-        if (!tree.ok()) {
-            EXPECT_EQ(tree.diag().str(), tape.diag().str()) << p.name;
-            continue;
-        }
-        EXPECT_EQ(tree.value().checksum, tape.value().checksum)
-            << p.name;
-        EXPECT_EQ(tree.value().exec.memRefs, tape.value().exec.memRefs)
-            << p.name;
-        ASSERT_EQ(tree.value().cache.size(), tape.value().cache.size());
-        for (size_t i = 0; i < configs.size(); ++i) {
-            EXPECT_EQ(tree.value().cache[i].accesses,
-                      tape.value().cache[i].accesses)
-                << p.name;
-            EXPECT_EQ(tree.value().cache[i].hits,
-                      tape.value().cache[i].hits)
-                << p.name;
-            EXPECT_EQ(tree.value().cycles[i], tape.value().cycles[i])
-                << p.name;
-        }
-    }
+    EXPECT_TRUE(cancelled);
 }
 
 TEST(EquivJobs, ParallelRoundsAreDeterministic)
