@@ -373,6 +373,11 @@ BatchReport::toJson() const
            << ",\"max_ir_nodes\":" << p.maxIrNodes
            << ",\"backoff_ms\":" << p.backoffMs << ",\"loops\":"
            << p.loops;
+        os << ",\"stages\":{\"load_ms\":" << jnum(p.timings.loadUs / 1000)
+           << ",\"optimize_ms\":" << jnum(p.timings.optimizeUs / 1000)
+           << ",\"verify_ms\":" << jnum(p.timings.verifyUs / 1000)
+           << ",\"simulate_ms\":" << jnum(p.timings.simulateUs / 1000)
+           << "}";
 
         os << ",\"incidents\":[";
         bool first = true;

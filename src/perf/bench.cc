@@ -200,11 +200,13 @@ benchSuite()
 
     suite.push_back({"batch_corpus", [](Counters &c) {
         static obs::Counter &cRuns = obs::counter("interp.runs");
+        static obs::Counter &cChecks = obs::counter("check.equiv.checks");
         harness::BatchOptions bopts;
         bopts.jobs = 2;
         bopts.cacheConfigs = {CacheConfig::rs6000(),
                               CacheConfig::i860()};
         uint64_t runsBefore = cRuns.value();
+        uint64_t checksBefore = cChecks.value();
         harness::BatchReport rep =
             harness::runBatch(harness::corpusInputs(10), bopts);
         uint64_t accesses = 0, iterations = 0;
@@ -219,6 +221,7 @@ benchSuite()
         c["accesses"] = accesses;
         c["iterations"] = iterations;
         c["interp_passes"] = cRuns.value() - runsBefore;
+        c["equiv_checks"] = cChecks.value() - checksBefore;
     }});
 
     return suite;

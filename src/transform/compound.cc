@@ -6,6 +6,7 @@
 #include "check/validate.hh"
 #include "harness/budget.hh"
 #include "harness/fault.hh"
+#include "ir/walk.hh"
 #include "model/loopcost.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
@@ -280,7 +281,19 @@ optimizeNest(const Program &prog, std::vector<NodePtr> &ownerBody,
     if (gSabotageHook)
         gSabotageHook(ownerBody, index, slots);
 
-    if (verify) {
+    // A nest that still fills one slot and equals its snapshot field
+    // for field runs exactly as the reference does (same tables, and
+    // the interpreter is deterministic), so the oracle could only
+    // agree. Verify only what Compound actually rewrote.
+    const bool verified =
+        verify && (slots != 1 ||
+                   !structurallyEqual(*snapshot, *ownerBody[index]));
+    static obs::Counter &cVerifySkipped =
+        obs::counter("pass.compound.nests_verify_skipped");
+    if (verify && !verified)
+        ++cVerifySkipped;
+
+    if (verified) {
         scratch.prime(prog);
         Program &refP = scratch.refP;
         Program &candP = scratch.candP;
@@ -353,6 +366,7 @@ optimizeNest(const Program &prog, std::vector<NodePtr> &ownerBody,
         span.arg("orig_memory_order", rep.origMemoryOrder);
         span.arg("final_memory_order", rep.finalMemoryOrder);
         span.arg("strategy", nestStrategyName(rep));
+        span.arg("verified", verified);
         span.arg("rolled_back", rep.rolledBack);
         span.arg("fail", permuteFailName(rep.fail));
         span.arg("used_reversal", rep.usedReversal);

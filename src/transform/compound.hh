@@ -95,6 +95,8 @@ struct CompoundOptions
      * (check/equiv.hh), restoring the original structure when a check
      * fails. Verification never alters the result of a correct
      * transformation — it only converts a miscompile into a no-op.
+     * A nest left structurally identical to its snapshot is not
+     * checked: it is the reference.
      */
     bool verify = true;
 

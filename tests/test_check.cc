@@ -14,8 +14,10 @@
 #include "driver/fuzzcheck.hh"
 #include "ir/builder.hh"
 #include "ir/printer.hh"
+#include "ir/walk.hh"
 #include "suite/corpus.hh"
 #include "suite/kernels.hh"
+#include "support/stats.hh"
 #include "support/trace.hh"
 #include "transform/compound.hh"
 
@@ -206,6 +208,142 @@ TEST_F(GuardTest, HealthyPipelineNeverRollsBack)
         EXPECT_EQ(r.failVerify, 0) << order;
         EXPECT_EQ(r.fusion.failVerify, 0) << order;
     }
+}
+
+/** A depth-2 nest J { I-loop; L-loop } whose inner loops FuseAll can
+ *  merge, but whose fused nest cannot be interchanged to put J (the
+ *  stride-1 subscript) innermost: A(J-1,I+1) and A(J-1,I-1) carry
+ *  (<,>) and (<,<), so neither order of I makes the swap legal. */
+Program
+fuseThenStuckNest()
+{
+    ProgramBuilder b("fusestuck");
+    Var n = b.param("N", 8);
+    Arr a = b.array("A", {Ix(n) + 1, Ix(n) + 1});
+    Arr c = b.array("B", {Ix(n) + 1, Ix(n) + 1});
+    Var j = b.loopVar("J");
+    Var i = b.loopVar("I");
+    Var l = b.loopVar("L");
+    b.add(b.loop(
+        j, 2, n,
+        b.loop(i, 2, Ix(n) - 1,
+               b.assign(a(Ix(j), Ix(i)),
+                        a(Ix(j) - 1, Ix(i) + 1) + a(Ix(j) - 1, Ix(i) - 1))),
+        b.loop(l, 2, Ix(n) - 1,
+               b.assign(c(Ix(j), Ix(l)), c(Ix(j), Ix(l)) + 1.0))));
+    return b.finish();
+}
+
+/** GuardTest with the stats registry zeroed, so each test reads the
+ *  counters its own Compound run moved. */
+class VerifySkipTest : public GuardTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        GuardTest::SetUp();
+        obs::statsRegistry().resetValues();
+    }
+
+    static uint64_t
+    count(const char *name)
+    {
+        return obs::counter(name).value();
+    }
+};
+
+TEST_F(VerifySkipTest, NestAlreadyInMemoryOrderIsNotVerified)
+{
+    Program p = makeMatmul("JKI", 8);
+    compoundTransform(p, ModelParams{}, CompoundOptions{});
+    EXPECT_EQ(count("check.equiv.checks"), 0u);
+    EXPECT_EQ(count("pass.compound.nests_verify_skipped"), 1u);
+}
+
+TEST_F(VerifySkipTest, PermutedNestIsVerifiedOnce)
+{
+    Program p = makeMatmul("IJK", 8);
+    compoundTransform(p, ModelParams{}, CompoundOptions{});
+    EXPECT_EQ(count("check.equiv.checks"), 1u);
+    EXPECT_EQ(count("pass.compound.nests_verify_skipped"), 0u);
+}
+
+TEST_F(VerifySkipTest, FuseAllRestoredFromSnapshotIsNotVerified)
+{
+    Program p = fuseThenStuckNest();
+    Program orig = p.clone();
+    CompoundOptions opts;
+    opts.enableDistribution = false;  // leave FuseAll as the only step
+    compoundTransform(p, ModelParams{}, opts);
+
+    // FuseAll really rewrote the nest before Compound put it back.
+    EXPECT_GT(count("pass.fuse.fuse_all_merged"), 0u);
+    EXPECT_TRUE(structurallyEqual(p, orig));
+    EXPECT_EQ(count("check.equiv.checks"), 0u);
+    EXPECT_EQ(count("pass.compound.nests_verify_skipped"), 1u);
+}
+
+TEST_F(VerifySkipTest, DistributedNestIsStillVerified)
+{
+    Program p = fuseThenStuckNest();
+    CompoundResult r = compoundTransform(p, ModelParams{},
+                                         CompoundOptions{});
+    ASSERT_EQ(r.nests.size(), 1u);
+    EXPECT_TRUE(r.nests[0].usedDistribution);
+    EXPECT_GE(p.body.size(), 2u);
+    EXPECT_GE(count("check.equiv.checks"), 1u);
+    EXPECT_EQ(count("pass.compound.nests_verify_skipped"), 0u);
+}
+
+TEST_F(VerifySkipTest, SabotageOfAnUntouchedNestIsStillCaught)
+{
+    Program p = makeMatmul("JKI", 8);
+    std::string before = printProgram(p);
+
+    // Compound leaves JKI alone; the hook then miscompiles it by
+    // negating the innermost statement's right-hand side.
+    setCompoundSabotageHook(
+        [](std::vector<NodePtr> &ownerBody, size_t index, size_t) {
+            Node *n = ownerBody[index].get();
+            while (n->isLoop())
+                n = n->body[0].get();
+            n->stmt.rhs = Value::make(ValOp::Neg, {n->stmt.rhs});
+        });
+    CompoundResult r = compoundTransform(p, ModelParams{},
+                                         CompoundOptions{});
+
+    EXPECT_EQ(count("check.equiv.checks"), 1u);
+    EXPECT_EQ(count("pass.compound.nests_verify_skipped"), 0u);
+    EXPECT_EQ(count("pass.compound.nests_verify_failed"), 1u);
+    ASSERT_EQ(r.nests.size(), 1u);
+    EXPECT_TRUE(r.nests[0].rolledBack);
+    EXPECT_EQ(printProgram(p), before);
+}
+
+TEST_F(VerifySkipTest, EveryNestIsEitherVerifiedOrSkipped)
+{
+    std::vector<Program> programs;
+    programs.push_back(makeMatmul("IJK", 8));
+    programs.push_back(makeMatmul("JKI", 8));
+    programs.push_back(makeCholeskyKIJ(8));
+    programs.push_back(makeAdiScalarized(8));
+    programs.push_back(makeErlebacherDistributed(6));
+    programs.push_back(makeVpenta(8));
+    for (Program &p : programs)
+        compoundTransform(p, ModelParams{}, CompoundOptions{});
+
+    uint64_t verified = 0;
+    for (const auto &e : rec_->events)
+        if (e.type == obs::TraceEvent::Type::SpanEnd &&
+            e.category == "pass.compound" && e.name == "nest")
+            for (const auto &[k, v] : e.args)
+                if (k == "verified" && v.render() == "true")
+                    ++verified;
+    uint64_t skipped = count("pass.compound.nests_verify_skipped");
+    EXPECT_GT(verified, 0u);
+    EXPECT_GT(skipped, 0u);
+    EXPECT_EQ(verified + skipped, count("pass.compound.nests_total"));
 }
 
 // ---------------------------------------------------------------------

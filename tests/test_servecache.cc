@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -66,6 +67,7 @@ requestLine(const std::string &id, const std::string &kind,
 struct Collector
 {
     std::mutex mutex;
+    std::condition_variable arrived;
     std::vector<std::string> lines;
 
     Server::Respond
@@ -74,7 +76,17 @@ struct Collector
         return [this](const std::string &line) {
             std::lock_guard<std::mutex> lock(mutex);
             lines.push_back(line);
+            arrived.notify_all();
         };
+    }
+
+    /** Block until at least `n` lines arrived (false after 30 s). */
+    bool
+    waitForLines(size_t n)
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        return arrived.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return lines.size() >= n; });
     }
 
     json::Value
@@ -416,6 +428,9 @@ TEST(ServeCache, SecondIdenticalRequestIsACacheHit)
     server.start();
     Collector out;
     server.handleLine(requestLine("r1", "compound", kProgram), out.fn());
+    // With two jobs r2 could be picked up first and lead; waiting for
+    // r1's answer makes r1 the leader in every run.
+    ASSERT_TRUE(out.waitForLines(1));
     server.handleLine(requestLine("r2", "compound", kProgram), out.fn());
     // Formatting variant: canonicalization should hit too.
     server.handleLine(
