@@ -4,6 +4,7 @@
 
 #include "dependence/tests.hh"
 #include "support/logging.hh"
+#include "support/stats.hh"
 
 namespace memoria {
 
@@ -63,6 +64,8 @@ DependenceGraph::DependenceGraph(const Program &prog,
                                  std::vector<StmtContext> scope)
     : scope_(std::move(scope))
 {
+    static obs::Counter &cBuilds = obs::counter("dependence.graph_builds");
+    ++cBuilds;
     build(prog);
 }
 

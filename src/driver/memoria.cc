@@ -30,11 +30,24 @@ stmtIds(const Node &n)
     return out;
 }
 
-/** Build the ideal program: force memory order everywhere, legality
- *  ignored (Section 5.2's "ideal" column). */
-void
-forceIdeal(Program &prog, const ModelParams &params)
+/** Evaluate orig/new cost ratio at a concrete size; never below 1 when
+ *  the transformation never hurts (guards tiny numeric noise). */
+double
+costRatio(const Poly &orig, const Poly &now, double evalN)
 {
+    double o = checkedEval(orig, evalN);
+    double t = checkedEval(now, evalN);
+    if (t <= 0.0 || o <= 0.0)
+        return 1.0;
+    return o / t;
+}
+
+} // namespace
+
+Program
+idealProgram(const Program &input, const ModelParams &params)
+{
+    Program prog = input.clone();
     std::function<void(Node *, std::vector<Node *>)> walk =
         [&](Node *node, std::vector<Node *> outer) {
             if (!node->isLoop())
@@ -53,21 +66,8 @@ forceIdeal(Program &prog, const ModelParams &params)
         };
     for (auto &n : prog.body)
         walk(n.get(), {});
+    return prog;
 }
-
-/** Evaluate orig/new cost ratio at a concrete size; never below 1 when
- *  the transformation never hurts (guards tiny numeric noise). */
-double
-costRatio(const Poly &orig, const Poly &now, double evalN)
-{
-    double o = checkedEval(orig, evalN);
-    double t = checkedEval(now, evalN);
-    if (t <= 0.0 || o <= 0.0)
-        return 1.0;
-    return o / t;
-}
-
-} // namespace
 
 AccessStats
 programAccessStats(Program &prog, const ModelParams &params)
@@ -119,13 +119,10 @@ optimizeProgram(const Program &input, const ModelParams &params,
     OptimizedProgram out;
     out.original = input.clone();
     out.transformed = input.clone();
-    out.ideal = input.clone();
 
     if (opts.transform)
         out.compound =
             compoundTransform(out.transformed, params, opts.compound);
-    if (opts.computeIdeal)
-        forceIdeal(out.ideal, params);
 
     // ----- Table 2 statistics ------------------------------------
     ProgramReport &rep = out.report;
@@ -220,12 +217,6 @@ optimizeProgram(const Program &input, const ModelParams &params,
         out.finalOpt.body.push_back(
             cloneNode(*out.transformed.body[f]));
     out.anyChanged = !out.origOpt.body.empty();
-
-    // ----- Table 5 access statistics -------------------------------
-    out.accessOrig = programAccessStats(out.original, params);
-    out.accessFinal = programAccessStats(out.transformed, params);
-    if (opts.computeIdeal)
-        out.accessIdeal = programAccessStats(out.ideal, params);
 
     if (span.active()) {
         span.arg("nests", rep.nests);

@@ -3,12 +3,14 @@
  * The end-to-end Memoria driver.
  *
  * Mirrors the paper's experimental pipeline: take a program, run the
- * Compound transformation, and collect everything Section 5 reports —
+ * Compound transformation, and collect what Section 5 reports —
  * per-program memory-order statistics (Table 2), simulated cache hit
  * rates for the optimized nests and the whole program on the two cache
- * configurations (Table 4), simulated performance (Tables 1/3), and the
- * data-access properties of the original / final / ideal versions
- * (Table 5).
+ * configurations (Table 4) and simulated performance (Tables 1/3).
+ * The data-access properties of Table 5 are an evaluation instrument,
+ * not a pipeline output: callers that want them apply
+ * programAccessStats to the original, the transformed and the
+ * idealProgram versions.
  */
 
 #ifndef MEMORIA_DRIVER_MEMORIA_HH
@@ -67,7 +69,6 @@ struct OptimizedProgram
 {
     Program original;
     Program transformed;
-    Program ideal;  ///< memory order forced, legality ignored
 
     CompoundResult compound;
     ProgramReport report;
@@ -77,10 +78,6 @@ struct OptimizedProgram
     Program origOpt;
     Program finalOpt;
     bool anyChanged = false;
-
-    AccessStats accessOrig;
-    AccessStats accessFinal;
-    AccessStats accessIdeal;
 };
 
 /** Knobs for one pipeline run. */
@@ -94,11 +91,6 @@ struct PipelineOptions
      * downstream consumer (simulation, reporting) still works.
      */
     bool transform = true;
-
-    /** Build the legality-ignoring ideal version and its access stats
-     *  (Table 5). The batch driver turns this off — it reports real
-     *  outcomes only — which roughly halves per-program analysis cost. */
-    bool computeIdeal = true;
 
     /** Concrete size at which cost-ratio polynomials are evaluated. */
     double evalN = 64.0;
@@ -158,6 +150,10 @@ struct Performance
 Performance simulatePerformance(const OptimizedProgram &opt,
                                 const CacheConfig &config,
                                 const MachineModel &machine = {});
+
+/** The "ideal" version of Section 5.2 (Table 5): every nest forced
+ *  into memory order, legality ignored. */
+Program idealProgram(const Program &input, const ModelParams &params);
 
 /** Access statistics of a whole program (every depth>=2 nest). */
 AccessStats programAccessStats(Program &prog, const ModelParams &params);

@@ -30,10 +30,6 @@ PipelineOptions
 rungPipeline(Rung r)
 {
     PipelineOptions opts;
-    // The batch pipeline reports real outcomes only; the
-    // legality-ignoring ideal variant is a per-program cost it never
-    // uses, on any rung.
-    opts.computeIdeal = false;
     switch (r) {
       case Rung::FullCompound:
         break;

@@ -2,12 +2,19 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 
 #include "model/checked.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
 
 namespace memoria {
+
+namespace {
+
+thread_local uint64_t tlsAnalyses = 0;
+
+} // namespace
 
 const char *
 reuseName(Reuse r)
@@ -29,6 +36,9 @@ NestAnalysis::NestAnalysis(const Program &prog, Node *root,
     : prog_(prog), params_(params), root_(root),
       graph_(prog, collectStmts(root)), tripModel_(prog, params)
 {
+    static obs::Counter &cAnalyses = obs::counter("model.nest_analyses");
+    ++cAnalyses;
+    ++tlsAnalyses;
     for (Node *outer : outerLoops)
         tripModel_.addLoop(outer);
     loops_ = collectLoops(root_);
@@ -220,15 +230,34 @@ NestAnalysis::loopCost(const Node *candidate) const
     return total;
 }
 
-std::vector<Node *>
+uint64_t
+NestAnalysis::constructedOnThisThread()
+{
+    return tlsAnalyses;
+}
+
+const std::vector<Node *> &
 NestAnalysis::memoryOrder() const
 {
-    std::vector<Node *> order = loops_;
-    std::stable_sort(order.begin(), order.end(),
-                     [this](Node *a, Node *b) {
-                         return loopCost(a) > loopCost(b);
-                     });
-    return order;
+    if (memoryOrderReady_)
+        return memoryOrder_;
+    // Evaluate each LoopCost once, then stable-sort positions: the same
+    // comparisons as sorting the loops themselves, without a cache
+    // lookup and two Poly copies per comparison.
+    std::vector<Poly> costs;
+    costs.reserve(loops_.size());
+    for (const Node *l : loops_)
+        costs.push_back(loopCost(l));
+    std::vector<size_t> pos(loops_.size());
+    std::iota(pos.begin(), pos.end(), size_t{0});
+    std::stable_sort(pos.begin(), pos.end(), [&costs](size_t a, size_t b) {
+        return costs[a] > costs[b];
+    });
+    memoryOrder_.reserve(pos.size());
+    for (size_t p : pos)
+        memoryOrder_.push_back(loops_[p]);
+    memoryOrderReady_ = true;
+    return memoryOrder_;
 }
 
 namespace {
@@ -307,7 +336,7 @@ idealNestCost(const NestAnalysis &na)
 bool
 innermostInMemoryOrder(const NestAnalysis &na)
 {
-    auto mo = na.memoryOrder();
+    const auto &mo = na.memoryOrder();
     if (mo.empty())
         return true;
     const Node *cheapest = mo.back();

@@ -90,9 +90,14 @@ class NestAnalysis
 
     /**
      * Memory order: the nest's loops sorted outermost-to-innermost by
-     * decreasing LoopCost (ties keep the original loop order).
+     * decreasing LoopCost (ties keep the original loop order). Computed
+     * on first use and cached with the analysis.
      */
-    std::vector<Node *> memoryOrder() const;
+    const std::vector<Node *> &memoryOrder() const;
+
+    /** Analyses constructed so far on the calling thread (a per-nest
+     *  work count that stays exact under the batch pool). */
+    static uint64_t constructedOnThisThread();
 
     /** Symbolic trip count of a loop in this nest's context. */
     Poly trip(const Node *loop) const { return tripModel_.trip(loop); }
@@ -124,6 +129,8 @@ class NestAnalysis
         scopedCache_;
     mutable std::map<const Node *, Poly> costCache_;
     mutable std::map<const Node *, ScopedRefs> scopedRefsCache_;
+    mutable bool memoryOrderReady_ = false;
+    mutable std::vector<Node *> memoryOrder_;
     mutable bool spatialReady_ = false;
     mutable std::vector<SpatialPair> spatialPairs_;
 };

@@ -117,10 +117,14 @@ benchSuite()
             v.push_back(makeJacobiBadOrder(24));
             return v;
         }();
+        static obs::Counter &cAnalyses = obs::counter("model.nest_analyses");
+        static obs::Counter &cGraphs =
+            obs::counter("dependence.graph_builds");
         ModelParams params;
         PipelineOptions popts;
-        popts.computeIdeal = false;
         uint64_t nests = 0, changed = 0;
+        uint64_t analysesBefore = cAnalyses.value();
+        uint64_t graphsBefore = cGraphs.value();
         for (const Program &p : progs) {
             OptimizedProgram opt = optimizeProgram(p, params, popts);
             nests += static_cast<uint64_t>(opt.report.nests);
@@ -129,6 +133,8 @@ benchSuite()
         c["programs"] = progs.size();
         c["nests"] = nests;
         c["changed"] = changed;
+        c["nest_analyses"] = cAnalyses.value() - analysesBefore;
+        c["graph_builds"] = cGraphs.value() - graphsBefore;
     }});
 
     suite.push_back({"oracle", [](Counters &c) {
@@ -136,7 +142,6 @@ benchSuite()
             [] {
                 ModelParams params;
                 PipelineOptions popts;
-                popts.computeIdeal = false;
                 popts.compound.verify = false;
                 std::vector<Program> inputs;
                 inputs.push_back(makeMatmul("JKI", 16));
@@ -201,12 +206,17 @@ benchSuite()
     suite.push_back({"batch_corpus", [](Counters &c) {
         static obs::Counter &cRuns = obs::counter("interp.runs");
         static obs::Counter &cChecks = obs::counter("check.equiv.checks");
+        static obs::Counter &cAnalyses = obs::counter("model.nest_analyses");
+        static obs::Counter &cGraphs =
+            obs::counter("dependence.graph_builds");
         harness::BatchOptions bopts;
         bopts.jobs = 2;
         bopts.cacheConfigs = {CacheConfig::rs6000(),
                               CacheConfig::i860()};
         uint64_t runsBefore = cRuns.value();
         uint64_t checksBefore = cChecks.value();
+        uint64_t analysesBefore = cAnalyses.value();
+        uint64_t graphsBefore = cGraphs.value();
         harness::BatchReport rep =
             harness::runBatch(harness::corpusInputs(10), bopts);
         uint64_t accesses = 0, iterations = 0;
@@ -222,6 +232,8 @@ benchSuite()
         c["iterations"] = iterations;
         c["interp_passes"] = cRuns.value() - runsBefore;
         c["equiv_checks"] = cChecks.value() - checksBefore;
+        c["nest_analyses"] = cAnalyses.value() - analysesBefore;
+        c["graph_builds"] = cGraphs.value() - graphsBefore;
     }});
 
     return suite;

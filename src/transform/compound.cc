@@ -1,5 +1,6 @@
 #include "transform/compound.hh"
 
+#include <optional>
 #include <utility>
 
 #include "check/equiv.hh"
@@ -125,41 +126,51 @@ verifyAgainst(const Program &ref, const Program &cand, int jobs)
  * permutation, then inner fusion (FuseAll), then distribution, and
  * finally recursion into the sub-nests below the perfect chain (the
  * paper's statements each get their best inner loop even when the
- * outer structure is imperfect). Returns the number of sibling slots
- * the nest occupies afterwards; fills `rep` when non-null.
+ * outer structure is imperfect). `topAnalysis` is the caller's analysis
+ * of the top-level nest; a recursive sub-nest passes nullptr and builds
+ * its own. Sets `changed` when any step rewrote the nest. Returns the
+ * number of sibling slots the nest occupies afterwards; fills `rep`
+ * when non-null.
  */
 size_t
 optimizeStructure(const Program &prog, std::vector<NodePtr> &ownerBody,
                   size_t index, const std::vector<Node *> &enclosing,
                   const ModelParams &params,
                   const CompoundOptions &opts, CompoundResult &result,
-                  NestReport *rep, bool isTop = true)
+                  NestReport *rep, bool &changed,
+                  const NestAnalysis *topAnalysis)
 {
     harness::poll("compound.structure");
 
     Node *root = ownerBody[index].get();
+    const bool isTop = topAnalysis != nullptr;
 
     // Step 1: permutation of the perfect chain.
     PermuteResult pr;
+    bool innerPlaced;
     {
-        NestAnalysis na(prog, root, params, enclosing);
+        std::optional<NestAnalysis> own;
+        const NestAnalysis &na =
+            isTop ? *topAnalysis
+                  : own.emplace(prog, root, params, enclosing);
         pr = permuteToMemoryOrder(na, root);
+
+        // Figure 6's test is whether the nest's most-reuse loop is now
+        // innermost — a trivially "sorted" short chain above an
+        // imperfect structure does not qualify. Permute rewrites
+        // headers in place, so a permuted nest needs a fresh analysis.
+        innerPlaced =
+            pr.achievedMemoryOrder &&
+            (pr.changed ? innermostInMemoryOrder(NestAnalysis(
+                              prog, root, params, enclosing))
+                        : innermostInMemoryOrder(na));
     }
+    changed |= pr.changed;
     if (rep) {
         rep->usedPermutation |= pr.changed;
         rep->usedReversal |= pr.usedReversal;
         if (isTop)
             rep->fail = pr.fail;
-    }
-
-    // Figure 6's test is whether the nest's most-reuse loop is now
-    // innermost — a trivially "sorted" short chain above an imperfect
-    // structure does not qualify.
-    bool innerPlaced;
-    {
-        NestAnalysis na(prog, root, params, enclosing);
-        innerPlaced =
-            pr.achievedMemoryOrder && innermostInMemoryOrder(na);
     }
 
     size_t slots = 1;
@@ -193,7 +204,9 @@ optimizeStructure(const Program &prog, std::vector<NodePtr> &ownerBody,
                     }
                 }
             }
-            if (!fusionEnabled) {
+            if (fusionEnabled) {
+                changed = true;
+            } else {
                 ownerBody[index] = std::move(snapshot);
                 root = ownerBody[index].get();
             }
@@ -204,6 +217,7 @@ optimizeStructure(const Program &prog, std::vector<NodePtr> &ownerBody,
             DistributeResult dr = distributeForMemoryOrder(
                 prog, ownerBody, index, enclosing, params);
             if (dr.distributed) {
+                changed = true;
                 result.distributions += 1;
                 result.resultingNests += dr.resultingNests;
                 if (rep) {
@@ -234,7 +248,7 @@ optimizeStructure(const Program &prog, std::vector<NodePtr> &ownerBody,
                 loopDepth(*deepest->body[k]) >= 2) {
                 k += optimizeStructure(prog, deepest->body, k, enc,
                                        params, opts, result, rep,
-                                       false);
+                                       changed, nullptr);
             } else {
                 ++k;
             }
@@ -258,7 +272,19 @@ optimizeNest(const Program &prog, std::vector<NodePtr> &ownerBody,
     rep.depth = loopDepth(*root);
 
     obs::TraceScope span("pass.compound", "nest");
+    const uint64_t analysesBefore = NestAnalysis::constructedOnThisThread();
+
+    NodePtr snapshot;
+    int savedDistributions = result.distributions;
+    int savedResultingNests = result.resultingNests;
+    if (verify)
+        snapshot = cloneNode(*root);
+
+    // One analysis of the original nest feeds both the before-statistics
+    // and Compound's first permutation step.
     std::string memOrder;
+    bool changed = false;
+    size_t slots;
     {
         NestAnalysis na(prog, root, params, enclosing);
         rep.origCost = nestCost(na);
@@ -267,19 +293,15 @@ optimizeNest(const Program &prog, std::vector<NodePtr> &ownerBody,
         rep.origInnerMemoryOrder = innermostInMemoryOrder(na);
         if (span.active())
             memOrder = memoryOrderString(prog, na);
+        slots = optimizeStructure(prog, ownerBody, index, enclosing,
+                                  params, opts, result, &rep, changed,
+                                  &na);
     }
 
-    NodePtr snapshot;
-    int savedDistributions = result.distributions;
-    int savedResultingNests = result.resultingNests;
-    if (verify)
-        snapshot = cloneNode(*root);
-
-    size_t slots = optimizeStructure(prog, ownerBody, index, enclosing,
-                                     params, opts, result, &rep);
-
-    if (gSabotageHook)
+    if (gSabotageHook) {
         gSabotageHook(ownerBody, index, slots);
+        changed = true;
+    }
 
     // A nest that still fills one slot and equals its snapshot field
     // for field runs exactly as the reference does (same tables, and
@@ -323,16 +345,25 @@ optimizeNest(const Program &prog, std::vector<NodePtr> &ownerBody,
         }
     }
 
-    // Final per-nest statistics over the slot range.
-    rep.finalMemoryOrder = true;
-    rep.finalInnerMemoryOrder = true;
-    rep.finalCost = Poly();
-    for (size_t s = 0; s < slots; ++s) {
-        Node *part = ownerBody[index + s].get();
-        NestAnalysis na(prog, part, params, enclosing);
-        rep.finalMemoryOrder &= nestInMemoryOrder(na);
-        rep.finalInnerMemoryOrder &= innermostInMemoryOrder(na);
-        rep.finalCost += nestCost(na);
+    // Final per-nest statistics over the slot range. A nest proven
+    // unchanged (equal to its snapshot, or with verification off, no
+    // step reporting a change) keeps the original analysis' values.
+    const bool unchanged = verify ? !verified : !changed;
+    if (unchanged) {
+        rep.finalCost = rep.origCost;
+        rep.finalMemoryOrder = rep.origMemoryOrder;
+        rep.finalInnerMemoryOrder = rep.origInnerMemoryOrder;
+    } else {
+        rep.finalMemoryOrder = true;
+        rep.finalInnerMemoryOrder = true;
+        rep.finalCost = Poly();
+        for (size_t s = 0; s < slots; ++s) {
+            Node *part = ownerBody[index + s].get();
+            NestAnalysis na(prog, part, params, enclosing);
+            rep.finalMemoryOrder &= nestInMemoryOrder(na);
+            rep.finalInnerMemoryOrder &= innermostInMemoryOrder(na);
+            rep.finalCost += nestCost(na);
+        }
     }
     if (rep.finalMemoryOrder)
         rep.fail = PermuteFail::None;
@@ -367,6 +398,8 @@ optimizeNest(const Program &prog, std::vector<NodePtr> &ownerBody,
         span.arg("final_memory_order", rep.finalMemoryOrder);
         span.arg("strategy", nestStrategyName(rep));
         span.arg("verified", verified);
+        span.arg("analyses", NestAnalysis::constructedOnThisThread() -
+                                 analysesBefore);
         span.arg("rolled_back", rep.rolledBack);
         span.arg("fail", permuteFailName(rep.fail));
         span.arg("used_reversal", rep.usedReversal);

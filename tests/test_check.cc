@@ -15,6 +15,7 @@
 #include "ir/builder.hh"
 #include "ir/printer.hh"
 #include "ir/walk.hh"
+#include "model/loopcost.hh"
 #include "suite/corpus.hh"
 #include "suite/kernels.hh"
 #include "support/stats.hh"
@@ -344,6 +345,162 @@ TEST_F(VerifySkipTest, EveryNestIsEitherVerifiedOrSkipped)
     EXPECT_GT(verified, 0u);
     EXPECT_GT(skipped, 0u);
     EXPECT_EQ(verified + skipped, count("pass.compound.nests_total"));
+}
+
+// ---------------------------------------------------------------------
+// Analysis reuse: Compound analyzes an unchanged nest once
+
+/** VerifySkipTest's fixture, read for the analysis counters. */
+class AnalysisReuseTest : public VerifySkipTest
+{
+  protected:
+    /** The `slots` arg of every pass.compound/nest span, in order. */
+    std::vector<size_t>
+    nestSlots() const
+    {
+        std::vector<size_t> out;
+        for (const auto &e : rec_->events)
+            if (e.type == obs::TraceEvent::Type::SpanEnd &&
+                e.category == "pass.compound" && e.name == "nest")
+                for (const auto &[k, v] : e.args)
+                    if (k == "slots")
+                        out.push_back(std::stoul(v.render()));
+        return out;
+    }
+
+    /**
+     * Every one-slot nest's final statistics equal those of a fresh
+     * analysis of the transformed nest, whether Compound reused the
+     * original analysis or recomputed. Runs without the final fusion
+     * pass, so each original top-level node maps to its slot range.
+     */
+    void
+    expectFinalStatsFresh(Program p, bool verify)
+    {
+        rec_->events.clear();
+        const Program orig = p.clone();
+        CompoundOptions opts;
+        opts.applyFusion = false;
+        opts.verify = verify;
+        CompoundResult r = compoundTransform(p, ModelParams{}, opts);
+        std::vector<size_t> slots = nestSlots();
+        ASSERT_EQ(slots.size(), r.nests.size()) << p.name;
+
+        size_t index = 0, nest = 0;
+        for (const NodePtr &o : orig.body) {
+            if (!o->isLoop() || loopDepth(*o) < 2) {
+                ++index;
+                continue;
+            }
+            ASSERT_LT(nest, r.nests.size()) << p.name;
+            Node *n = p.body[index].get();
+            const NestReport &rep = r.nests[nest];
+            if (slots[nest] == 1) {
+                NestAnalysis na(p, n, ModelParams{});
+                EXPECT_EQ(rep.finalCost.str(), nestCost(na).str())
+                    << p.name << " nest " << nest;
+                EXPECT_EQ(rep.finalMemoryOrder, nestInMemoryOrder(na))
+                    << p.name << " nest " << nest;
+                EXPECT_EQ(rep.finalInnerMemoryOrder,
+                          innermostInMemoryOrder(na))
+                    << p.name << " nest " << nest;
+                if (rep.finalMemoryOrder) {
+                    EXPECT_EQ(rep.fail, PermuteFail::None)
+                        << p.name << " nest " << nest;
+                }
+            }
+            index += slots[nest];
+            ++nest;
+        }
+        EXPECT_EQ(nest, r.nests.size()) << p.name;
+    }
+};
+
+TEST_F(AnalysisReuseTest, NestInMemoryOrderIsAnalyzedOnce)
+{
+    Program p = makeMatmul("JKI", 8);
+    CompoundResult r = compoundTransform(p, ModelParams{},
+                                         CompoundOptions{});
+    EXPECT_EQ(count("model.nest_analyses"), 1u);
+    EXPECT_EQ(count("dependence.graph_builds"), 1u);
+    ASSERT_EQ(r.nests.size(), 1u);
+    EXPECT_TRUE(r.nests[0].finalMemoryOrder);
+    EXPECT_EQ(r.nests[0].finalCost.str(), r.nests[0].origCost.str());
+
+    std::string analyses;
+    for (const auto &e : rec_->events)
+        if (e.type == obs::TraceEvent::Type::SpanEnd &&
+            e.category == "pass.compound" && e.name == "nest")
+            for (const auto &[k, v] : e.args)
+                if (k == "analyses")
+                    analyses = v.render();
+    EXPECT_EQ(analyses, "1");
+}
+
+TEST_F(AnalysisReuseTest, PermutedNestIsAnalyzedPerVersion)
+{
+    // The original, the permuted nest's inner-loop test, and the final
+    // statistics of the rewritten nest.
+    Program p = makeMatmul("IJK", 8);
+    compoundTransform(p, ModelParams{}, CompoundOptions{});
+    EXPECT_EQ(count("model.nest_analyses"), 3u);
+}
+
+TEST_F(AnalysisReuseTest, SabotagedNestHasItsStatisticsRecomputed)
+{
+    // The hook negates the statement: caught, rolled back, and the
+    // final statistics still come from a fresh analysis.
+    Program p = makeMatmul("JKI", 8);
+    setCompoundSabotageHook(
+        [](std::vector<NodePtr> &ownerBody, size_t index, size_t) {
+            Node *n = ownerBody[index].get();
+            while (n->isLoop())
+                n = n->body[0].get();
+            n->stmt.rhs = Value::make(ValOp::Neg, {n->stmt.rhs});
+        });
+    CompoundResult r = compoundTransform(p, ModelParams{},
+                                         CompoundOptions{});
+    ASSERT_EQ(r.nests.size(), 1u);
+    EXPECT_TRUE(r.nests[0].rolledBack);
+    EXPECT_EQ(count("model.nest_analyses"), 2u);
+}
+
+TEST_F(AnalysisReuseTest, LegalSabotageShowsInTheFinalStatistics)
+{
+    // Swapping JKI's two outer loops is legal, so the oracle accepts
+    // it; the final statistics must describe the swapped nest, not
+    // the memory-order original. With verification off, the hook
+    // still counts as a change.
+    for (bool verify : {true, false}) {
+        Program p = makeMatmul("JKI", 8);
+        setCompoundSabotageHook(
+            [](std::vector<NodePtr> &ownerBody, size_t index, size_t) {
+                Node *nest = ownerBody[index].get();
+                std::swap(nest->var, nest->body[0]->var);
+            });
+        CompoundOptions opts;
+        opts.verify = verify;
+        CompoundResult r = compoundTransform(p, ModelParams{}, opts);
+        ASSERT_EQ(r.nests.size(), 1u);
+        EXPECT_FALSE(r.nests[0].rolledBack) << verify;
+        EXPECT_TRUE(r.nests[0].origMemoryOrder) << verify;
+        EXPECT_FALSE(r.nests[0].finalMemoryOrder) << verify;
+        NestAnalysis na(p, p.body[0].get(), ModelParams{});
+        EXPECT_EQ(r.nests[0].finalCost.str(), nestCost(na).str())
+            << verify;
+    }
+}
+
+TEST_F(AnalysisReuseTest, FinalStatisticsMatchAFreshAnalysis)
+{
+    for (bool verify : {true, false}) {
+        for (int64_t extent : {12, 14, 16, 18})
+            for (const CorpusSpec &spec : corpusSpecs())
+                expectFinalStatsFresh(buildCorpusProgram(spec, extent),
+                                      verify);
+        for (uint64_t seed = 1; seed <= 300; ++seed)
+            expectFinalStatsFresh(fuzzProgram(seed), verify);
+    }
 }
 
 // ---------------------------------------------------------------------
