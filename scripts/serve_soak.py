@@ -1176,6 +1176,16 @@ def shed_reasons(client, ids):
     return reasons
 
 
+# Client-side shed reasons and the front's counter for each.
+SHED_COUNTERS = {
+    "queue-full": "serve.shed.queue_full",
+    "client-capped": "serve.shed.client_capped",
+    "deadline-infeasible": "serve.shed.deadline_infeasible",
+    "queue-aged": "serve.shed.queue_aged",
+    "deadline-exceeded": "serve.deadline_exceeded",
+}
+
+
 def overload_main():
     scratch = tempfile.mkdtemp(prefix="memoria-overload-soak-")
     metrics_file = SNAPSHOTS or os.path.join(scratch,
@@ -1386,12 +1396,23 @@ def overload_main():
 
         # --- Graceful drain; the journal audits clean.
         client.sigterm_and_wait()
-        read_final_snapshot(metrics_file)
+        _, final_snapshot = read_final_snapshot(metrics_file)
         admits = check_journal_empty(journal_path)
 
         by_reason = Counter()
         for ids in (alice_ids, bruce_ids, carol_ids):
             by_reason.update(shed_reasons(client, ids))
+
+        # --- Gate 7: shed accounting reconciles. Only the front sheds,
+        # so its counters in the final snapshot equal what the clients
+        # were told, reason by reason.
+        snap_counters = final_snapshot.get("stats", {}).get("counters", {})
+        server_shed = {reason: int(snap_counters.get(name, 0))
+                       for reason, name in SHED_COUNTERS.items()
+                       if snap_counters.get(name, 0)}
+        if server_shed != dict(by_reason):
+            fail(f"server shed counters {server_shed} do not match the "
+                 f"client-side shed_by_reason {dict(by_reason)}")
         report = {
             "mode": "overload",
             "workers": WORKERS,
@@ -1400,6 +1421,7 @@ def overload_main():
             "results": results,
             "shed": shed,
             "shed_by_reason": dict(by_reason),
+            "server_shed_by_reason": server_shed,
             "duration_s": round(soak_duration, 3),
             "rps": round(len(all_ids) / max(soak_duration, 1e-9), 1),
             "client_latency": client.client_latency(),

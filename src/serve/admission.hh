@@ -38,9 +38,9 @@
  *    pathological client's flood into `client-capped` sheds that
  *    leave its neighbors' latency intact.
  *
- * Threading: the controller is NOT internally synchronized. The
- * in-process `Server` calls it under its queue mutex; the
- * `Supervisor` keeps one controller per shard under its own `mu_`.
+ * Threading: the controller is NOT internally synchronized. The serve
+ * front (serve/supervisor.hh) keeps one controller per shard under
+ * its own `mu_`.
  * Admission is two-phase — `decide()` (read-only, produces the shed
  * response fields) then `enqueue()` on admit — so callers can assign
  * sequence numbers and journal *after* the decision.
@@ -83,9 +83,8 @@ struct AdmissionOptions
     size_t perClientCap = 0;
 
     /** Count popped-but-unfinished work against queueCapacity. The
-     *  Server bounds only the queue (workers are bounded by the
-     *  thread pool); the Supervisor bounds queued + in-flight per
-     *  worker, matching the old backlog check. */
+     *  serve front bounds only the queue (in-flight work is bounded
+     *  by the shard's thread count). */
     bool countInflight = false;
 
     /** Base / floor for retry_after_ms hints when the drain rate is
@@ -101,7 +100,7 @@ struct AdmissionOptions
     int batchShare = 1;
 
     /** Publish per-class depth gauges on every queue change. The
-     *  Supervisor runs one controller per shard and publishes summed
+     *  serve front runs one controller per shard and publishes summed
      *  gauges itself, so its controllers set this false. */
     bool publishGauges = true;
 };
@@ -170,7 +169,7 @@ class AdmissionController
      *  finish paths must not leak idle records under client churn). */
     size_t clientRecords() const;
 
-    /** Observed service-time feed (Server/Supervisor call this with
+    /** Observed service-time feed (the serve front calls this with
      *  measured per-request service time). */
     void recordService(int64_t serviceUs);
 

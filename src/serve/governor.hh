@@ -59,7 +59,7 @@ struct GovernorOptions
 };
 
 /**
- * Owns no thread itself — the Server runs `sample()` on its governor
+ * Owns no thread itself — the Executor runs `sample()` on its governor
  * thread at `sampleIntervalMs`; all accessors are lock-free reads so
  * the request path can consult the floor per-request.
  */

@@ -22,6 +22,7 @@
 #include "support/logging.hh"
 #include "support/signals.hh"
 #include "support/stats.hh"
+#include "support/trace.hh"
 
 namespace memoria {
 namespace serve {
@@ -98,13 +99,10 @@ struct Conn
     std::atomic<bool> alive{true};
 };
 
-/** Feed a line-delimited stream to the service. Returns on EOF, read
- *  error, or drain request. `clientKey` is the fair-share fallback
- *  for requests that carry no client_id of their own. */
+/** Feed a line-delimited stream to `onLine`. Returns on EOF, read
+ *  error, or drain request. */
 void
-pumpLines(LineService &service, int fd,
-          const std::function<void(const std::string &)> &respond,
-          const std::string &clientKey = "")
+pumpLines(int fd, const std::function<void(const std::string &)> &onLine)
 {
     std::string buffer;
     char chunk[4096];
@@ -124,12 +122,12 @@ pumpLines(LineService &service, int fd,
         while ((pos = buffer.find('\n')) != std::string::npos) {
             std::string line = buffer.substr(0, pos);
             buffer.erase(0, pos + 1);
-            service.handleLine(line, respond, clientKey);
+            onLine(line);
         }
     }
     // A final unterminated line is still a request.
     if (!buffer.empty())
-        service.handleLine(buffer, respond, clientKey);
+        onLine(buffer);
 }
 
 int
@@ -241,13 +239,15 @@ runStdio(LineService &service)
         std::cout.flush();
     };
     service.start();
-    pumpLines(service, STDIN_FILENO, respond, "stdio");
+    pumpLines(STDIN_FILENO, [&](const std::string &line) {
+        service.handleLine(line, respond, "stdio");
+    });
     service.drain();
     return 0;
 }
 
 int
-runWorkerFd(LineService &service, int fd)
+runWorkerFd(Executor &executor, int fd)
 {
     // The supervisor is the only peer; a response racing its death
     // must not kill the worker before the reaper classifies it.
@@ -257,11 +257,37 @@ runWorkerFd(LineService &service, int fd)
         std::lock_guard<std::mutex> lock(outMutex);
         writeAll(fd, line + "\n");
     };
-    service.start();
-    pumpLines(service, fd, respond);
+    executor.start();
+    pumpLines(fd, [&](const std::string &line) {
+        // Every line is the front's: a work request it admitted, or
+        // the heartbeat probe, answered here on the reader thread so a
+        // saturated pool cannot miss it.
+        Result<Request> parsed =
+            parseRequest(line, executor.options().maxRequestBytes);
+        if (!parsed.ok()) {
+            respond(errorResponse("", parsed.diag().code,
+                                  parsed.diag().str()));
+            return;
+        }
+        Request &req = parsed.value();
+        if (req.kind == RequestKind::Health) {
+            json::Value r = json::Value::object();
+            r.set("id", json::Value::string(req.id));
+            r.set("type", json::Value::string("health"));
+            executor.describe(r);
+            respond(r.dump());
+            return;
+        }
+        executor.submit(std::move(req), 0.0,
+                        [respond](const std::string &answer, bool) {
+                            respond(answer);
+                        });
+    });
     // EOF is the supervisor's shutdown handshake: finish in-flight
-    // work, flush, exit 0 so the reaper sees a clean exit.
-    service.drain();
+    // work, write the cache snapshot, exit 0 so the reaper sees a
+    // clean exit.
+    executor.drain();
+    obs::flushTrace();
     ::close(fd);
     return 0;
 }
@@ -358,11 +384,11 @@ runListener(LineService &service, const TransportOptions &topts)
             std::lock_guard<std::mutex> lock(connsMutex);
             conns.push_back(conn);
             readers.emplace_back([&service, conn, clientKey] {
-                pumpLines(service, conn->fd,
-                          [conn](const std::string &line) {
-                              conn->send(line);
-                          },
-                          clientKey);
+                const LineService::Respond respond =
+                    [conn](const std::string &line) { conn->send(line); };
+                pumpLines(conn->fd, [&](const std::string &line) {
+                    service.handleLine(line, respond, clientKey);
+                });
             });
         }
     }

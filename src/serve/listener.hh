@@ -3,11 +3,11 @@
  * Transports for the compile service: stdin/stdout and socket
  * listeners.
  *
- * Both transports share the same contract with serve/server.hh — read
- * newline-delimited request lines, hand each to `Server::handleLine`
- * with a thread-safe respond callback, and on SIGTERM/SIGINT
- * (`signals::drainRequested()`) stop reading, drain the server, and
- * return 0. The signal handlers are installed in *drain mode* (no
+ * Both transports share the same contract with the front
+ * (serve/supervisor.hh) — read newline-delimited request lines, hand
+ * each to `LineService::handleLine` with a thread-safe respond
+ * callback, and on SIGTERM/SIGINT (`signals::drainRequested()`) stop
+ * reading, drain the front, and return 0. The signal handlers are installed in *drain mode* (no
  * SA_RESTART), so a blocking read()/accept() wakes with EINTR instead
  * of stalling shutdown; a second signal force-exits after flushing.
  *
@@ -68,12 +68,13 @@ int runStdio(LineService &service);
 int runListener(LineService &service, const TransportOptions &topts);
 
 /**
- * Shard-worker mode (`memoria serve --worker-fd N`): speak the
- * JSON-lines protocol over an inherited socketpair fd instead of a
- * listener. Returns 0 on EOF (the supervisor closed the pipe — the
- * drain handshake) or a drain signal.
+ * Shard-worker mode (`memoria serve --worker-fd N`): run the requests
+ * the supervisor forwards over an inherited socketpair fd on
+ * `executor`, and answer its `health` heartbeat inline. No admission
+ * happens here; the front did it. Returns 0 on EOF (the supervisor
+ * closed the pipe — the drain handshake) or a drain signal.
  */
-int runWorkerFd(LineService &service, int fd);
+int runWorkerFd(Executor &executor, int fd);
 
 } // namespace serve
 } // namespace memoria

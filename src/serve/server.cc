@@ -3,28 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <sstream>
 
 #include "harness/fault.hh"
 #include "serve/snapshot.hh"
-#include "support/export.hh"
 #include "support/json.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
-#include "support/version.hh"
 
 namespace memoria {
 namespace serve {
 
 namespace {
-
-int64_t
-nowMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 double
 nowUs()
@@ -32,28 +21,6 @@ nowUs()
     return std::chrono::duration<double, std::micro>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-/** Wall clock for snapshot timestamps (steady elsewhere). */
-int64_t
-wallMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
-
-/** The registry dump as one JSON object with no trailing newline,
- *  spliceable into a response line. */
-std::string
-registryDumpJson()
-{
-    std::ostringstream os;
-    obs::statsRegistry().dumpJson(os);
-    std::string s = os.str();
-    while (!s.empty() && (s.back() == '\n' || s.back() == '\r'))
-        s.pop_back();
-    return s;
 }
 
 json::Value
@@ -82,7 +49,7 @@ breakerJson(const CircuitBreaker::Snapshot &s)
  * armed here kills the whole worker process, which is exactly the
  * point: it proves the supervisor's crash-respawn path end to end
  * (tests and the chaos soak arm `serve.worker.crash:abort`). In
- * single-process mode nothing ever arms it.
+ * single-process serve nothing ever arms it.
  */
 harness::FaultSite gWorkerCrashSite("serve.worker.crash");
 
@@ -111,14 +78,29 @@ struct FlightGuard
     }
 };
 
+/** The front's options for one in-process shard. */
+SupervisorOptions
+inProcessOptions(ServeOptions opts)
+{
+    SupervisorOptions o;
+    o.workers = 1;
+    o.serve = std::move(opts);
+    return o;
+}
+
 } // namespace
 
-Server::Server(ServeOptions opts) : opts_(std::move(opts))
+Server::Server(ServeOptions opts)
+    : Supervisor(inProcessOptions(opts),
+                 std::make_unique<Executor>(opts))
+{
+}
+
+Executor::Executor(ServeOptions opts) : opts_(std::move(opts))
 {
     for (int i = 0; i < kNumStages; ++i)
         breakers_[i] = std::make_unique<CircuitBreaker>(
             stageName(Stage(i)), opts_.breaker);
-    startedAtMs_ = nowMs();
 
     // The digest covers the *effective* simulation geometry: an empty
     // cacheConfigs means the batch driver's default (i860), and the
@@ -129,14 +111,6 @@ Server::Server(ServeOptions opts) : opts_(std::move(opts))
     configDigest_ = serveConfigDigest(opts_.params, effective);
     if (opts_.resultCache.maxEntries > 0)
         cache_ = std::make_unique<ResultCache>(opts_.resultCache);
-
-    AdmissionOptions aopts;
-    aopts.queueCapacity = opts_.queueCapacity;
-    aopts.perClientCap = opts_.perClientCap;
-    aopts.countInflight = false;  // workers bound in-flight already
-    aopts.retryAfterMs = opts_.retryAfterMs;
-    aopts.ageTargetMs = opts_.ageTargetMs;
-    admission_ = std::make_unique<AdmissionController>(aopts);
 
     if (opts_.rssSoftBytes > 0 || opts_.rssHardBytes > 0) {
         GovernorOptions gopts;
@@ -149,31 +123,19 @@ Server::Server(ServeOptions opts) : opts_(std::move(opts))
     }
 }
 
-Server::~Server()
+Executor::~Executor()
 {
     drain();
 }
 
 void
-Server::start()
+Executor::start()
 {
     harness::setFaultAccounting(true);
-    int jobs = std::max(1, opts_.jobs);
+    const int jobs = std::max(1, opts_.jobs);
     workers_.reserve(jobs);
     for (int i = 0; i < jobs; ++i)
         workers_.emplace_back([this] { workerLoop(); });
-
-    if (!opts_.metricsPath.empty()) {
-        metricsOut_ = std::make_unique<std::ofstream>(
-            opts_.metricsPath, std::ios::app);
-        if (!*metricsOut_) {
-            obs::traceEvent("serve", "metrics_file_error",
-                            {{"path", opts_.metricsPath}});
-            metricsOut_.reset();
-        } else if (opts_.metricsIntervalMs > 0) {
-            metricsThread_ = std::thread([this] { metricsLoop(); });
-        }
-    }
 
     if (cache_ && !opts_.cacheSnapshotPath.empty()) {
         loadCacheSnapshot();
@@ -183,243 +145,53 @@ Server::start()
 
     if (governor_ && governor_->enabled())
         governorThread_ = std::thread([this] { governorLoop(); });
-
-    obs::traceEvent("serve", "start",
-                    {{"jobs", int64_t{jobs}},
-                     {"queue_capacity",
-                      static_cast<int64_t>(opts_.queueCapacity)}});
 }
 
 void
-Server::handleLine(const std::string &line, const Respond &respond,
-                   const std::string &clientKey)
+Executor::submit(Request req, double enqueuedUs, Answer answer)
 {
-    // Blank lines are keep-alive noise, not requests.
-    if (line.find_first_not_of(" \t\r\n") == std::string::npos)
-        return;
-
-    ++received_;
-    Result<Request> parsed = parseRequest(line, opts_.maxRequestBytes);
-    if (!parsed.ok()) {
-        ++errors_;
-        ++obs::counter("serve.request_errors");
-        // The Diag's own code distinguishes `protocol.too-large`
-        // (resource caps: oversized line, nesting bomb) from
-        // `serve.request` (plain bad input).
-        respond(errorResponse("", parsed.diag().code,
-                              parsed.diag().str()));
-        return;
-    }
-    const Request &req = parsed.value();
-
-    // Every successfully parsed request, any kind — the soak script
-    // reconciles this against its client-side count.
-    ++obs::counter("serve.requests_total");
-
-    // Introspection bypasses the queue: it must work under saturation.
-    if (req.kind == RequestKind::Health) {
-        obs::ScopedTimer t(obs::histogram("serve.latency_us.health"));
-        respond(healthLine(req.id));
-        return;
-    }
-    if (req.kind == RequestKind::Stats) {
-        obs::ScopedTimer t(obs::histogram("serve.latency_us.stats"));
-        respond(statsLine(req.id));
-        return;
-    }
-    if (req.kind == RequestKind::Metrics) {
-        obs::ScopedTimer t(obs::histogram("serve.latency_us.metrics"));
-        respond(metricsLine(req.id));
-        return;
-    }
-
-    // Fair-share key: the request's own client_id wins, the transport
-    // connection is the fallback, anonymous traffic shares one bucket.
-    const std::string client = !req.clientId.empty()
-                                   ? req.clientId
-                                   : (!clientKey.empty() ? clientKey
-                                                         : "anon");
-    Priority pri = Priority::Interactive;
-    parsePriority(req.priority, pri);  // parseRequest validated it
-
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
-        if (draining_.load()) {
-            ++cancelled_;
-            respond(cancelledResponse(req.id, "server draining"));
-            return;
-        }
-        const int64_t now = static_cast<int64_t>(nowUs());
-        int64_t deadlineAtUs = 0;
-        if (req.deadlineMs > 0)
-            deadlineAtUs =
-                now +
-                std::min(req.deadlineMs, opts_.maxDeadlineMs) * 1000;
-        AdmissionDecision d = admission_->decide(
-            client, pri, deadlineAtUs, estimatedServiceUs(req.kind),
-            now);
-        if (!d.admitted) {
-            ++shed_;
-            ++obs::counter("serve.shed");
-            // Retry hint is drain-rate-derived and jittered so a shed
-            // burst doesn't come back as a synchronized retry storm.
-            respond(overloadedResponse(req.id, d.retryAfterMs,
-                                       d.queueDepth, d.reason));
-            return;
-        }
-        const uint64_t ticket = ++admitSeq_;
-        admission_->enqueue(ticket, client, pri, deadlineAtUs, now);
-        ++queueGen_;
-        Job job{req, respond, nowUs(), ticket};
-        jobs_.emplace(ticket, std::move(job));
-        ++accepted_;
-        ++obs::counter("serve.accepted");
+        queue_.push_back(Job{std::move(req), std::move(answer),
+                             enqueuedUs > 0.0 ? enqueuedUs : nowUs()});
     }
     queueCv_.notify_one();
 }
 
 void
-Server::workerLoop()
+Executor::workerLoop()
 {
-    uint64_t seenGen = 0;
     for (;;) {
         Job job;
-        bool hasJob = false;
-        // Drops are answered outside the lock; each carries its Job,
-        // whether its own deadline expired (vs CoDel-aged out), and
-        // the queue depth captured under the lock for the response.
-        struct DropOut
-        {
-            Job job;
-            bool expired;
-            size_t depth;
-        };
-        std::vector<DropOut> drops;
         {
             std::unique_lock<std::mutex> lock(queueMutex_);
-            // Wake on "queue generation changed since my last pop
-            // attempt", not "depth > 0": when every queued client is
-            // at its in-flight cap pop() yields nothing, and a depth
-            // predicate would be instantly true again — idle workers
-            // would spin hot on queueMutex_. Every enqueue and finish
-            // bumps the generation (a finish can un-cap a client), and
-            // the timeout keeps periodic deadline/aging sweeps alive.
-            // stop_ alone wakes only once the queue is empty; a
-            // draining queue still advances via generation bumps.
-            queueCv_.wait_for(
-                lock, std::chrono::milliseconds(50), [&] {
-                    return (stop_ && admission_->depth() == 0) ||
-                           queueGen_ != seenGen;
-                });
-            seenGen = queueGen_;
-            if (admission_->depth() == 0) {
-                if (stop_)
-                    return;
-                continue;
-            }
-            const int64_t now = static_cast<int64_t>(nowUs());
-            std::vector<AdmissionDrop> dropped;
-            uint64_t ticket = admission_->pop(now, dropped);
-            for (const AdmissionDrop &d : dropped) {
-                auto it = jobs_.find(d.id);
-                if (it == jobs_.end())
-                    continue;
-                drops.push_back(DropOut{std::move(it->second),
-                                        d.expired,
-                                        admission_->depth()});
-                jobs_.erase(it);
-            }
-            if (ticket != 0) {
-                auto it = jobs_.find(ticket);
-                if (it != jobs_.end()) {
-                    job = std::move(it->second);
-                    jobs_.erase(it);
-                    hasJob = true;
-                } else {
-                    // Should be impossible; release the ticket so the
-                    // client's in-flight accounting cannot leak.
-                    admission_->finish(ticket, now);
-                    ++queueGen_;
-                }
-            }
-
-            // Past the drain deadline, stranded queue entries are
-            // answered rather than run — exactly one terminal response
-            // either way.
-            if (hasJob && draining_.load() &&
-                nowMs() > drainDeadlineAt_.load()) {
-                admission_->finish(job.admitId, now);
-                ++queueGen_;
-                lock.unlock();
-                queueCv_.notify_all();
-                ++cancelled_;
-                job.respond(cancelledResponse(
-                    job.req.id, "drain deadline exceeded"));
-                for (DropOut &d : drops)
-                    answerDrop(d.job, d.expired, d.depth);
-                continue;
-            }
+            queueCv_.wait(lock,
+                          [this] { return stop_ || !queue_.empty(); });
+            if (queue_.empty())
+                return;  // stopping, and everything submitted ran
+            job = std::move(queue_.front());
+            queue_.pop_front();
         }
-        for (DropOut &d : drops)
-            answerDrop(d.job, d.expired, d.depth);
-        if (!hasJob)
-            continue;
-        const double serviceStartUs = nowUs();
         try {
             process(job);
         } catch (...) {
             // process() contains everything below it; this is the
             // belt-and-braces boundary for bugs in serve itself.
-            ++errors_;
             try {
-                job.respond(errorResponse(
-                    job.req.id, "serve.internal",
-                    "request processing failed unexpectedly"));
+                job.answer(errorResponse(
+                               job.req.id, "serve.internal",
+                               "request processing failed unexpectedly"),
+                           false);
             } catch (...) {
                 // A throwing transport callback has lost its client;
                 // nothing useful left to do for this request.
             }
         }
-        const double serviceUs = nowUs() - serviceStartUs;
-        // Pure service time (queue excluded) is what deadline
-        // feasibility predicts with; latency_us.* stays end-to-end.
-        obs::histogram(std::string("serve.service_us.") +
-                       requestKindName(job.req.kind))
-            .sample(serviceUs);
-        {
-            std::lock_guard<std::mutex> lock(queueMutex_);
-            admission_->finish(job.admitId,
-                               static_cast<int64_t>(nowUs()));
-            admission_->recordService(
-                static_cast<int64_t>(serviceUs));
-            ++queueGen_;
-        }
-        // A finish can un-cap a client whose work other workers
-        // skipped; wake them all.
-        queueCv_.notify_all();
-    }
-}
-
-/** Terminal response for a pop()-dropped entry (never ran). */
-void
-Server::answerDrop(const Job &job, bool expired, size_t depth)
-{
-    if (expired) {
-        ++errors_;
-        const int64_t waitedMs = static_cast<int64_t>(
-            (nowUs() - job.enqueuedUs) / 1000.0);
-        job.respond(deadlineExceededResponse(job.req.id, waitedMs));
-    } else {
-        ++shed_;
-        ++obs::counter("serve.shed");
-        job.respond(overloadedResponse(
-            job.req.id, jitteredRetryAfterMs(opts_.retryAfterMs),
-            depth, "queue-aged"));
     }
 }
 
 void
-Server::process(const Job &job)
+Executor::process(const Job &job)
 {
     const Request &req = job.req;
     const double startUs = nowUs();
@@ -457,11 +229,12 @@ Server::process(const Job &job)
     // --- Breaker gating. Load is checked first and alone, so an
     // early reject cannot strand a half-open probe on another stage.
     if (!breakers_[int(Stage::Load)]->allow()) {
-        ++errors_;
-        job.respond(errorResponse(
-            req.id, "serve.unavailable",
-            "load stage circuit breaker open; retry in " +
-                std::to_string(opts_.breaker.cooldownMs) + "ms"));
+        job.answer(errorResponse(
+                       req.id, "serve.unavailable",
+                       "load stage circuit breaker open; retry in " +
+                           std::to_string(opts_.breaker.cooldownMs) +
+                           "ms"),
+                   false);
         return;
     }
     bool degraded = false;
@@ -502,18 +275,19 @@ Server::process(const Job &job)
     std::optional<harness::FaultSpec> fault;
     if (!req.fault.empty()) {
         if (!opts_.allowFaultRequests) {
-            ++errors_;
-            job.respond(errorResponse(
-                req.id, "serve.fault_disabled",
-                "per-request fault injection requires --allow-faults"));
+            job.answer(
+                errorResponse(
+                    req.id, "serve.fault_disabled",
+                    "per-request fault injection requires --allow-faults"),
+                false);
             return;
         }
         Result<harness::FaultSpec> spec =
             harness::parseFaultSpec(req.fault);
         if (!spec.ok()) {
-            ++errors_;
-            job.respond(errorResponse(req.id, "serve.fault_spec",
-                                      spec.diag().str()));
+            job.answer(errorResponse(req.id, "serve.fault_spec",
+                                     spec.diag().str()),
+                       false);
             return;
         }
         fault = spec.value();
@@ -649,7 +423,6 @@ Server::process(const Job &job)
             cache_->abandon(ticket);
     }
 
-    ++completed_;
     ++obs::counter(std::string("serve.result.") +
                    harness::batchStatusName(out.status));
     if (span.active()) {
@@ -657,16 +430,12 @@ Server::process(const Job &job)
         span.arg("rung", harness::rungName(out.rung));
     }
 
-    // Per-kind end-to-end latency (queue included) and the per-stage
-    // breakdown, from the server's own histograms — what the soak
-    // script and `memoria top` read back.
+    // The per-stage breakdown, from the executor's own histograms
+    // (the front samples the per-kind end-to-end latency).
     ResponseMeta meta;
     meta.traceId = traceId;
     meta.queueUs = queueUs;
     meta.totalUs = queueUs + (nowUs() - startUs);
-    obs::histogram(std::string("serve.latency_us.") +
-                   requestKindName(req.kind))
-        .sample(meta.totalUs);
     obs::histogram("serve.stage.queue_us").sample(queueUs);
     obs::histogram("serve.stage.load_us").sample(out.timings.loadUs);
     obs::histogram("serve.stage.optimize_us")
@@ -678,25 +447,13 @@ Server::process(const Job &job)
     ++obs::counter(std::string("serve.rung.") +
                    harness::rungName(out.rung));
 
-    job.respond(resultResponse(req.id, out, degraded, incidentDir,
-                               meta, degradedByMemory));
-}
-
-int64_t
-Server::estimatedServiceUs(RequestKind kind) const
-{
-    // p90 of the live per-kind service-time histogram once it has
-    // enough samples to mean something; before that the admission
-    // controller falls back to its own EWMA (or admits blind).
-    const obs::Histogram &h = obs::histogram(
-        std::string("serve.service_us.") + requestKindName(kind));
-    if (h.count() < 8)
-        return 0;
-    return static_cast<int64_t>(h.quantile(0.9));
+    job.answer(resultResponse(req.id, out, degraded, incidentDir, meta,
+                              degradedByMemory),
+               true);
 }
 
 void
-Server::governorLoop()
+Executor::governorLoop()
 {
     std::unique_lock<std::mutex> lock(governorMutex_);
     while (!governorStop_) {
@@ -714,49 +471,26 @@ Server::governorLoop()
 }
 
 void
-Server::drain()
+Executor::drain()
 {
-    // Serialized: concurrent drains (signal vs destructor vs a racing
-    // transport) must not both join the worker threads.
+    // Serialized: concurrent drains (the front vs the destructor) must
+    // not both join the pool.
     std::lock_guard<std::mutex> drainLock(drainMutex_);
+    if (drained_)
+        return;
+    drained_ = true;
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
-        if (!draining_.exchange(true)) {
-            drainDeadlineAt_.store(nowMs() + opts_.drainDeadlineMs);
-            obs::traceEvent(
-                "serve", "drain",
-                {{"queued",
-                  static_cast<int64_t>(admission_->depth())}});
-        }
         stop_ = true;
-        ++queueGen_;  // wake workers into the drain sweep immediately
     }
     queueCv_.notify_all();
     for (std::thread &t : workers_)
         if (t.joinable())
             t.join();
 
-    // Stop the periodic writer, then write one final snapshot: stats
-    // accumulated since the last interval (or ever, when no interval
-    // was set) survive a SIGTERM'd serve.
-    {
-        std::lock_guard<std::mutex> lock(metricsMutex_);
-        metricsStop_ = true;
-    }
-    metricsCv_.notify_all();
-    if (metricsThread_.joinable())
-        metricsThread_.join();
-    // Final snapshot, then release the stream: a second drain (the
-    // destructor after an explicit drain) must not duplicate it.
-    writeMetricsSnapshotNow();
-    {
-        std::lock_guard<std::mutex> lock(metricsFileMutex_);
-        metricsOut_.reset();
-    }
-
     // Durability on the way out: stop the periodic cache-snapshot
     // writer and persist the warm cache once more, so a drained (or
-    // EOF'd, or SIGTERM'd) worker restarts warm.
+    // EOF'd, or SIGTERM'd) shard restarts warm.
     {
         std::lock_guard<std::mutex> lock(snapshotMutex_);
         snapshotStop_ = true;
@@ -773,12 +507,10 @@ Server::drain()
     governorCv_.notify_all();
     if (governorThread_.joinable())
         governorThread_.join();
-
-    obs::flushTrace();
 }
 
 void
-Server::snapshotLoop()
+Executor::snapshotLoop()
 {
     std::unique_lock<std::mutex> lock(snapshotMutex_);
     while (!snapshotStop_) {
@@ -795,7 +527,7 @@ Server::snapshotLoop()
 }
 
 void
-Server::writeCacheSnapshotNow()
+Executor::writeCacheSnapshotNow()
 {
     if (!cache_ || opts_.cacheSnapshotPath.empty() ||
         snapshotDisabled_.load())
@@ -820,7 +552,7 @@ Server::writeCacheSnapshotNow()
 }
 
 void
-Server::loadCacheSnapshot()
+Executor::loadCacheSnapshot()
 {
     // A missing file is a normal cold start, not a rejection.
     std::error_code ec;
@@ -847,7 +579,7 @@ Server::loadCacheSnapshot()
 }
 
 void
-Server::respondCached(const Job &job, const std::string &body,
+Executor::respondCached(const Job &job, const std::string &body,
                       double startUs, double queueUs,
                       const std::string &traceId, bool dedupFollower)
 {
@@ -855,137 +587,32 @@ Server::respondCached(const Job &job, const std::string &body,
     meta.traceId = traceId;
     meta.queueUs = queueUs;
     meta.totalUs = queueUs + (nowUs() - startUs);
-    obs::histogram(std::string("serve.latency_us.") +
-                   requestKindName(job.req.kind))
-        .sample(meta.totalUs);
     obs::histogram("serve.stage.queue_us").sample(queueUs);
     obs::histogram("serve.stage.total_us").sample(meta.totalUs);
-    ++completed_;
-    job.respond(
-        cachedResultResponse(body, job.req.id, meta, dedupFollower));
+    job.answer(cachedResultResponse(body, job.req.id, meta, dedupFollower),
+               true);
 }
 
 ResultCacheStats
-Server::cacheStats() const
+Executor::cacheStats() const
 {
     return cache_ ? cache_->stats() : ResultCacheStats{};
 }
 
-void
-Server::metricsLoop()
+json::Value
+Executor::breakersJson() const
 {
-    std::unique_lock<std::mutex> lock(metricsMutex_);
-    while (!metricsStop_) {
-        metricsCv_.wait_for(
-            lock, std::chrono::milliseconds(opts_.metricsIntervalMs),
-            [this] { return metricsStop_; });
-        if (metricsStop_)
-            break;
-        lock.unlock();
-        writeMetricsSnapshotNow();
-        lock.lock();
-    }
-}
-
-void
-Server::writeMetricsSnapshotNow()
-{
-    std::lock_guard<std::mutex> lock(metricsFileMutex_);
-    if (!metricsOut_)
-        return;
-    std::vector<std::pair<std::string, std::string>> extra;
-    extra.emplace_back("queue_depth", std::to_string(queueDepth()));
-    extra.emplace_back(
-        "queue_capacity",
-        std::to_string(static_cast<int64_t>(opts_.queueCapacity)));
-    extra.emplace_back("uptime_ms",
-                       std::to_string(nowMs() - startedAtMs_));
-    extra.emplace_back("draining",
-                       draining_.load() ? "true" : "false");
     json::Value brs = json::Value::object();
     for (int i = 0; i < kNumStages; ++i)
         brs.set(stageName(Stage(i)),
                 breakerJson(breakers_[i]->snapshot()));
-    extra.emplace_back("breakers", brs.dump());
-    obs::writeMetricsSnapshot(obs::statsRegistry(), *metricsOut_,
-                              wallMs(), extra);
+    return brs;
 }
 
-Server::RequestCounters
-Server::requestCounters() const
+void
+Executor::describe(json::Value &r) const
 {
-    RequestCounters c;
-    c.received = received_.load();
-    c.accepted = accepted_.load();
-    c.completed = completed_.load();
-    c.shed = shed_.load();
-    c.cancelled = cancelled_.load();
-    c.errors = errors_.load();
-    return c;
-}
-
-size_t
-Server::queueDepth() const
-{
-    std::lock_guard<std::mutex> lock(queueMutex_);
-    return admission_->depth();
-}
-
-std::string
-Server::healthLine(const std::string &id) const
-{
-    RequestCounters c = requestCounters();
-    json::Value r = json::Value::object();
-    r.set("id", json::Value::string(id));
-    r.set("type", json::Value::string("health"));
-    r.set("status", json::Value::string(draining_.load() ? "draining"
-                                                          : "ok"));
-    r.set("version", json::Value::string(versionLine()));
-    r.set("uptime_ms", json::Value::number(nowMs() - startedAtMs_));
-    r.set("jobs", json::Value::number(
-                      int64_t{std::max(1, opts_.jobs)}));
-    r.set("queue_depth",
-          json::Value::number(static_cast<int64_t>(queueDepth())));
-    r.set("queue_capacity",
-          json::Value::number(
-              static_cast<int64_t>(opts_.queueCapacity)));
-
-    json::Value reqs = json::Value::object();
-    reqs.set("received",
-             json::Value::number(static_cast<int64_t>(c.received)));
-    reqs.set("accepted",
-             json::Value::number(static_cast<int64_t>(c.accepted)));
-    reqs.set("completed",
-             json::Value::number(static_cast<int64_t>(c.completed)));
-    reqs.set("shed", json::Value::number(static_cast<int64_t>(c.shed)));
-    reqs.set("cancelled",
-             json::Value::number(static_cast<int64_t>(c.cancelled)));
-    reqs.set("errors",
-             json::Value::number(static_cast<int64_t>(c.errors)));
-    r.set("requests", std::move(reqs));
-
-    json::Value brs = json::Value::object();
-    for (int i = 0; i < kNumStages; ++i)
-        brs.set(stageName(Stage(i)),
-                breakerJson(breakers_[i]->snapshot()));
-    r.set("breakers", std::move(brs));
-
-    // Admission state: per-class depths and in-flight, for `memoria
-    // top` and the overload soak's fairness checks.
-    {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        json::Value a = json::Value::object();
-        a.set("queued_interactive",
-              json::Value::number(static_cast<int64_t>(
-                  admission_->depth(Priority::Interactive))));
-        a.set("queued_batch",
-              json::Value::number(static_cast<int64_t>(
-                  admission_->depth(Priority::Batch))));
-        a.set("inflight",
-              json::Value::number(
-                  static_cast<int64_t>(admission_->inflight())));
-        r.set("admission", std::move(a));
-    }
+    r.set("breakers", breakersJson());
 
     // Governor state rides the heartbeat: the supervisor reads
     // hard_pressure here and answers with a graceful recycle.
@@ -1043,47 +670,6 @@ Server::healthLine(const std::string &id) const
                        .value())));
         r.set("cache", std::move(cj));
     }
-    return r.dump();
-}
-
-std::string
-Server::statsLine(const std::string &id) const
-{
-    json::Value brs = json::Value::object();
-    for (int i = 0; i < kNumStages; ++i)
-        brs.set(stageName(Stage(i)),
-                breakerJson(breakers_[i]->snapshot()));
-
-    // The registry dump is already a JSON object; splice it verbatim
-    // (trailing newline stripped so the response stays one line).
-    std::string out = "{\"id\":" + json::quote(id) +
-                      ",\"type\":\"stats\",\"breakers\":" + brs.dump() +
-                      ",\"registry\":" + registryDumpJson() + "}";
-    return out;
-}
-
-std::string
-Server::metricsLine(const std::string &id) const
-{
-    json::Value brs = json::Value::object();
-    for (int i = 0; i < kNumStages; ++i)
-        brs.set(stageName(Stage(i)),
-                breakerJson(breakers_[i]->snapshot()));
-
-    std::string out =
-        "{\"id\":" + json::quote(id) + ",\"type\":\"metrics\"" +
-        ",\"ts_ms\":" + std::to_string(wallMs()) +
-        ",\"uptime_ms\":" + std::to_string(nowMs() - startedAtMs_) +
-        ",\"queue_depth\":" +
-        std::to_string(static_cast<int64_t>(queueDepth())) +
-        ",\"queue_capacity\":" +
-        std::to_string(static_cast<int64_t>(opts_.queueCapacity)) +
-        ",\"draining\":" +
-        (draining_.load() ? "true" : "false") +
-        ",\"breakers\":" + brs.dump() +
-        ",\"registry\":" + registryDumpJson() +
-        ",\"exposition\":" + json::quote(obs::prometheusText()) + "}";
-    return out;
 }
 
 } // namespace serve

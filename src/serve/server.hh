@@ -1,31 +1,31 @@
 /**
  * @file
- * The long-running compile service behind `memoria serve`.
+ * The long-running compile service behind `memoria serve`: the
+ * executor that runs requests, and the single-process `Server`.
  *
- * A `Server` is transport-agnostic: transports (serve/listener.hh —
- * stdin/stdout, TCP, Unix socket) feed it request lines together with a
- * `Respond` callback, and the server guarantees **exactly one terminal
- * response per request**, whatever happens:
+ * An `Executor` is one shard's worker pool. It runs what the front
+ * (serve/supervisor.hh) hands it, in arrival order, on `jobs` threads;
+ * the front never hands it more than `jobs` requests at a time, so the
+ * executor has no admission, fair share, or deadline shedding of its
+ * own. Per request it keeps:
  *
- *  - `health`/`stats` requests are answered inline, bypassing the
- *    queue, so introspection works even when the service is saturated;
- *  - work requests pass through a bounded admission queue. A full
- *    queue sheds the request immediately with an `overloaded` response
- *    carrying `retry_after_ms` — clients get backpressure, not
- *    unbounded latency;
- *  - admitted requests run on a worker pool, each request inside the
- *    full isolation boundary (`harness::runIsolated`): fault-
+ *  - the full isolation boundary (`harness::runIsolated`): fault-
  *    attribution context, per-request budget deadline, degradation
  *    ladder, crash containment;
- *  - per-stage circuit breakers (serve/breaker.hh) observe panic/
+ *  - per-stage circuit breakers (serve/breaker.hh) observing panic/
  *    timeout outcomes. An open `load` breaker rejects requests with an
  *    `error`; open `optimize`/`simulate` breakers degrade service
  *    (identity rung / no simulation) instead of failing it;
- *  - panic and timeout outcomes are minimized into incident bundles
- *    (harness/incident.hh) and the bundle path rides in the response;
- *  - `drain()` stops admission, lets in-flight work finish, answers
- *    queued-but-unstarted requests with `cancelled` once the drain
- *    deadline passes, joins the pool, and flushes the trace sink.
+ *  - the content-addressed result cache with single-flight dedup and
+ *    its durable snapshots (serve/cache.hh, serve/snapshot.hh);
+ *  - the memory governor's rung floor (serve/governor.hh);
+ *  - incident bundles for panic and timeout outcomes
+ *    (harness/incident.hh), whose path rides in the response.
+ *
+ * A `Server` is the front with one in-process shard backed by an
+ * executor; a shard-worker process (`memoria serve --worker-fd F`,
+ * serve/listener.hh) is an executor behind a socketpair. Either way
+ * admission happens once, in the front.
  *
  * The graceful-shutdown story: transports watch `signals::
  * drainRequested()` (SIGTERM/SIGINT), stop reading, and call `drain()`
@@ -35,229 +35,64 @@
 #ifndef MEMORIA_SERVE_SERVER_HH
 #define MEMORIA_SERVE_SERVER_HH
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <fstream>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include <map>
-
-#include "harness/incident.hh"
-#include "harness/batch.hh"
-#include "serve/admission.hh"
-#include "serve/breaker.hh"
-#include "serve/cache.hh"
 #include "serve/governor.hh"
-#include "serve/protocol.hh"
+#include "serve/supervisor.hh"
+#include "support/json.hh"
 
 namespace memoria {
 namespace serve {
 
-/** Service configuration. */
-struct ServeOptions
-{
-    /** Worker threads executing requests. */
-    int jobs = 2;
-
-    /** Admission-queue bound; beyond it requests are shed. */
-    size_t queueCapacity = 16;
-
-    /** Suggested client backoff in `overloaded` responses. */
-    int64_t retryAfterMs = 50;
-
-    /** Per-client queued + in-flight cap (0 = off); excess sheds
-     *  `client-capped` so one flooding client degrades only itself. */
-    size_t perClientCap = 0;
-
-    /** CoDel-style aging target for the oldest queued request, ms
-     *  (0 = off): standing queues drop stale work, not new arrivals. */
-    int64_t ageTargetMs = 0;
-
-    /** Memory-governor watermarks (bytes, 0 = off): soft shrinks the
-     *  result cache and floors the ladder at a cheaper rung; hard
-     *  asks the supervisor for a graceful recycle. */
-    uint64_t rssSoftBytes = 0;
-    uint64_t rssHardBytes = 0;
-    int64_t rssSampleMs = 200;
-
-    /** Default per-request budget (requests may lower, never raise
-     *  past maxDeadlineMs). */
-    harness::Budget budget{2000, 1u << 20, 50u << 20};
-
-    /** Clamp for client-supplied deadline_ms. */
-    int64_t maxDeadlineMs = 30000;
-
-    /** After drain starts, queued requests still unstarted past this
-     *  deadline are answered `cancelled` instead of run. */
-    int64_t drainDeadlineMs = 5000;
-
-    /** Request-line size bound. */
-    size_t maxRequestBytes = 4u << 20;
-
-    /** Honor the per-request "fault" injection hook (tests/soak). */
-    bool allowFaultRequests = false;
-
-    /** Minimize failures into incident bundles. */
-    bool writeIncidents = true;
-    incident::IncidentPolicy incidents;
-
-    /**
-     * Append JSONL metrics snapshots (support/export.hh) to this path.
-     * With metricsIntervalMs > 0 a background thread writes one every
-     * interval; independent of the interval, `drain()` writes a final
-     * snapshot — so a SIGTERM'd serve never loses its stats.
-     */
-    std::string metricsPath;
-    int64_t metricsIntervalMs = 0;
-
-    BreakerOptions breaker;
-    ModelParams params;
-
-    /** Cache geometries the simulate stage sweeps — all fed from one
-     *  interpreter pass per program version (cachesim/sweep.hh).
-     *  Empty means the batch driver's default (i860). */
-    std::vector<CacheConfig> cacheConfigs;
-
-    /** Result-cache bounds (resultCache.maxEntries == 0 disables the
-     *  cache and single-flight dedup entirely). */
-    CacheOptions resultCache;
-
-    /**
-     * Durable cache snapshots (serve/snapshot.hh): written here
-     * periodically and on drain, loaded (after validation) at start.
-     * Empty disables durability; the in-memory cache still works.
-     */
-    std::string cacheSnapshotPath;
-    int64_t cacheSnapshotIntervalMs = 0;  ///< 0 = only on drain
-
-    /** Shard index stamped into snapshot headers (-1 single-process). */
-    int shard = -1;
-};
-
-/**
- * What a transport needs from the thing it feeds lines to. Both the
- * in-process `Server` and the multi-process `Supervisor`
- * (serve/supervisor.hh) implement it, so runStdio/runListener serve
- * either without knowing which.
- */
-class LineService
+/** One shard's request runner. Construct, `start()`, `submit()`,
+ *  `drain()`. */
+class Executor
 {
   public:
-    /** Delivers one response line (no trailing newline) to the
-     *  request's client. Must be thread-safe; workers call it. */
-    using Respond = std::function<void(const std::string &)>;
+    /** Delivers a request's one response line; `result` says whether
+     *  it is a `result` (else an `error`). Called on a pool thread. */
+    using Answer =
+        std::function<void(const std::string &line, bool result)>;
 
-    virtual ~LineService() = default;
+    explicit Executor(ServeOptions opts);
+    ~Executor();
 
-    /** Bring the service up (worker pool / worker processes). */
-    virtual void start() = 0;
+    Executor(const Executor &) = delete;
+    Executor &operator=(const Executor &) = delete;
 
-    /**
-     * Handle one request line. Blank lines are ignored; everything
-     * else gets exactly one terminal response through `respond`,
-     * either inline (parse errors, health/stats, shed, draining) or
-     * later from a worker. `clientKey` identifies the transport
-     * connection for fair-share queuing when the request carries no
-     * `client_id` of its own ("" = anonymous).
-     */
-    virtual void handleLine(const std::string &line,
-                            const Respond &respond,
-                            const std::string &clientKey = "") = 0;
+    /** Spawn the pool; load the cache snapshot; start the governor. */
+    void start();
 
-    /**
-     * Graceful shutdown: stop admitting, finish in-flight work,
-     * cancel what the drain deadline strands, flush observability
-     * sinks. Idempotent.
-     */
-    virtual void drain() = 0;
+    /** Queue one request. `enqueuedUs` is when its wait began (steady
+     *  µs; 0 = now), the origin of the response's `queue_us`. */
+    void submit(Request req, double enqueuedUs, Answer answer);
 
-    virtual bool draining() const = 0;
-};
+    /** Run everything submitted to completion, join the pool, write
+     *  the cache snapshot, stop the governor. Idempotent. */
+    void drain();
 
-/** The service. Construct, `start()`, feed lines, `drain()`. */
-class Server : public LineService
-{
-  public:
-    using Respond = LineService::Respond;
-
-    explicit Server(ServeOptions opts);
-    ~Server() override;
-
-    Server(const Server &) = delete;
-    Server &operator=(const Server &) = delete;
-
-    /** Spawn the worker pool. */
-    void start() override;
-
-    void handleLine(const std::string &line, const Respond &respond,
-                    const std::string &clientKey = "") override;
-
-    /** Stop admitting, finish in-flight work, cancel what the drain
-     *  deadline strands, join workers, flush sinks. Idempotent. */
-    void drain() override;
-
-    bool draining() const override { return draining_.load(); }
-
-    // --- Introspection (health/stats responses and tests) ---
-
-    struct RequestCounters
-    {
-        uint64_t received = 0;   ///< lines that parsed as requests
-        uint64_t accepted = 0;   ///< admitted to the queue
-        uint64_t completed = 0;  ///< answered with `result`
-        uint64_t shed = 0;       ///< answered with `overloaded`
-        uint64_t cancelled = 0;  ///< answered with `cancelled`
-        uint64_t errors = 0;     ///< answered with `error`
-    };
-
-    RequestCounters requestCounters() const;
-    size_t queueDepth() const;
+    const ServeOptions &options() const { return opts_; }
     CircuitBreaker &breaker(Stage s) { return *breakers_[int(s)]; }
 
     /** Result-cache counters (zeroed stats when the cache is off). */
     ResultCacheStats cacheStats() const;
 
-    /** The memory governor (null unless a watermark is configured). */
-    MemoryGovernor *governor() { return governor_.get(); }
+    /** Breaker snapshots, keyed by stage name. */
+    json::Value breakersJson() const;
 
-    /** The admission controller (tests poke depths/estimates). */
-    AdmissionController &admission() { return *admission_; }
-
-    /** The `health` response body (also used by transports' tests). */
-    std::string healthLine(const std::string &id) const;
-
-    /** The `stats` response body: breakers + the obs registry dump. */
-    std::string statsLine(const std::string &id) const;
-
-    /** The `metrics` response body: Prometheus exposition + registry +
-     *  queue/breaker state. Answered inline like `health`. */
-    std::string metricsLine(const std::string &id) const;
+    /** Add the `breakers`, `governor` and `cache` blocks to a `health`
+     *  answer (the supervisor reads the last two from heartbeats). */
+    void describe(json::Value &health) const;
 
   private:
     struct Job
     {
         Request req;
-        Respond respond;
-        double enqueuedUs = 0.0;  ///< steady-clock at admission
-        uint64_t admitId = 0;     ///< admission-controller ticket
+        Answer answer;
+        double enqueuedUs = 0.0;
     };
 
     void workerLoop();
     void process(const Job &job);
-    void answerDrop(const Job &job, bool expired, size_t depth);
     void governorLoop();
-    /** p90 of the live per-kind service-time histogram (µs; 0 = no
-     *  signal yet) — the admission controller's feasibility input. */
-    int64_t estimatedServiceUs(RequestKind kind) const;
-    void metricsLoop();
-    void writeMetricsSnapshotNow();
     void snapshotLoop();
     void writeCacheSnapshotNow();
     void loadCacheSnapshot();
@@ -268,45 +103,19 @@ class Server : public LineService
     ServeOptions opts_;
     std::unique_ptr<CircuitBreaker> breakers_[kNumStages];
 
-    mutable std::mutex queueMutex_;
+    std::mutex queueMutex_;
     std::condition_variable queueCv_;
-    /** Queue order and fair-share policy live in the controller;
-     *  payloads are held here keyed by the admission ticket. Both are
-     *  guarded by queueMutex_. */
-    std::unique_ptr<AdmissionController> admission_;
-    std::map<uint64_t, Job> jobs_;
-    uint64_t admitSeq_ = 0;
-    /** Bumped (under queueMutex_) on every enqueue and finish. Workers
-     *  wait on "generation changed since my last pop attempt" rather
-     *  than "depth > 0": when every queued client is at its in-flight
-     *  cap, depth alone would turn the wait into a hot spin. */
-    uint64_t queueGen_ = 0;
+    std::deque<Job> queue_;
     bool stop_ = false;
-    /** Serializes drain(): a SIGTERM-initiated drain can race the
-     *  destructor's (or a second transport's), and thread::join is
-     *  not safe to race. The loser blocks until the drain is done. */
-    std::mutex drainMutex_;
-    std::atomic<bool> draining_{false};
-    std::atomic<int64_t> drainDeadlineAt_{0};
     std::vector<std::thread> workers_;
+    std::mutex drainMutex_;
+    bool drained_ = false;
 
     /** Serializes fault-armed execution and incident reduction (both
      *  manipulate the process-global fault plan). */
     std::mutex faultMutex_;
 
     std::atomic<uint64_t> seq_{0};
-    int64_t startedAtMs_ = 0;
-
-    /** Periodic metrics-snapshot writer (opts_.metricsPath). */
-    std::thread metricsThread_;
-    std::mutex metricsMutex_;
-    std::condition_variable metricsCv_;
-    bool metricsStop_ = false;
-    std::unique_ptr<std::ofstream> metricsOut_;
-    std::mutex metricsFileMutex_;
-
-    std::atomic<uint64_t> received_{0}, accepted_{0}, completed_{0},
-        shed_{0}, cancelled_{0}, errors_{0};
 
     /** Content-addressed result cache (null when disabled). */
     std::unique_ptr<ResultCache> cache_;
@@ -326,6 +135,19 @@ class Server : public LineService
     std::mutex governorMutex_;
     std::condition_variable governorCv_;
     bool governorStop_ = false;
+};
+
+/** Single-process serve: the front with one in-process shard.
+ *  Construct, `start()`, feed lines, `drain()`. */
+class Server : public Supervisor
+{
+  public:
+    explicit Server(ServeOptions opts);
+
+    CircuitBreaker &breaker(Stage s) { return local().breaker(s); }
+
+    /** Result-cache counters (zeroed stats when the cache is off). */
+    ResultCacheStats cacheStats() const { return local().cacheStats(); }
 };
 
 } // namespace serve

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "serve/server.hh"
 #include "support/export.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -131,14 +132,22 @@ setCloexecNonblock(int fd)
 
 } // namespace
 
-Supervisor::Supervisor(SupervisorOptions opts) : opts_(std::move(opts))
+Supervisor::Supervisor(SupervisorOptions opts)
+    : Supervisor(std::move(opts), nullptr)
 {
-    opts_.workers = std::max(1, opts_.workers);
+}
+
+Supervisor::Supervisor(SupervisorOptions opts,
+                       std::unique_ptr<Executor> local)
+    : opts_(std::move(opts)), local_(std::move(local))
+{
+    opts_.workers = local_ ? 1 : std::max(1, opts_.workers);
     startedAtMs_ = nowMs();
+    // Each shard queues at most queueCapacity requests; in-flight work
+    // is bounded separately, by `jobs` (pumpWorkerLocked).
     AdmissionOptions aopts;
-    aopts.queueCapacity = opts_.maxQueuedPerWorker;
+    aopts.queueCapacity = opts_.serve.queueCapacity;
     aopts.perClientCap = opts_.serve.perClientCap;
-    aopts.countInflight = true;  // the old backlog check bounded both
     aopts.retryAfterMs = opts_.serve.retryAfterMs;
     aopts.ageTargetMs = opts_.serve.ageTargetMs;
     // One controller per shard; the monitor publishes summed gauges.
@@ -190,19 +199,26 @@ Supervisor::start()
 {
     if (started_.exchange(true))
         return;
-    MEMORIA_ASSERT(!opts_.workerCommand.empty(),
-                   "supervisor needs a worker command");
-    // A flush racing a worker's death must surface as EPIPE on the
-    // socketpair (handled by the monitor), not kill the supervisor —
-    // transports ignore SIGPIPE for their own fds, but the worker
-    // pipes are ours whatever the transport.
-    ::signal(SIGPIPE, SIG_IGN);
-    signals::installChildHandler();
-    // SIGHUP = rolling restart of every shard, one at a time.
-    signals::installHupHandler();
-
     std::vector<Outgoing> out;
-    {
+    if (local_) {
+        local_->start();
+        std::lock_guard<std::mutex> lock(mu_);
+        Worker &w = *workers_[0];
+        w.up = true;
+        // Work admitted before start() is forwarded now.
+        pumpWorkerLocked(w, out);
+    } else {
+        MEMORIA_ASSERT(!opts_.workerCommand.empty(),
+                       "supervisor needs a worker command");
+        // A flush racing a worker's death must surface as EPIPE on the
+        // socketpair (handled by the monitor), not kill the supervisor
+        // — transports ignore SIGPIPE for their own fds, but the worker
+        // pipes are ours whatever the transport.
+        ::signal(SIGPIPE, SIG_IGN);
+        signals::installChildHandler();
+        // SIGHUP = rolling restart of every shard, one at a time.
+        signals::installHupHandler();
+
         std::lock_guard<std::mutex> lock(mu_);
         for (auto &w : workers_)
             spawnWorkerLocked(*w, out);
@@ -222,8 +238,11 @@ Supervisor::start()
     }
 
     monitor_ = std::thread([this] { monitorLoop(); });
-    obs::traceEvent("serve", "supervisor_start",
-                    {{"workers", int64_t{opts_.workers}},
+    obs::traceEvent("serve", "start",
+                    {{"workers", local_ ? 0 : int64_t{opts_.workers}},
+                     {"jobs", int64_t{std::max(1, opts_.serve.jobs)}},
+                     {"queue_capacity",
+                      static_cast<int64_t>(queueCapacity())},
                      {"journal", opts_.journalPath}});
 }
 
@@ -269,12 +288,6 @@ Supervisor::forwardLine(const Pending &p, uint64_t seq) const
         o.set("simulate", json::Value::boolean(*p.req.simulate));
     if (!p.req.traceId.empty())
         o.set("trace_id", json::Value::string(p.req.traceId));
-    // Forward the priority class and the *resolved* fair-share key so
-    // the worker's own admission controller buckets consistently.
-    if (!p.req.priority.empty())
-        o.set("priority", json::Value::string(p.req.priority));
-    if (!p.client.empty())
-        o.set("client_id", json::Value::string(p.client));
     // The fault spec rides only on the first attempt: replaying a
     // crash-inducing fault verbatim would kill the fresh worker too.
     if (!p.req.fault.empty() && !p.retried)
@@ -346,8 +359,8 @@ Supervisor::handleLine(const std::string &line, const Respond &respond,
                 now + std::min(req.deadlineMs,
                                opts_.serve.maxDeadlineMs) * 1000;
 
-        const AdmissionDecision d =
-            w.admission->decide(client, pri, deadlineAtUs, 0, now);
+        const AdmissionDecision d = w.admission->decide(
+            client, pri, deadlineAtUs, estimatedServiceUs(req.kind), now);
         if (!d.admitted) {
             ++shed_;
             ++obs::counter("serve.shed");
@@ -385,10 +398,10 @@ Supervisor::handleLine(const std::string &line, const Respond &respond,
 void
 Supervisor::pumpWorkerLocked(Worker &w, std::vector<Outgoing> &out)
 {
+    // A shard never holds more than it has threads to run: the
+    // executor behind it needs no queue discipline of its own.
     const size_t maxInflight =
-        opts_.maxInflightPerWorker > 0
-            ? opts_.maxInflightPerWorker
-            : static_cast<size_t>(std::max(1, opts_.serve.jobs));
+        static_cast<size_t>(std::max(1, opts_.serve.jobs));
     const int64_t now = steadyUs();
     std::vector<AdmissionDrop> drops;
     while (w.up && !w.recycling &&
@@ -405,10 +418,18 @@ Supervisor::pumpWorkerLocked(Worker &w, std::vector<Outgoing> &out)
         Pending &p = it->second;
         p.inflight = true;
         p.forwardedAtUs = nowUs();
+        w.inflight.insert(seq);
+        if (local_) {
+            local_->submit(p.req, p.enqueuedUs,
+                           [this, seq](const std::string &line,
+                                       bool result) {
+                               onLocalAnswer(seq, line, result);
+                           });
+            continue;
+        }
         const int64_t eff = effectiveDeadlineMs(p.req);
         p.deadlineAtMs =
             eff > 0 ? nowMs() + eff + opts_.hangGraceMs : 0;
-        w.inflight.insert(seq);
         w.outbuf += forwardLine(p, seq);
         w.outbuf += "\n";
     }
@@ -725,12 +746,6 @@ Supervisor::onWorkerLine(int shard, uint64_t generation,
             return;  // late answer for a request already resolved
 
         Pending &p = it->second;
-        w.inflight.erase(seq);
-        // Pure forward-to-answer time feeds the controller's drain-
-        // rate and service-time estimates (queue delay excluded).
-        if (p.forwardedAtUs > 0.0)
-            w.admission->recordService(
-                static_cast<int64_t>(nowUs() - p.forwardedAtUs));
         v.set("id", json::Value::string(p.req.id));
         if (p.retried) {
             v.set("retried", json::Value::boolean(true));
@@ -748,15 +763,68 @@ Supervisor::onWorkerLine(int shard, uint64_t generation,
         } else if (type == "cancelled") {
             ctr = &cancelled_;
         }
-        finishLocked(seq, v.dump(), outcome, *ctr, out);
-        ++w.served;
-        if (opts_.maxRequestsPerWorker > 0 && !w.recycling &&
-            w.served >= opts_.maxRequestsPerWorker)
-            beginRecycleLocked(w, "max-requests");
-        pumpWorkerLocked(w, out);
+        answeredLocked(w, seq, v.dump(), outcome, *ctr, out);
     }
     deliver(out);
     cv_.notify_all();
+}
+
+void
+Supervisor::onLocalAnswer(uint64_t seq, const std::string &line,
+                          bool result)
+{
+    std::vector<Outgoing> out;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        answeredLocked(*workers_[0], seq, line,
+                       result ? "result" : "error",
+                       result ? completed_ : errors_, out);
+    }
+    deliver(out);
+    cv_.notify_all();
+}
+
+void
+Supervisor::answeredLocked(Worker &w, uint64_t seq,
+                           const std::string &line,
+                           const std::string &outcome,
+                           std::atomic<uint64_t> &counter,
+                           std::vector<Outgoing> &out)
+{
+    auto it = pending_.find(seq);
+    if (it == pending_.end())
+        return;
+    const Pending &p = it->second;
+    w.inflight.erase(seq);
+    // Pure forward-to-answer time (front queue excluded) is what
+    // deadline feasibility predicts with, per kind; the controller's
+    // drain-rate and fallback EWMA feed from the same sample.
+    if (p.forwardedAtUs > 0.0) {
+        const double serviceUs = nowUs() - p.forwardedAtUs;
+        obs::histogram(std::string("serve.service_us.") +
+                       requestKindName(p.req.kind))
+            .sample(serviceUs);
+        w.admission->recordService(static_cast<int64_t>(serviceUs));
+    }
+    finishLocked(seq, line, outcome, counter, out);
+    ++w.served;
+    if (opts_.maxRequestsPerWorker > 0 && !w.recycling &&
+        w.served >= opts_.maxRequestsPerWorker)
+        beginRecycleLocked(w, "max-requests");
+    pumpWorkerLocked(w, out);
+}
+
+int64_t
+Supervisor::estimatedServiceUs(RequestKind kind) const
+{
+    // p90 of the live per-kind service-time histogram once it has
+    // enough samples to mean something; before that the admission
+    // controller falls back to its own EWMA (or admits blind).
+    const obs::Histogram &h = obs::histogram(
+        std::string("serve.service_us.") + requestKindName(kind));
+    if (h.count() < 8)
+        return 0;
+    return static_cast<int64_t>(h.quantile(0.9));
 }
 
 void
@@ -952,9 +1020,30 @@ Supervisor::monitorLoop()
             break;
 
         std::vector<Outgoing> out;
-        reapLocked(out);
-
         const int64_t now = nowMs();
+        // Summed admission-depth gauges (the per-shard controllers do
+        // not publish their own).
+        uint64_t qInt = 0, qBatch = 0;
+        for (auto &wp : workers_) {
+            qInt += wp->admission->depth(Priority::Interactive);
+            qBatch += wp->admission->depth(Priority::Batch);
+        }
+        obs::gauge("serve.admission.queue.interactive")
+            .set(static_cast<double>(qInt));
+        obs::gauge("serve.admission.queue.batch")
+            .set(static_cast<double>(qBatch));
+
+        if (local_) {
+            // pop-time drops — expired and CoDel-aged entries — need a
+            // periodic tick even when no new work or answers arrive.
+            pumpWorkerLocked(*workers_[0], out);
+            lock.unlock();
+            deliver(out);
+            lock.lock();
+            continue;
+        }
+
+        reapLocked(out);
 
         // SIGHUP: queue a rolling restart of every shard. A HUP that
         // lands mid-roll is coalesced into the one already running.
@@ -983,12 +1072,9 @@ Supervisor::monitorLoop()
             }
         }
 
-        // Per-worker RSS via /proc/<pid>/statm, plus the summed
-        // admission-depth gauges (the per-shard controllers do not
-        // publish their own).
+        // Per-worker RSS via /proc/<pid>/statm.
         if (now - lastRssSampleMs_ >= 500) {
             lastRssSampleMs_ = now;
-            uint64_t qInt = 0, qBatch = 0;
             for (auto &wp : workers_) {
                 Worker &w = *wp;
                 if (w.up && w.pid > 0) {
@@ -1000,13 +1086,7 @@ Supervisor::monitorLoop()
                         rss > opts_.serve.rssHardBytes)
                         beginRecycleLocked(w, "rss");
                 }
-                qInt += w.admission->depth(Priority::Interactive);
-                qBatch += w.admission->depth(Priority::Batch);
             }
-            obs::gauge("serve.admission.queue.interactive")
-                .set(static_cast<double>(qInt));
-            obs::gauge("serve.admission.queue.batch")
-                .set(static_cast<double>(qBatch));
         }
 
         for (auto &wp : workers_) {
@@ -1089,9 +1169,13 @@ Supervisor::drain()
     if (drained_.exchange(true))
         return;
     draining_.store(true);
-    obs::traceEvent("serve", "supervisor_drain",
-                    {{"pending",
-                      static_cast<int64_t>(pending_.size())}});
+    size_t pending;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        pending = pending_.size();
+    }
+    obs::traceEvent("serve", "drain",
+                    {{"pending", static_cast<int64_t>(pending)}});
     cv_.notify_all();
 
     const int64_t deadline =
@@ -1102,26 +1186,38 @@ Supervisor::drain()
         while (!pending_.empty() && nowMs() < deadline)
             cv_.wait_for(lock, std::chrono::milliseconds(25));
 
-        // Strand whatever the deadline left behind — queued or
-        // in-flight on a wedged worker — with `cancelled`.
+        // Strand whatever the deadline left behind — queued, or
+        // in-flight on a wedged worker process — with `cancelled`.
+        // In-process work already running finishes and answers with
+        // its result.
         std::vector<uint64_t> leftover;
         leftover.reserve(pending_.size());
         for (const auto &[seq, p] : pending_)
-            leftover.push_back(seq);
+            if (!local_ || !p.inflight)
+                leftover.push_back(seq);
         for (uint64_t seq : leftover) {
             finishLocked(seq,
                          cancelledResponse(pending_[seq].req.id,
                                            "drain deadline exceeded"),
                          "cancelled", cancelled_, out);
         }
-        for (auto &wp : workers_)
-            wp->inflight.clear();
+        if (local_)
+            workers_[0]->up = false;  // forward nothing more
+        else
+            for (auto &wp : workers_)
+                wp->inflight.clear();
         stop_.store(true);
     }
     deliver(out);
     cv_.notify_all();
     if (monitor_.joinable())
         monitor_.join();
+
+    if (local_) {
+        local_->drain();
+        writeFinalSnapshot();
+        return;
+    }
 
     // Shut the workers down: closing the pipe is the protocol (the
     // worker's read loop sees EOF, drains, exits 0); SIGTERM is the
@@ -1185,6 +1281,15 @@ Supervisor::drain()
         }
     }
 
+    writeFinalSnapshot();
+}
+
+void
+Supervisor::writeFinalSnapshot()
+{
+    // Stop the periodic writer, then write one final snapshot: stats
+    // accumulated since the last interval (or ever, when no interval
+    // was set) survive a SIGTERM'd serve.
     {
         std::lock_guard<std::mutex> lock(metricsMutex_);
         metricsStop_ = true;
@@ -1197,7 +1302,6 @@ Supervisor::drain()
         std::lock_guard<std::mutex> lock(metricsFileMutex_);
         metricsOut_.reset();
     }
-
     obs::flushTrace();
 }
 
@@ -1224,30 +1328,22 @@ Supervisor::writeMetricsSnapshotNow()
     std::lock_guard<std::mutex> lock(metricsFileMutex_);
     if (!metricsOut_)
         return;
-    size_t depth;
-    {
-        std::lock_guard<std::mutex> mlock(mu_);
-        depth = pending_.size();
-    }
     std::vector<std::pair<std::string, std::string>> extra;
-    extra.emplace_back("queue_depth", std::to_string(depth));
-    extra.emplace_back(
-        "queue_capacity",
-        std::to_string(opts_.maxQueuedPerWorker *
-                       static_cast<size_t>(opts_.workers)));
+    extra.emplace_back("queue_depth", std::to_string(queueDepth()));
+    extra.emplace_back("queue_capacity", std::to_string(queueCapacity()));
     extra.emplace_back("uptime_ms",
                        std::to_string(nowMs() - startedAtMs_));
     extra.emplace_back("draining",
                        draining_.load() ? "true" : "false");
-    extra.emplace_back("workers", workersDump());
+    extra.push_back(shardsBlock());
     obs::writeMetricsSnapshot(obs::statsRegistry(), *metricsOut_,
                               wallMs(), extra);
 }
 
-Server::RequestCounters
+RequestCounters
 Supervisor::requestCounters() const
 {
-    Server::RequestCounters c;
+    RequestCounters c;
     c.received = received_.load();
     c.accepted = accepted_.load();
     c.completed = completed_.load();
@@ -1255,6 +1351,23 @@ Supervisor::requestCounters() const
     c.cancelled = cancelled_.load();
     c.errors = errors_.load();
     return c;
+}
+
+size_t
+Supervisor::queueDepth() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    size_t depth = 0;
+    for (const auto &wp : workers_)
+        depth += wp->admission->depth();
+    return depth;
+}
+
+size_t
+Supervisor::queueCapacity() const
+{
+    return opts_.serve.queueCapacity *
+           static_cast<size_t>(opts_.workers);
 }
 
 std::vector<WorkerRow>
@@ -1347,16 +1460,24 @@ Supervisor::workersDump() const
     return arr.dump();
 }
 
+std::pair<std::string, std::string>
+Supervisor::shardsBlock() const
+{
+    if (local_)
+        return {"breakers", local_->breakersJson().dump()};
+    return {"workers", workersDump()};
+}
+
 std::string
 Supervisor::healthLine(const std::string &id) const
 {
-    Server::RequestCounters c = requestCounters();
-    size_t depth;
+    RequestCounters c = requestCounters();
+    size_t depth = 0;
     uint64_t qInteractive = 0, qBatch = 0, inflight = 0, recycles = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        depth = pending_.size();
         for (const auto &wp : workers_) {
+            depth += wp->admission->depth();
             qInteractive +=
                 wp->admission->depth(Priority::Interactive);
             qBatch += wp->admission->depth(Priority::Batch);
@@ -1371,13 +1492,15 @@ Supervisor::healthLine(const std::string &id) const
                         draining_.load() ? "draining" : "ok"));
     r.set("version", json::Value::string(versionLine()));
     r.set("uptime_ms", json::Value::number(nowMs() - startedAtMs_));
-    r.set("workers", json::Value::number(int64_t{opts_.workers}));
+    if (local_)
+        r.set("jobs", json::Value::number(
+                          int64_t{std::max(1, opts_.serve.jobs)}));
+    else
+        r.set("workers", json::Value::number(int64_t{opts_.workers}));
     r.set("queue_depth",
           json::Value::number(static_cast<int64_t>(depth)));
     r.set("queue_capacity",
-          json::Value::number(static_cast<int64_t>(
-              opts_.maxQueuedPerWorker *
-              static_cast<size_t>(opts_.workers))));
+          json::Value::number(static_cast<int64_t>(queueCapacity())));
 
     json::Value reqs = json::Value::object();
     reqs.set("received",
@@ -1406,10 +1529,13 @@ Supervisor::healthLine(const std::string &id) const
             json::Value::number(static_cast<int64_t>(recycles)));
     r.set("admission", std::move(adm));
 
+    // The in-process shard's breakers, governor and result cache.
+    if (local_)
+        local_->describe(r);
+
     // Admitted-but-unanswered requests found by the journal replay at
     // construction: what the previous incarnation owed its clients.
-    if (!recovery_.empty()) {
-        json::Value rec = json::Value::object();
+    if (!recovery_.empty()) {        json::Value rec = json::Value::object();
         rec.set("journal_replayed", json::Value::boolean(true));
         rec.set("unanswered",
                 json::Value::number(
@@ -1432,6 +1558,8 @@ Supervisor::healthLine(const std::string &id) const
     }
 
     std::string line = r.dump();
+    if (local_)
+        return line;
     // Splice the workers array in (it is already dumped JSON).
     line.pop_back();  // '}'
     line += ",\"worker_table\":" + workersDump() + "}";
@@ -1441,29 +1569,23 @@ Supervisor::healthLine(const std::string &id) const
 std::string
 Supervisor::statsLine(const std::string &id) const
 {
-    return "{\"id\":" + json::quote(id) +
-           ",\"type\":\"stats\",\"workers\":" + workersDump() +
-           ",\"registry\":" + registryDumpJson() + "}";
+    const auto [key, block] = shardsBlock();
+    return "{\"id\":" + json::quote(id) + ",\"type\":\"stats\",\"" +
+           key + "\":" + block + ",\"registry\":" + registryDumpJson() +
+           "}";
 }
 
 std::string
 Supervisor::metricsLine(const std::string &id) const
 {
-    size_t depth;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        depth = pending_.size();
-    }
+    const auto [key, block] = shardsBlock();
     return "{\"id\":" + json::quote(id) + ",\"type\":\"metrics\"" +
            ",\"ts_ms\":" + std::to_string(wallMs()) +
            ",\"uptime_ms\":" + std::to_string(nowMs() - startedAtMs_) +
-           ",\"queue_depth\":" +
-           std::to_string(static_cast<int64_t>(depth)) +
-           ",\"queue_capacity\":" +
-           std::to_string(opts_.maxQueuedPerWorker *
-                          static_cast<size_t>(opts_.workers)) +
+           ",\"queue_depth\":" + std::to_string(queueDepth()) +
+           ",\"queue_capacity\":" + std::to_string(queueCapacity()) +
            ",\"draining\":" + (draining_.load() ? "true" : "false") +
-           ",\"workers\":" + workersDump() +
+           ",\"" + key + "\":" + block +
            ",\"registry\":" + registryDumpJson() +
            ",\"exposition\":" + json::quote(obs::prometheusText()) +
            "}";

@@ -1,70 +1,3 @@
-/**
- * @file
- * Process-level supervision for `memoria serve --workers N`.
- *
- * The in-process `Server` contains panics, but a genuine SIGSEGV,
- * allocator corruption, or stack overflow in any worker thread takes
- * the whole service down. The `Supervisor` moves the isolation
- * boundary to the process: it owns the listeners and forks N
- * shard-worker processes (each running `memoria serve --worker-fd F`,
- * a single-process `Server` speaking the same JSON-lines protocol
- * over a socketpair). A consistent (rendezvous) hash of the program
- * text picks the shard, so repeated submissions of one program land
- * on one worker and future per-worker caches stay hot.
- *
- * Per worker, the supervisor runs a spawn/monitor/respawn state
- * machine:
- *
- *   Up ──(exit/signal/EOF/hang)──> Down ──(backoff timer)──> Up
- *
- *  - liveness: a `health` heartbeat every `heartbeatMs` (answered on
- *    the worker's reader thread, so a saturated worker pool cannot
- *    miss it) plus a per-request deadline; a worker that misses
- *    `heartbeatMisses` beats or sits on a request past its deadline +
- *    grace is SIGKILLed as hung;
- *  - reaping: SIGCHLD sets a flag (support/signals.hh) and the
- *    monitor thread reaps with waitpid(WNOHANG), classifying the
- *    death (`serve.worker.crash.<kind>`: sigabrt, sigsegv, sigkill,
- *    exit_N, hang, eof);
- *  - respawn: capped exponential backoff (`backoffBaseMs` doubling to
- *    `backoffCapMs`, reset after `stableMs` up), counted in
- *    `serve.worker.respawns`;
- *  - crash fallout: in-flight requests on the dead worker keep the
- *    exactly-one-response invariant — idempotent kinds (analyze,
- *    simulate) and `compound` with `"replay":true` are re-forwarded
- *    once to the respawned worker (fault spec stripped, result marked
- *    `"retried":true`); everything else is answered with a structured
- *    `serve.worker-crashed` error;
- *  - journal: every admission is written ahead to a bounded JSONL
- *    journal (serve/journal.hh) and marked done with its outcome, so
- *    "no request was lost" is checkable from disk after the fact;
- *  - recycling: a worker can be retired *gracefully* — stop forwarding
- *    it work, wait for its in-flight requests to finish, close its
- *    pipe's write side (the worker drains, snapshots its cache, exits
- *    0), respawn immediately with no backoff. Triggered by
- *    `maxRequestsPerWorker`, by RSS over the hard watermark (sampled
- *    from /proc/<pid>/statm and from the worker's own governor block
- *    in heartbeat answers), or by SIGHUP (rolling restart of every
- *    shard, one at a time, next one only after the previous is back
- *    up). A recycle loses zero requests and is counted in
- *    `serve.worker.recycled`, never in `serve.worker.crash.*`.
- *
- * Admission is per shard: each worker slot owns an
- * `AdmissionController` (serve/admission.hh) bounded by
- * `maxQueuedPerWorker` (queued + in-flight), giving the supervisor
- * deadline-aware shed-on-arrival, per-client fair-share dequeue, and
- * CoDel aging in front of every worker pipe.
- *
- * The supervisor answers `health`/`stats`/`metrics` inline from its
- * own registry (adding a `workers` array that `memoria top` renders
- * as per-worker rows); work requests are forwarded with a rewritten
- * id (`s<seq>`) and the original id restored on the way back. Drain
- * means: stop admitting, let workers finish, cancel what the drain
- * deadline strands, close the worker pipes (workers see EOF and exit
- * 0), reap everything, check the journal is empty, write the final
- * metrics snapshot, exit 0.
- */
-
 #ifndef MEMORIA_SERVE_SUPERVISOR_HH
 #define MEMORIA_SERVE_SUPERVISOR_HH
 
@@ -73,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -81,11 +15,150 @@
 #include <thread>
 #include <vector>
 
+#include "harness/batch.hh"
+#include "harness/incident.hh"
+#include "serve/admission.hh"
+#include "serve/breaker.hh"
+#include "serve/cache.hh"
 #include "serve/journal.hh"
-#include "serve/server.hh"
+#include "serve/protocol.hh"
 
 namespace memoria {
 namespace serve {
+
+/** Service configuration. */
+struct ServeOptions
+{
+    /** Executor threads per shard; also the shard's in-flight bound. */
+    int jobs = 2;
+
+    /** Admission-queue bound per shard (queued, not in flight);
+     *  beyond it requests are shed `queue-full`. */
+    size_t queueCapacity = 16;
+
+    /** Suggested client backoff in `overloaded` responses. */
+    int64_t retryAfterMs = 50;
+
+    /** Per-client queued + in-flight cap (0 = off); excess sheds
+     *  `client-capped` so one flooding client degrades only itself. */
+    size_t perClientCap = 0;
+
+    /** CoDel-style aging target for the oldest queued request, ms
+     *  (0 = off): standing queues drop stale work, not new arrivals. */
+    int64_t ageTargetMs = 0;
+
+    /** Memory-governor watermarks (bytes, 0 = off): soft shrinks the
+     *  result cache and floors the ladder at a cheaper rung; hard
+     *  asks the supervisor for a graceful recycle. */
+    uint64_t rssSoftBytes = 0;
+    uint64_t rssHardBytes = 0;
+    int64_t rssSampleMs = 200;
+
+    /** Default per-request budget (requests may lower, never raise
+     *  past maxDeadlineMs). */
+    harness::Budget budget{2000, 1u << 20, 50u << 20};
+
+    /** Clamp for client-supplied deadline_ms. */
+    int64_t maxDeadlineMs = 30000;
+
+    /** After drain starts, queued requests still unstarted past this
+     *  deadline are answered `cancelled` instead of run. */
+    int64_t drainDeadlineMs = 5000;
+
+    /** Request-line size bound. */
+    size_t maxRequestBytes = 4u << 20;
+
+    /** Honor the per-request "fault" injection hook (tests/soak). */
+    bool allowFaultRequests = false;
+
+    /** Minimize failures into incident bundles. */
+    bool writeIncidents = true;
+    incident::IncidentPolicy incidents;
+
+    /**
+     * Append JSONL metrics snapshots (support/export.hh) to this path.
+     * With metricsIntervalMs > 0 a background thread writes one every
+     * interval; independent of the interval, `drain()` writes a final
+     * snapshot — so a SIGTERM'd serve never loses its stats.
+     */
+    std::string metricsPath;
+    int64_t metricsIntervalMs = 0;
+
+    BreakerOptions breaker;
+    ModelParams params;
+
+    /** Cache geometries the simulate stage sweeps — all fed from one
+     *  interpreter pass per program version (cachesim/sweep.hh).
+     *  Empty means the batch driver's default (i860). */
+    std::vector<CacheConfig> cacheConfigs;
+
+    /** Result-cache bounds (resultCache.maxEntries == 0 disables the
+     *  cache and single-flight dedup entirely). */
+    CacheOptions resultCache;
+
+    /**
+     * Durable cache snapshots (serve/snapshot.hh): written here
+     * periodically and on drain, loaded (after validation) at start.
+     * Empty disables durability; the in-memory cache still works.
+     */
+    std::string cacheSnapshotPath;
+    int64_t cacheSnapshotIntervalMs = 0;  ///< 0 = only on drain
+
+    /** Shard index stamped into snapshot headers (-1 single-process). */
+    int shard = -1;
+};
+
+/**
+ * What a transport needs from the thing it feeds lines to: the front
+ * (`Supervisor`, and the single-process `Server` built on it), so
+ * runStdio/runListener serve either mode without knowing which.
+ */
+class LineService
+{
+  public:
+    /** Delivers one response line (no trailing newline) to the
+     *  request's client. Must be thread-safe; workers call it. */
+    using Respond = std::function<void(const std::string &)>;
+
+    virtual ~LineService() = default;
+
+    /** Bring the service up (executor threads / worker processes). */
+    virtual void start() = 0;
+
+    /**
+     * Handle one request line. Blank lines are ignored; everything
+     * else gets exactly one terminal response through `respond`,
+     * either inline (parse errors, health/stats, shed, draining) or
+     * later from a shard. `clientKey` identifies the transport
+     * connection for fair-share queuing when the request carries no
+     * `client_id` of its own ("" = anonymous).
+     */
+    virtual void handleLine(const std::string &line,
+                            const Respond &respond,
+                            const std::string &clientKey = "") = 0;
+
+    /**
+     * Graceful shutdown: stop admitting, finish in-flight work,
+     * cancel what the drain deadline strands, flush observability
+     * sinks. Idempotent.
+     */
+    virtual void drain() = 0;
+
+    virtual bool draining() const = 0;
+};
+
+/** Terminal-response counters (health responses and tests). */
+struct RequestCounters
+{
+    uint64_t received = 0;   ///< lines that parsed as requests
+    uint64_t accepted = 0;   ///< admitted to the queue
+    uint64_t completed = 0;  ///< answered with `result`
+    uint64_t shed = 0;       ///< answered with `overloaded`
+    uint64_t cancelled = 0;  ///< answered with `cancelled`
+    uint64_t errors = 0;     ///< answered with `error`
+};
+
+class Executor;
 
 /** Supervisor configuration. */
 struct SupervisorOptions
@@ -100,8 +173,8 @@ struct SupervisorOptions
      */
     std::vector<std::string> workerCommand;
 
-    /** Shared service limits (deadlines, queue bound, request size;
-     *  also the source of the metrics snapshot path). */
+    /** Service limits (deadlines, per-shard queue bound, request
+     *  size; also the source of the metrics snapshot path). */
     ServeOptions serve;
 
     /** Heartbeat cadence and how many misses mean "hung". */
@@ -117,14 +190,6 @@ struct SupervisorOptions
     int64_t backoffBaseMs = 100;
     int64_t backoffCapMs = 5000;
     int64_t stableMs = 10000;
-
-    /** Per-worker bound on queued + in-flight requests; beyond it the
-     *  supervisor sheds with `overloaded`. */
-    size_t maxQueuedPerWorker = 32;
-
-    /** Requests forwarded to one worker at a time (0 = the worker's
-     *  thread count, serve.jobs). */
-    size_t maxInflightPerWorker = 0;
 
     /** Gracefully recycle a worker after it has answered this many
      *  work requests (0 = never). Bounds slow leaks by construction. */
@@ -155,26 +220,28 @@ struct WorkerRow
     int64_t heartbeatAgeMs = -1;  ///< -1 while down
 };
 
-/** The front process. Construct, `start()`, feed lines, `drain()`. */
+/** The front. Construct, `start()`, feed lines, `drain()`. */
 class Supervisor : public LineService
 {
   public:
     using Respond = LineService::Respond;
 
+    /** A front over `opts.workers` shard-worker processes. */
     explicit Supervisor(SupervisorOptions opts);
     ~Supervisor() override;
 
     Supervisor(const Supervisor &) = delete;
     Supervisor &operator=(const Supervisor &) = delete;
 
-    /** Spawn the shard workers and the monitor thread. */
+    /** Start the shards (in-process executor or worker processes)
+     *  and the monitor thread. */
     void start() override;
 
     void handleLine(const std::string &line, const Respond &respond,
                     const std::string &clientKey = "") override;
 
-    /** Stop admitting, wait for in-flight work (bounded by
-     *  drainDeadlineMs), shut the workers down, reap, flush. */
+    /** Stop admitting, wait for forwarded work (bounded by
+     *  drainDeadlineMs), shut the shards down, reap, flush. */
     void drain() override;
 
     bool draining() const override { return draining_.load(); }
@@ -184,7 +251,9 @@ class Supervisor : public LineService
     /** The shard the consistent hash assigns this program text. */
     int shardOf(const std::string &program) const;
 
-    Server::RequestCounters requestCounters() const;
+    RequestCounters requestCounters() const;
+    /** Queued (admitted, not yet forwarded) requests, all shards. */
+    size_t queueDepth() const;
     std::vector<WorkerRow> workerRows() const;
 
     std::string healthLine(const std::string &id) const;
@@ -193,6 +262,13 @@ class Supervisor : public LineService
 
     /** The journal, when one is configured (tests inspect depth). */
     Journal *journal() { return journal_.get(); }
+
+  protected:
+    /** A front over one in-process shard run by `local` (the
+     *  single-process `Server`). */
+    Supervisor(SupervisorOptions opts, std::unique_ptr<Executor> local);
+
+    Executor &local() const { return *local_; }
 
   private:
     /** One admitted work request awaiting its terminal response. */
@@ -238,7 +314,8 @@ class Supervisor : public LineService
         std::thread reader;
         std::string outbuf;        ///< unwritten forwarded bytes
         /** Per-shard queue order and fair-share policy; payloads stay
-         *  in pending_. Survives the worker process across respawns. */
+         *  in pending_. Survives the worker process across respawns.
+         *  The front's only admission point. */
         std::unique_ptr<AdmissionController> admission;
         std::set<uint64_t> inflight;
         uint64_t respawns = 0;
@@ -270,8 +347,12 @@ class Supervisor : public LineService
     void monitorLoop();
     void metricsLoop();
     void writeMetricsSnapshotNow();
+    /** Stop the metrics writer, write the final snapshot, flush the
+     *  trace sink (the last step of drain). */
+    void writeFinalSnapshot();
 
     bool spawnWorkerLocked(Worker &w, std::vector<Outgoing> &out);
+    /** Forward queued work to the shard up to its `jobs` bound. */
     void pumpWorkerLocked(Worker &w, std::vector<Outgoing> &out);
     void flushOutbufLocked(Worker &w);
 
@@ -296,6 +377,15 @@ class Supervisor : public LineService
     void readerLoop(int shard, int fd, uint64_t generation);
     void onWorkerLine(int shard, uint64_t generation,
                       const std::string &line);
+    /** The in-process executor answered forwarded request `seq`. */
+    void onLocalAnswer(uint64_t seq, const std::string &line,
+                       bool result);
+    /** A shard answered in-flight request `seq`: feed the service-time
+     *  estimate, resolve it, forward more. */
+    void answeredLocked(Worker &w, uint64_t seq, const std::string &line,
+                        const std::string &outcome,
+                        std::atomic<uint64_t> &counter,
+                        std::vector<Outgoing> &out);
 
     /** Crash/hang/EOF fallout: retry or answer every in-flight
      *  request of the dead worker, schedule the respawn. */
@@ -317,12 +407,21 @@ class Supervisor : public LineService
     void joinRetired();
 
     int64_t effectiveDeadlineMs(const Request &req) const;
+    /** p90 of the front's per-kind service-time histogram (µs; 0 = no
+     *  signal yet, and admission falls back to its EWMA). */
+    int64_t estimatedServiceUs(RequestKind kind) const;
+    size_t queueCapacity() const;
     /** The `workers` array, dumped ("[{...},...]"). */
     std::string workersDump() const;
+    /** The mode-specific block of stats/metrics/snapshots: `breakers`
+     *  for the in-process shard, `workers` for process shards. */
+    std::pair<std::string, std::string> shardsBlock() const;
     /** Mirror summed worker cache counters into serve.cache.* gauges. */
     void publishCacheGaugesLocked();
 
     SupervisorOptions opts_;
+    /** The in-process shard's executor (null with worker processes). */
+    std::unique_ptr<Executor> local_;
     std::unique_ptr<Journal> journal_;
 
     /** Admitted-but-unanswered entries replayed from the previous

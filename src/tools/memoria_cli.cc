@@ -51,7 +51,7 @@
  * Unix-socket clients with --port / --socket) and answers each with
  * exactly one JSON response; see docs/SERVING.md:
  *
- *   --jobs N --queue N     worker pool size, admission-queue bound
+ *   --jobs N --queue N     threads per shard, per-shard queue bound
  *   --deadline-ms N        default per-request budget
  *   --max-deadline-ms N    clamp on client-supplied deadlines
  *   --drain-deadline-ms N  grace for queued work during shutdown
@@ -1135,11 +1135,12 @@ cmdServe(const Options &opts)
     }
 
     // Shard-worker mode (spawned by the supervisor, never by hand):
-    // a plain single-process Server speaking the protocol over the
-    // inherited socketpair fd. Metrics export stays with the parent.
+    // a bare executor running what the front forwards over the
+    // inherited socketpair fd. Admission and metrics export stay with
+    // the parent.
     if (opts.workerFd >= 0) {
-        serve::Server server(sopts);
-        return serve::runWorkerFd(server, opts.workerFd);
+        serve::Executor executor(sopts);
+        return serve::runWorkerFd(executor, opts.workerFd);
     }
 
     sopts.metricsPath = opts.metricsFile;
@@ -1186,8 +1187,6 @@ cmdServe(const Options &opts)
         };
         if (opts.jobs > 0)
             flag("--jobs", opts.jobs);
-        if (opts.queueCapacity > 0)
-            flag("--queue", opts.queueCapacity);
         if (opts.deadlineMs > 0)
             flag("--deadline-ms", opts.deadlineMs);
         if (opts.maxIterations > 0)
@@ -1196,14 +1195,6 @@ cmdServe(const Options &opts)
             flag("--max-ir-nodes", opts.maxIrNodes);
         if (opts.maxDeadlineMs > 0)
             flag("--max-deadline-ms", opts.maxDeadlineMs);
-        if (opts.drainDeadlineMs > 0)
-            flag("--drain-deadline-ms", opts.drainDeadlineMs);
-        if (opts.retryAfterMs > 0)
-            flag("--retry-after-ms", opts.retryAfterMs);
-        if (opts.clientCap > 0)
-            flag("--client-cap", opts.clientCap);
-        if (opts.ageMs > 0)
-            flag("--age-ms", opts.ageMs);
         // The workers run their own memory governors (soft pressure is
         // handled in-process; hard pressure rides the heartbeat back).
         if (opts.rssSoftMb > 0)

@@ -1321,6 +1321,144 @@ TEST(Supervisor, SighupRollingRestartUnderLoadLosesNothing)
     std::remove(journalPath.c_str());
 }
 
+TEST(Supervisor, QueueOptionBoundsEachShard)
+{
+    SupervisorOptions opts = supervisedOptions(2);
+    opts.journalPath.clear();
+    opts.serve.queueCapacity = 2;
+    opts.serve.drainDeadlineMs = 50;  // never started: nothing runs
+    Collector out;
+    Supervisor sup(opts);
+
+    std::vector<std::string> programs = programsOnShard(sup, 0, 3);
+    for (int i = 0; i < 3; ++i)
+        sup.handleLine(requestLine("q" + std::to_string(i), "analyze",
+                                   programs[i]),
+                       out.fn());
+
+    // Two queue silently on shard 0; the third is shed on arrival.
+    ASSERT_EQ(out.lines.size(), 1u);
+    json::Value shed = out.parsed(0);
+    EXPECT_EQ(shed.getString("id"), "q2");
+    EXPECT_EQ(shed.getString("type"), "overloaded");
+    EXPECT_EQ(shed.getString("reason"), "queue-full");
+    EXPECT_EQ(sup.requestCounters().accepted, 2u);
+    EXPECT_EQ(sup.queueDepth(), 2u);
+
+    Result<json::Value> health = json::parse(sup.healthLine("h"));
+    ASSERT_TRUE(health.ok());
+    EXPECT_EQ(health.value().getInt("queue_capacity"), 2 * 2)
+        << "queue_capacity is the per-shard bound times the shards";
+    sup.drain();
+}
+
+/** A simulate program that takes tens of ms; `i` varies its text. */
+std::string
+warmSimulateProgram(int i)
+{
+    return "PROGRAM warm" + std::to_string(i) +
+           "\n"
+           "  PARAMETER N = 64\n"
+           "  REAL*8 A(N,N)\n"
+           "  REAL*8 B(N,N)\n"
+           "  DO I = 1, N\n"
+           "    DO J = 1, N\n"
+           "      DO K = 1, N\n"
+           "        A(I,J) = A(I,J) + B(J,K)\n"
+           "      ENDDO\n"
+           "    ENDDO\n"
+           "  ENDDO\n"
+           "END\n";
+}
+
+TEST(Supervisor, FrontShedsInfeasibleDeadlineFromPerKindEstimate)
+{
+    signals::resetForTest();
+    obs::statsRegistry().resetValues();
+    SupervisorOptions opts = supervisedOptions(1);
+    opts.workerCommand.push_back("--no-cache");  // every warm-up runs
+    const std::string journalPath = opts.journalPath;
+    Collector out;
+    {
+        Supervisor sup(opts);
+        sup.start();
+
+        // Eight samples of real simulate work give the front its
+        // per-kind p90 (tens of ms).
+        const int kWarm = 8;
+        for (int i = 0; i < kWarm; ++i)
+            sup.handleLine(requestLine("warm" + std::to_string(i),
+                                       "simulate",
+                                       warmSimulateProgram(i)),
+                           out.fn());
+        ASSERT_TRUE(waitFor(
+            [&] {
+                std::lock_guard<std::mutex> lock(out.mutex);
+                return out.lines.size() >= static_cast<size_t>(kWarm);
+            },
+            60000));
+        for (int i = 0; i < kWarm; ++i)
+            ASSERT_EQ(out.parsed(i).getString("type"), "result")
+                << out.lines[i];
+
+        const uint64_t before =
+            obs::counter("serve.shed.deadline_infeasible").value();
+        sup.handleLine(requestLine("tight", "simulate",
+                                   warmSimulateProgram(kWarm), 5),
+                       out.fn());
+        {
+            std::lock_guard<std::mutex> lock(out.mutex);
+            ASSERT_EQ(out.lines.size(), static_cast<size_t>(kWarm + 1))
+                << "an infeasible deadline is shed on arrival";
+        }
+        json::Value v = out.parsed(kWarm);
+        EXPECT_EQ(v.getString("id"), "tight");
+        EXPECT_EQ(v.getString("type"), "overloaded") << out.lines[kWarm];
+        EXPECT_EQ(v.getString("reason"), "deadline-infeasible");
+        EXPECT_EQ(obs::counter("serve.shed.deadline_infeasible").value(),
+                  before + 1);
+        sup.drain();
+    }
+
+    // The front decided before admitting: nothing was journaled or
+    // forwarded for the shed request.
+    std::ifstream in(journalPath);
+    ASSERT_TRUE(in.good());
+    std::string line;
+    int admits = 0;
+    while (std::getline(in, line)) {
+        Result<json::Value> rec = json::parse(line);
+        if (!rec.ok() || rec.value().getString("op") != "admit")
+            continue;
+        ++admits;
+        EXPECT_NE(rec.value().getString("id"), "tight");
+    }
+    EXPECT_EQ(admits, 8);
+    std::remove(journalPath.c_str());
+}
+
+TEST(Supervisor, HealthSharesItsKeysWithSingleProcessServe)
+{
+    Server server(quietOptions());
+    SupervisorOptions opts = supervisedOptions(2);
+    opts.journalPath.clear();
+    Supervisor sup(opts);  // neither is started: health is inline
+
+    Result<json::Value> single = json::parse(server.healthLine("h"));
+    Result<json::Value> multi = json::parse(sup.healthLine("h"));
+    ASSERT_TRUE(single.ok());
+    ASSERT_TRUE(multi.ok());
+    for (const char *key : {"status", "version", "uptime_ms",
+                            "queue_depth", "queue_capacity", "requests",
+                            "admission"}) {
+        EXPECT_NE(single.value().get(key), nullptr) << key;
+        EXPECT_NE(multi.value().get(key), nullptr) << key;
+    }
+    // And each mode keeps its own blocks.
+    EXPECT_NE(single.value().get("breakers"), nullptr);
+    EXPECT_NE(multi.value().get("worker_table"), nullptr);
+}
+
 #endif  // MEMORIA_BIN
 
 } // namespace
