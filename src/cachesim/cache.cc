@@ -1,5 +1,7 @@
 #include "cachesim/cache.hh"
 
+#include <algorithm>
+
 #include "harness/fault.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
@@ -12,6 +14,11 @@ namespace {
 /** Fires once per simulated run (at cache construction), so arming it
  *  never costs anything on the per-access hot path. */
 harness::FaultSite gCachesimFault("cachesim.run");
+
+/** Bounds of the touched-line bitmap, in 64-line words: it starts at
+ *  4096 lines and stops growing at 4M lines (512 KiB). */
+constexpr uint64_t kMinSeenWords = 64;
+constexpr uint64_t kMaxSeenWords = uint64_t(1) << 16;
 
 } // namespace
 
@@ -73,7 +80,10 @@ Cache::Cache(CacheConfig config) : config_(std::move(config))
                    "set count must be a power of two");
     while ((1 << lineShift_) < config_.lineBytes)
         ++lineShift_;
-    ways_.assign(config_.numSets() * config_.associativity, Way{});
+    setMask_ = static_cast<uint64_t>(config_.numSets()) - 1;
+    ways_ = static_cast<size_t>(config_.associativity);
+    tags_.assign(config_.numSets() * config_.associativity, 0);
+    fill_.assign(config_.numSets(), 0);
 }
 
 void
@@ -91,45 +101,67 @@ Cache::access(uint64_t addr, int size, bool isWrite)
 }
 
 bool
-Cache::probe(uint64_t addr)
+Cache::firstTouch(uint64_t line)
 {
-    uint64_t line = addr >> lineShift_;
-    uint64_t set = line & (config_.numSets() - 1);
-    uint64_t tag = line >> 1;  // keep full line id as tag (simpler)
-    (void)tag;
-
-    Way *base = &ways_[set * config_.associativity];
-    ++clock_;
-    ++stats_.accesses;
-
-    Way *victim = base;
-    for (int w = 0; w < config_.associativity; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == line) {
-            way.lastUse = clock_;
-            ++stats_.hits;
-            MEMORIA_ASSERT(stats_.hits + stats_.misses == stats_.accesses,
-                           "cache counters out of sync");
-            return true;
-        }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
-            victim = &way;
-        }
+    uint64_t word = (line >> 6) - seenBaseWord_;
+    if (word < seenBits_.size()) {
+        uint64_t bit = uint64_t(1) << (line & 63);
+        bool first = !(seenBits_[word] & bit);
+        seenBits_[word] |= bit;
+        return first;
     }
+    return firstTouchOutsideWindow(line);
+}
 
+void
+Cache::miss(uint64_t line, uint64_t set)
+{
     ++stats_.misses;
     MEMORIA_ASSERT(stats_.hits + stats_.misses == stats_.accesses,
                    "cache counters out of sync");
-    if (touchedLines_.insert(line).second)
+    if (firstTouch(line))
         ++stats_.coldMisses;
-    if (victim->valid)
+    // Shift the set down one place, dropping the last (least recently
+    // used) line when it is full.
+    uint64_t *tags = &tags_[set * ways_];
+    uint32_t &fill = fill_[set];
+    if (fill == ways_)
         ++stats_.evictions;
-    victim->valid = true;
-    victim->tag = line;
-    victim->lastUse = clock_;
-    return false;
+    else
+        ++fill;
+    for (uint32_t w = fill - 1; w > 0; --w)
+        tags[w] = tags[w - 1];
+    tags[0] = line;
+}
+
+bool
+Cache::firstTouchOutsideWindow(uint64_t line)
+{
+    const uint64_t word = line >> 6;
+    const uint64_t oldLo = seenBaseWord_;
+    const uint64_t oldSize = seenBits_.size();
+    uint64_t lo = oldSize ? std::min(oldLo, word) : word;
+    uint64_t hi = oldSize ? std::max(oldLo + oldSize, word + 1) : word + 1;
+    if (hi - lo > kMaxSeenWords)
+        return seenOutside_.insert(line).second;
+
+    // Grow geometrically toward the new line, so a stream walking
+    // past an edge regrows the window O(log n) times.
+    const uint64_t size = std::min(
+        kMaxSeenWords, std::max({hi - lo, 2 * oldSize, kMinSeenWords}));
+    if (oldSize && word < oldLo)
+        lo = hi >= size ? hi - size : 0;
+    std::vector<uint64_t> bits(size, 0);
+    if (oldSize)
+        std::copy(seenBits_.begin(), seenBits_.end(),
+                  bits.begin() + (oldLo - lo));
+    seenBits_.swap(bits);
+    seenBaseWord_ = lo;
+    // No line in seenOutside_ can lie in the grown window: the window
+    // only grows, and each of those lines was refused because the
+    // window of that time plus the line spanned more than
+    // kMaxSeenWords.
+    return firstTouch(line);
 }
 
 void
@@ -147,9 +179,9 @@ void
 Cache::reset()
 {
     stats_ = CacheStats{};
-    touchedLines_.clear();
-    ways_.assign(ways_.size(), Way{});
-    clock_ = 0;
+    std::fill(fill_.begin(), fill_.end(), 0);
+    std::fill(seenBits_.begin(), seenBits_.end(), 0);
+    seenOutside_.clear();
 }
 
 } // namespace memoria

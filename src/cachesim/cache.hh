@@ -17,6 +17,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "support/logging.hh"
+
 namespace memoria {
 
 /** Geometry of one cache level. */
@@ -107,7 +109,31 @@ class Cache : public MemoryListener
     void access(uint64_t addr, int size, bool isWrite) override;
 
     /** Probe one address; returns true on hit. Updates LRU state. */
-    bool probe(uint64_t addr);
+    bool
+    probe(uint64_t addr)
+    {
+        const uint64_t line = addr >> lineShift_;
+        const uint64_t set = line & setMask_;
+        uint64_t *tags = &tags_[set * ways_];
+        ++stats_.accesses;
+        // A set's resident lines are kept most recently used first, so
+        // the common hit costs one compare and LRU needs no
+        // timestamps: a hit moves its line to the front.
+        for (uint32_t w = 0, n = fill_[set]; w < n; ++w) {
+            if (tags[w] == line) {
+                for (; w > 0; --w)
+                    tags[w] = tags[w - 1];
+                tags[0] = line;
+                ++stats_.hits;
+                MEMORIA_ASSERT(stats_.hits + stats_.misses ==
+                                   stats_.accesses,
+                               "cache counters out of sync");
+                return true;
+            }
+        }
+        miss(line, set);
+        return false;
+    }
 
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return config_; }
@@ -127,19 +153,38 @@ class Cache : public MemoryListener
     void publishStats(const std::string &prefix = "cachesim") const;
 
   private:
-    struct Way
-    {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /** Insert the missing `line` at the front of `set`. */
+    void miss(uint64_t line, uint64_t set);
+
+    /** True when `line` was never touched since construction or the
+     *  last reset; marks it touched. */
+    bool firstTouch(uint64_t line);
+    bool firstTouchOutsideWindow(uint64_t line);
 
     CacheConfig config_;
     CacheStats stats_;
-    std::vector<Way> ways_;  ///< numSets x associativity, row-major
-    std::unordered_set<uint64_t> touchedLines_;
-    uint64_t clock_ = 0;
+    uint64_t setMask_ = 0;
+    size_t ways_ = 0;
     int lineShift_ = 0;
+    /** numSets x associativity line ids, row-major. The first
+     *  fill_[set] entries of a set are its resident lines in recency
+     *  order, most recently used first; the rest are unused. */
+    std::vector<uint64_t> tags_;
+    /** Resident lines per set (up to associativity; fully associative
+     *  caches can have hundreds of ways). */
+    std::vector<uint32_t> fill_;
+
+    /**
+     * Lines touched so far, for cold-miss counting. A bitmap over a
+     * window of line ids, [seenBaseWord_ * 64, that + 64 *
+     * seenBits_.size()), covers the dense arrays the interpreter
+     * lays out; it grows on demand up to kMaxSeenWords. Lines that
+     * would grow it past that bound go to seenOutside_, so any address
+     * stream is counted exactly.
+     */
+    std::vector<uint64_t> seenBits_;
+    uint64_t seenBaseWord_ = 0;
+    std::unordered_set<uint64_t> seenOutside_;
     uint64_t samplePeriod_ = 0;
 };
 

@@ -4,8 +4,9 @@
  *
  * The paper's Table 4 evaluates every program against two cache
  * geometries; the batch driver and the compile service re-simulate the
- * same access stream per configuration. Re-running the interpreter is
- * the expensive part — the cache model itself is cheap — so this layer
+ * same access stream per configuration. Producing the stream costs
+ * about twice as much per access as probing one cache
+ * (docs/PERFORMANCE.md gives the measured split), so this layer
  * consumes the reference stream **once** and feeds N set-associative
  * caches in lockstep, plus an optional reuse-distance analyzer that
  * answers hit rates for *all* fully-associative capacities from the
@@ -16,7 +17,8 @@
  * than one virtual call per reference: the interpreter fills a fixed
  * buffer and flushes it in chunks, so the per-access cost inside the
  * simulator is a plain array walk. Each per-config cache is the
- * ordinary `Cache` — the same code path as a standalone run — which
+ * ordinary `Cache` (recency-ordered sets and a touched-line bitmap;
+ * cachesim/cache.hh), the same code path as a standalone run, which
  * is what makes the sweep's counters bitwise-identical to independent
  * per-config simulations (asserted in tests/test_cachesim.cc, against
  * the reference evaluator feeding a plain Cache).

@@ -68,6 +68,37 @@ benchSources()
     return sources;
 }
 
+/** Report one cache's counters under `config` (e.g. "i860.hits"). */
+void
+addCacheCounters(Counters &c, const std::string &config,
+                 const CacheStats &s)
+{
+    c[config + ".hits"] = s.hits;
+    c[config + ".misses"] = s.misses;
+    c[config + ".cold_misses"] = s.coldMisses;
+    c[config + ".evictions"] = s.evictions;
+}
+
+/** Records a program's access stream for replay without the
+ *  interpreter. */
+class StreamRecorder final : public MemoryListener
+{
+  public:
+    std::vector<AccessRecord> records;
+
+    void
+    access(uint64_t addr, int size, bool isWrite) override
+    {
+        records.push_back({addr, static_cast<uint32_t>(size), isWrite});
+    }
+
+    void
+    consumeBatch(const AccessRecord *rec, size_t n) override
+    {
+        records.insert(records.end(), rec, rec + n);
+    }
+};
+
 std::vector<Program>
 benchPrograms()
 {
@@ -172,6 +203,7 @@ benchSuite()
         c["accesses"] = r.cache.accesses;
         c["iterations"] = r.exec.loopIterations;
         c["interp_passes"] = 1;
+        addCacheCounters(c, "i860", r.cache);
     }});
 
     suite.push_back({"simulate_sweep", [](Counters &c) {
@@ -187,6 +219,29 @@ benchSuite()
         c["accesses"] = r.cache.front().accesses;
         c["iterations"] = r.exec.loopIterations;
         c["interp_passes"] = cRuns.value() - runsBefore;
+        addCacheCounters(c, "rs6000", r.cache[0]);
+        addCacheCounters(c, "i860", r.cache[1]);
+    }});
+
+    suite.push_back({"cachesim", [](Counters &c) {
+        // The cache layer alone: simulate_sweep's stream, recorded
+        // once, replayed in the interpreter's batch size.
+        static const std::vector<AccessRecord> stream = [] {
+            const Program prog = makeMatmul("IKJ", 32);
+            StreamRecorder rec;
+            Interpreter interp(prog);
+            Status st = interp.run(&rec);
+            MEMORIA_ASSERT(st.ok(), "bench kernel faulted");
+            return std::move(rec.records);
+        }();
+        const size_t kBatch = 4096;
+        MultiCacheSim sim({CacheConfig::rs6000(), CacheConfig::i860()});
+        for (size_t off = 0; off < stream.size(); off += kBatch)
+            sim.consumeBatch(stream.data() + off,
+                             std::min(kBatch, stream.size() - off));
+        c["accesses"] = sim.stats(0).accesses;
+        addCacheCounters(c, "rs6000", sim.stats(0));
+        addCacheCounters(c, "i860", sim.stats(1));
     }});
 
     suite.push_back({"reuse_sweep", [](Counters &c) {

@@ -102,9 +102,7 @@ AdmissionController::decide(const std::string &client, Priority pri,
     AdmissionDecision d;
     d.queueDepth = queued_;
 
-    const size_t load =
-        queued_ + (opts_.countInflight ? inflight_ : 0);
-    if (load >= opts_.queueCapacity) {
+    if (queued_ >= opts_.queueCapacity) {
         d.admitted = false;
         d.reason = "queue-full";
         d.retryAfterMs = honestRetryAfterMs(nowUs);
@@ -156,7 +154,6 @@ AdmissionController::enqueue(uint64_t id, const std::string &client,
     cs.queue.push_back(Entry{id, client, pri, deadlineAtUs, nowUs});
     ++cls.queued;
     ++queued_;
-    publishDepthGauges();
 }
 
 const AdmissionController::Entry *
@@ -305,10 +302,8 @@ AdmissionController::pop(int64_t nowUs,
                          std::vector<AdmissionDrop> &dropped)
 {
     dropStale(nowUs, dropped);
-    if (queued_ == 0) {
-        publishDepthGauges();
+    if (queued_ == 0)
         return 0;
-    }
 
     // Weighted class credits: interactive spends its share first;
     // when both classes are out of credit the shares are replenished.
@@ -322,7 +317,6 @@ AdmissionController::pop(int64_t nowUs,
             uint64_t id = popClass(classes_[c], nowUs);
             if (id != 0) {
                 --credit_[c];
-                publishDepthGauges();
                 return id;
             }
         }
@@ -340,7 +334,6 @@ AdmissionController::pop(int64_t nowUs,
         if (!replenished)
             break;
     }
-    publishDepthGauges();
     return 0;
 }
 
@@ -401,7 +394,6 @@ AdmissionController::finish(uint64_t id, int64_t nowUs)
                 if (cit->second.inflight == 0)
                     cls.clients.erase(cit);
             }
-            publishDepthGauges();
             return;
         }
     }
@@ -419,17 +411,6 @@ AdmissionController::recordService(int64_t serviceUs)
                          ? v
                          : (1.0 - kEwmaAlpha) * ewmaServiceUs_ +
                                kEwmaAlpha * v;
-}
-
-void
-AdmissionController::publishDepthGauges() const
-{
-    if (!opts_.publishGauges)
-        return;
-    obs::gauge("serve.admission.queue.interactive")
-        .set(static_cast<double>(classes_[0].queued));
-    obs::gauge("serve.admission.queue.batch")
-        .set(static_cast<double>(classes_[1].queued));
 }
 
 } // namespace serve

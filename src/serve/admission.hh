@@ -72,7 +72,8 @@ const char *priorityName(Priority p);
 
 struct AdmissionOptions
 {
-    /** Bound on the queue (see countInflight for what is counted). */
+    /** Bound on the queued entries. In-flight work is not counted:
+     *  the serve front bounds it by each shard's thread count. */
     size_t queueCapacity = 64;
 
     /**
@@ -81,11 +82,6 @@ struct AdmissionOptions
      * at the cap sheds `client-capped` while others keep flowing.
      */
     size_t perClientCap = 0;
-
-    /** Count popped-but-unfinished work against queueCapacity. The
-     *  serve front bounds only the queue (in-flight work is bounded
-     *  by the shard's thread count). */
-    bool countInflight = false;
 
     /** Base / floor for retry_after_ms hints when the drain rate is
      *  still unknown. */
@@ -98,11 +94,6 @@ struct AdmissionOptions
     /** Class weights for the credit scheduler. */
     int interactiveShare = 4;
     int batchShare = 1;
-
-    /** Publish per-class depth gauges on every queue change. The
-     *  serve front runs one controller per shard and publishes summed
-     *  gauges itself, so its controllers set this false. */
-    bool publishGauges = true;
 };
 
 /** One shed/admit verdict, with everything the response needs. */
@@ -210,7 +201,6 @@ class AdmissionController
 
     size_t clientLoad(const std::string &client) const;
     int64_t honestRetryAfterMs(int64_t nowUs) const;
-    void publishDepthGauges() const;
     /** Drop expired heads / the CoDel-aged oldest entry. */
     void dropStale(int64_t nowUs, std::vector<AdmissionDrop> &dropped);
     uint64_t popClass(ClassState &cls, int64_t nowUs);

@@ -151,7 +151,6 @@ Supervisor::Supervisor(SupervisorOptions opts,
     aopts.retryAfterMs = opts_.serve.retryAfterMs;
     aopts.ageTargetMs = opts_.serve.ageTargetMs;
     // One controller per shard; the monitor publishes summed gauges.
-    aopts.publishGauges = false;
     for (int i = 0; i < opts_.workers; ++i) {
         auto w = std::make_unique<Worker>();
         w->shard = i;

@@ -54,7 +54,6 @@ smallQueue(size_t cap)
 {
     AdmissionOptions o;
     o.queueCapacity = cap;
-    o.publishGauges = false;
     return o;
 }
 
@@ -74,31 +73,6 @@ TEST(Admission, QueueFullShedCarriesDepthAndReason)
     EXPECT_EQ(d.reason, "queue-full");
     EXPECT_EQ(d.queueDepth, 2u) << "shed reports the depth it saw";
     EXPECT_GE(d.retryAfterMs, 1) << "hint is always at least 1ms";
-}
-
-TEST(Admission, CountInflightExtendsTheCapacityCheck)
-{
-    AdmissionOptions o = smallQueue(2);
-    o.countInflight = true;
-    AdmissionController ac(o);
-    int64_t now = 1'000'000;
-    ac.enqueue(1, "a", Priority::Interactive, 0, now);
-    std::vector<AdmissionDrop> drops;
-    EXPECT_EQ(ac.pop(now, drops), 1u);
-    EXPECT_EQ(ac.inflight(), 1u);
-    EXPECT_EQ(ac.depth(), 0u);
-
-    // One in flight + one queued = capacity 2: the next arrival sheds
-    // even though the queue itself has room.
-    ac.enqueue(2, "a", Priority::Interactive, 0, now);
-    AdmissionDecision d =
-        ac.decide("b", Priority::Interactive, 0, 0, now);
-    EXPECT_FALSE(d.admitted);
-    EXPECT_EQ(d.reason, "queue-full");
-
-    ac.finish(1, now + 1000);
-    d = ac.decide("b", Priority::Interactive, 0, 0, now + 1000);
-    EXPECT_TRUE(d.admitted) << "finish released the slot";
 }
 
 TEST(Admission, ClientCapShedsTheFlooderOnly)
