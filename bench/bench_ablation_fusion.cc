@@ -19,11 +19,15 @@ namespace {
 void
 compare(TextTable &t, const std::string &name, const Program &input)
 {
-    OptimizedProgram with = optimizeProgram(input, paperModel(), true);
+    PipelineOptions noFusion;
+    noFusion.compound.applyFusion = false;
+    OptimizedProgram with = optimizeProgram(input, paperModel());
     OptimizedProgram without =
-        optimizeProgram(input, paperModel(), false);
-    HitRates rw = simulateHitRates(with, CacheConfig::i860());
-    HitRates ro = simulateHitRates(without, CacheConfig::i860());
+        optimizeProgram(input, paperModel(), noFusion);
+    HitRates rw =
+        simulateHitRates(with, {CacheConfig::i860()}).value()[0];
+    HitRates ro =
+        simulateHitRates(without, {CacheConfig::i860()}).value()[0];
     t.addRow({name, std::to_string(with.report.fusion.fused),
               TextTable::num(ro.wholeFinal, 2),
               TextTable::num(rw.wholeFinal, 2),

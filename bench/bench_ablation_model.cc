@@ -63,11 +63,11 @@ benchMain()
         NestAnalysis na(p, p.body[0].get(), paperModel());
         auto chain = perfectChain(p.body[0].get());
         double cost = na.loopCost(chain.back()).eval(64);
-        RunResult r = runWithCache(p, CacheConfig::i860());
+        SweepResult r = runWithCaches(p, {CacheConfig::i860()});
         model.push_back(cost);
-        sim.push_back(static_cast<double>(r.cache.misses));
+        sim.push_back(static_cast<double>(r.cache[0].misses));
         t.addRow({order, TextTable::num(cost, 0),
-                  std::to_string(r.cache.misses)});
+                  std::to_string(r.cache[0].misses)});
     }
     std::cout << t.str();
     std::cout << "\nrank agreement (1.0 = identical ordering): "

@@ -88,16 +88,16 @@ benchMain()
         Poly inner = pa.loopCost(chain.back());
 
         Program small = makeMatmul(order, 64);
-        RunResult r1 = runWithCache(small, CacheConfig::rs6000());
-        RunResult r2 = runWithCache(small, CacheConfig::i860());
-        simCycles.push_back(r2.cycles);
+        SweepResult r1 = runWithCaches(small, {CacheConfig::rs6000()});
+        SweepResult r2 = runWithCaches(small, {CacheConfig::i860()});
+        simCycles.push_back(r2.cycles[0]);
 
         double ms300 = nativeMatmul(order, 300);
         double ms512 = nativeMatmul(order, 512);
         rank.addRow({order, TextTable::num(inner.eval(512), 0),
-                     TextTable::num(r2.cycles, 0),
-                     std::to_string(r1.cache.misses),
-                     std::to_string(r2.cache.misses),
+                     TextTable::num(r2.cycles[0], 0),
+                     std::to_string(r1.cache[0].misses),
+                     std::to_string(r2.cache[0].misses),
                      TextTable::num(ms300, 1),
                      TextTable::num(ms512, 1)});
     }

@@ -60,12 +60,12 @@ benchMain()
     for (const CacheConfig &cfg :
          {CacheConfig::rs6000(), CacheConfig::i860()}) {
         for (auto *pr : {&dist, &opt}) {
-            RunResult r = runWithCache(*pr, cfg);
+            SweepResult r = runWithCaches(*pr, {cfg});
             sim.addRow({pr == &dist ? "distributed" : "fused(auto)",
                         cfg.name,
-                        TextTable::num(r.cache.hitRateWarm(), 2),
-                        std::to_string(r.cache.misses),
-                        TextTable::num(r.cycles, 0)});
+                        TextTable::num(r.cache[0].hitRateWarm(), 2),
+                        std::to_string(r.cache[0].misses),
+                        TextTable::num(r.cycles[0], 0)});
         }
     }
     std::cout << sim.str();

@@ -97,17 +97,17 @@ benchMain()
                  "sim misses", "native ms N=400"});
     {
         Program small = makeCholeskyKIJ(64);
-        RunResult r = runWithCache(small, CacheConfig::i860());
-        t.addRow({"KIJ (original)", TextTable::num(r.cycles, 0),
-                  std::to_string(r.cache.misses),
+        SweepResult r = runWithCaches(small, {CacheConfig::i860()});
+        t.addRow({"KIJ (original)", TextTable::num(r.cycles[0], 0),
+                  std::to_string(r.cache[0].misses),
                   TextTable::num(nativeCholesky(false, 400), 1)});
     }
     {
         Program small = makeCholeskyKIJ(64);
         compoundTransform(small, paperModel());
-        RunResult r = runWithCache(small, CacheConfig::i860());
-        t.addRow({"KJI (Compound)", TextTable::num(r.cycles, 0),
-                  std::to_string(r.cache.misses),
+        SweepResult r = runWithCaches(small, {CacheConfig::i860()});
+        t.addRow({"KJI (Compound)", TextTable::num(r.cycles[0], 0),
+                  std::to_string(r.cache[0].misses),
                   TextTable::num(nativeCholesky(true, 400), 1)});
     }
     std::cout << t.str();

@@ -28,10 +28,10 @@ void
 report(TextTable &t, const std::string &name, Program &p,
        const CacheConfig &cfg)
 {
-    RunResult r = runWithCache(p, cfg);
+    SweepResult r = runWithCaches(p, {cfg});
     t.addRow({name, std::to_string(r.exec.memRefs),
-              std::to_string(r.cache.misses),
-              TextTable::num(r.cycles, 0)});
+              std::to_string(r.cache[0].misses),
+              TextTable::num(r.cycles[0], 0)});
 }
 
 int

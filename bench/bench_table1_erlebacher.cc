@@ -38,15 +38,15 @@ benchMain()
                  "vs hand"});
     for (const CacheConfig &cfg :
          {CacheConfig::rs6000(), CacheConfig::i860()}) {
-        RunResult rh = runWithCache(hand, cfg);
+        SweepResult rh = runWithCaches(hand, {cfg});
         for (auto entry : {std::make_pair("Hand Coded", &hand),
                            std::make_pair("Distributed", &dist),
                            std::make_pair("Fused", &fusedP)}) {
-            RunResult r = runWithCache(*entry.second, cfg);
+            SweepResult r = runWithCaches(*entry.second, {cfg});
             t.addRow({entry.first, cfg.name,
-                      TextTable::num(r.cycles, 0),
-                      TextTable::num(r.cache.hitRateWarm(), 2),
-                      TextTable::num(rh.cycles / r.cycles, 3)});
+                      TextTable::num(r.cycles[0], 0),
+                      TextTable::num(r.cache[0].hitRateWarm(), 2),
+                      TextTable::num(rh.cycles[0] / r.cycles[0], 3)});
         }
         t.addRule();
     }

@@ -49,7 +49,7 @@ void
 row(TextTable &t, std::vector<Row> &rows, const std::string &name,
     const OptimizedProgram &opt, const CacheConfig &cfg)
 {
-    Performance perf = simulatePerformance(opt, cfg);
+    Performance perf = simulatePerformance(opt, {cfg}).value()[0];
     t.addRow({name, TextTable::num(perf.origCycles, 0),
               TextTable::num(perf.finalCycles, 0),
               TextTable::num(perf.speedup(), 2)});
@@ -90,7 +90,7 @@ benchMain()
             continue;
         Program p = buildCorpusProgram(spec, 32);
         OptimizedProgram opt = optimizeProgram(p, paperModel());
-        if (!opt.anyChanged)
+        if (!optimizedProcedures(opt).any())
             continue;
         row(t, rows, spec.name, opt, cfg);
     }

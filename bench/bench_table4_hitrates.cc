@@ -45,14 +45,16 @@ benchMain()
         }
         Program p = buildCorpusProgram(spec, 32);
         OptimizedProgram opt = optimizeProgram(p, paperModel());
-        std::vector<HitRates> rates = simulateHitRatesSweep(opt, {c1, c2});
+        std::vector<HitRates> rates =
+            simulateHitRates(opt, {c1, c2}).value();
         HitRates r1 = rates[0];
         HitRates r2 = rates[1];
         if (!checkedSweep) {
             checkedSweep = true;
             for (auto pair : {std::make_pair(c1, r1),
                               std::make_pair(c2, r2)}) {
-                HitRates direct = simulateHitRates(opt, pair.first);
+                HitRates direct =
+                    simulateHitRates(opt, {pair.first}).value()[0];
                 sweepOk = sweepOk &&
                           direct.optOrig == pair.second.optOrig &&
                           direct.optFinal == pair.second.optFinal &&

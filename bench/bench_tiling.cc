@@ -26,13 +26,13 @@ benchMain()
 {
     const int64_t n = 96;
     Program base = makeMatmul("JKI", n);
-    RunResult untiled = runWithCache(base, CacheConfig::i860());
+    SweepResult untiled = runWithCaches(base, {CacheConfig::i860()});
 
     banner("Tiling matmul JKI (N = 96, cache2 = 8KB 2-way 32B)");
     TextTable t({"tile", "legal", "misses", "hit% (warm)",
                  "vs untiled misses"});
-    t.addRow({"untiled", "-", std::to_string(untiled.cache.misses),
-              TextTable::num(untiled.cache.hitRateWarm(), 2), "1.00"});
+    t.addRow({"untiled", "-", std::to_string(untiled.cache[0].misses),
+              TextTable::num(untiled.cache[0].hitRateWarm(), 2), "1.00"});
 
     for (int64_t tile : {8, 16, 32, 48, 96}) {
         Program p = makeMatmul("JKI", n);
@@ -47,12 +47,12 @@ benchMain()
             t.addRow({std::to_string(tile), "BROKEN", "-", "-", "-"});
             continue;
         }
-        RunResult r = runWithCache(p, CacheConfig::i860());
+        SweepResult r = runWithCaches(p, {CacheConfig::i860()});
         t.addRow({std::to_string(tile), "yes",
-                  std::to_string(r.cache.misses),
-                  TextTable::num(r.cache.hitRateWarm(), 2),
-                  TextTable::num(static_cast<double>(r.cache.misses) /
-                                     untiled.cache.misses, 2)});
+                  std::to_string(r.cache[0].misses),
+                  TextTable::num(r.cache[0].hitRateWarm(), 2),
+                  TextTable::num(static_cast<double>(r.cache[0].misses) /
+                                     untiled.cache[0].misses, 2)});
     }
     std::cout << t.str();
 

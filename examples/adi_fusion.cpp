@@ -40,19 +40,19 @@ main()
               << " by the cost model (paper: 5n^2 -> 3n^2)\n";
 
     uint64_t before = runChecksum(prog);
-    RunResult r0 = runWithCache(prog, CacheConfig::rs6000());
+    SweepResult r0 = runWithCaches(prog, {CacheConfig::rs6000()});
 
     compoundTransform(prog, params);
     std::cout << "\n--- after Compound (fuse + interchange, Figure 3c) "
                  "---\n"
               << printProgram(prog);
 
-    RunResult r1 = runWithCache(prog, CacheConfig::rs6000());
+    SweepResult r1 = runWithCaches(prog, {CacheConfig::rs6000()});
     std::cout << "semantics preserved: "
               << (runChecksum(prog) == before ? "yes" : "NO") << "\n"
-              << "misses (64KB cache): " << r0.cache.misses << " -> "
-              << r1.cache.misses << "\n"
-              << "hit rate: " << r0.cache.hitRateWarm() << "% -> "
-              << r1.cache.hitRateWarm() << "%\n";
+              << "misses (64KB cache): " << r0.cache[0].misses << " -> "
+              << r1.cache[0].misses << "\n"
+              << "hit rate: " << r0.cache[0].hitRateWarm() << "% -> "
+              << r1.cache[0].hitRateWarm() << "%\n";
     return 0;
 }

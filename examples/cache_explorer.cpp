@@ -38,13 +38,13 @@ main(int argc, char **argv)
             cfg.sizeBytes = kb * 1024;
             cfg.associativity = assoc;
             cfg.lineBytes = 32;
-            RunResult orig = runWithCache(opt.original, cfg);
-            RunResult fin = runWithCache(opt.transformed, cfg);
+            SweepResult orig = runWithCaches(opt.original, {cfg});
+            SweepResult fin = runWithCaches(opt.transformed, {cfg});
             t.addRow({cfg.name, std::to_string(assoc), "32",
-                      TextTable::num(orig.cache.hitRateWarm(), 2),
-                      TextTable::num(fin.cache.hitRateWarm(), 2),
-                      std::to_string(orig.cache.misses),
-                      std::to_string(fin.cache.misses)});
+                      TextTable::num(orig.cache[0].hitRateWarm(), 2),
+                      TextTable::num(fin.cache[0].hitRateWarm(), 2),
+                      std::to_string(orig.cache[0].misses),
+                      std::to_string(fin.cache[0].misses)});
         }
         t.addRule();
     }

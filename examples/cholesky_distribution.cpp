@@ -43,7 +43,7 @@ main()
               << " (the nest is imperfect; Compound must distribute)\n";
 
     uint64_t before = runChecksum(prog);
-    RunResult r0 = runWithCache(prog, CacheConfig::i860());
+    SweepResult r0 = runWithCaches(prog, {CacheConfig::i860()});
 
     CompoundResult cr = compoundTransform(prog, params);
     std::cout << "\n--- after Compound (distribute + triangular "
@@ -52,10 +52,10 @@ main()
     std::cout << "distributions: " << cr.distributions
               << ", nests created: " << cr.resultingNests << "\n";
 
-    RunResult r1 = runWithCache(prog, CacheConfig::i860());
+    SweepResult r1 = runWithCaches(prog, {CacheConfig::i860()});
     std::cout << "semantics preserved: "
               << (runChecksum(prog) == before ? "yes" : "NO") << "\n"
-              << "misses (8KB cache): " << r0.cache.misses << " -> "
-              << r1.cache.misses << "\n";
+              << "misses (8KB cache): " << r0.cache[0].misses << " -> "
+              << r1.cache[0].misses << "\n";
     return 0;
 }

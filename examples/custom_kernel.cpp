@@ -65,7 +65,8 @@ main()
                       ? "yes"
                       : "NO")
               << "\n";
-    Performance perf = simulatePerformance(opt, CacheConfig::i860());
+    Performance perf =
+        simulatePerformance(opt, {CacheConfig::i860()}).value()[0];
     std::cout << "simulated speedup (8KB cache): " << perf.speedup()
               << "x\n";
     return 0;

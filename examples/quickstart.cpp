@@ -67,10 +67,18 @@ main()
                       : "NO")
               << "\n";
 
-    HitRates rates = simulateHitRates(opt, CacheConfig::i860());
-    Performance perf = simulatePerformance(opt, CacheConfig::i860());
+    // Hit rates and cycles come from the same simulated runs; a
+    // program fault would come back as a Diag.
+    std::vector<Performance> perf;
+    Result<std::vector<HitRates>> rates =
+        simulateHitRates(opt, {CacheConfig::i860()}, &perf);
+    if (!rates.ok()) {
+        std::cerr << rates.diag().str() << "\n";
+        return 1;
+    }
     std::cout << "hit rate (8KB cache, warm): "
-              << rates.wholeOrig << "% -> " << rates.wholeFinal
-              << "%\nsimulated speedup: " << perf.speedup() << "x\n";
+              << rates.value()[0].wholeOrig << "% -> "
+              << rates.value()[0].wholeFinal
+              << "%\nsimulated speedup: " << perf[0].speedup() << "x\n";
     return 0;
 }

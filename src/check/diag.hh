@@ -43,11 +43,15 @@ struct Diag
     {
         std::string s = code;
         if (line > 0) {
-            s += " at " + std::to_string(line);
-            if (col > 0)
-                s += ":" + std::to_string(col);
+            s += " at ";
+            s += std::to_string(line);
+            if (col > 0) {
+                s += ':';
+                s += std::to_string(col);
+            }
         }
-        s += ": " + message;
+        s += ": ";
+        s += message;
         return s;
     }
 

@@ -43,8 +43,9 @@ class Generator
             std::vector<Ix> extents;
             for (int d = 0; d < rank; ++d)
                 extents.push_back(Ix(n_) + pad_);
-            arrays_.push_back(
-                b_.array("A" + std::to_string(a), std::move(extents)));
+            std::string name = "A";
+            name += std::to_string(a);
+            arrays_.push_back(b_.array(name, std::move(extents)));
             ranks_.push_back(rank);
         }
         if (rng_.chance(1, 8)) {

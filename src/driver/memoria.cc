@@ -1,6 +1,5 @@
 #include "driver/memoria.hh"
 
-#include <map>
 #include <set>
 
 #include "model/checked.hh"
@@ -97,16 +96,6 @@ programNestCost(Program &prog, const ModelParams &params)
 
 OptimizedProgram
 optimizeProgram(const Program &input, const ModelParams &params,
-                bool applyFusion, double evalN)
-{
-    PipelineOptions opts;
-    opts.compound.applyFusion = applyFusion;
-    opts.evalN = evalN;
-    return optimizeProgram(input, params, opts);
-}
-
-OptimizedProgram
-optimizeProgram(const Program &input, const ModelParams &params,
                 const PipelineOptions &opts)
 {
     const double evalN = opts.evalN;
@@ -174,50 +163,6 @@ optimizeProgram(const Program &input, const ModelParams &params,
     rep.failVerify =
         out.compound.failVerify + out.compound.fusion.failVerify;
 
-    // ----- changed-nest mapping (optimized procedures) ------------
-    std::vector<std::set<int>> origSets, finalSets;
-    for (const auto &n : out.original.body)
-        origSets.push_back(stmtIds(*n));
-    for (const auto &n : out.transformed.body)
-        finalSets.push_back(stmtIds(*n));
-
-    std::vector<bool> origChanged(out.original.body.size(), false);
-    std::set<size_t> finalRelated;
-    for (size_t o = 0; o < origSets.size(); ++o) {
-        std::vector<size_t> related;
-        for (size_t f = 0; f < finalSets.size(); ++f) {
-            for (int id : origSets[o]) {
-                if (finalSets[f].count(id)) {
-                    related.push_back(f);
-                    break;
-                }
-            }
-        }
-        bool changed =
-            related.size() != 1 ||
-            finalSets[related[0]] != origSets[o] ||
-            !structurallyEqual(*out.original.body[o],
-                               *out.transformed.body[related[0]]);
-        if (changed && !origSets[o].empty()) {
-            origChanged[o] = true;
-            finalRelated.insert(related.begin(), related.end());
-        }
-    }
-
-    out.origOpt.name = input.name + "_orig_opt";
-    out.finalOpt.name = input.name + "_final_opt";
-    out.origOpt.vars = out.original.vars;
-    out.origOpt.arrays = out.original.arrays;
-    out.finalOpt.vars = out.transformed.vars;
-    out.finalOpt.arrays = out.transformed.arrays;
-    for (size_t o = 0; o < origChanged.size(); ++o)
-        if (origChanged[o])
-            out.origOpt.body.push_back(cloneNode(*out.original.body[o]));
-    for (size_t f : finalRelated)
-        out.finalOpt.body.push_back(
-            cloneNode(*out.transformed.body[f]));
-    out.anyChanged = !out.origOpt.body.empty();
-
     if (span.active()) {
         span.arg("nests", rep.nests);
         span.arg("nests_orig", rep.nestsOrig);
@@ -229,15 +174,87 @@ optimizeProgram(const Program &input, const ModelParams &params,
     return out;
 }
 
-HitRates
-simulateHitRates(const OptimizedProgram &opt, const CacheConfig &config)
+OptimizedProcedures
+optimizedProcedures(const OptimizedProgram &opt)
 {
-    return simulateHitRatesSweep(opt, {config}).front();
+    const Program &orig = opt.original;
+    const Program &fin = opt.transformed;
+    std::vector<std::set<int>> origSets, finalSets;
+    for (const auto &n : orig.body)
+        origSets.push_back(stmtIds(*n));
+    for (const auto &n : fin.body)
+        finalSets.push_back(stmtIds(*n));
+
+    OptimizedProcedures out;
+    out.original.name = orig.name + "_orig_opt";
+    out.transformed.name = orig.name + "_final_opt";
+    out.original.vars = orig.vars;
+    out.original.arrays = orig.arrays;
+    out.transformed.vars = fin.vars;
+    out.transformed.arrays = fin.arrays;
+
+    std::set<size_t> finalRelated;
+    for (size_t o = 0; o < origSets.size(); ++o) {
+        std::vector<size_t> related;
+        for (size_t f = 0; f < finalSets.size(); ++f) {
+            for (int id : origSets[o]) {
+                if (finalSets[f].count(id)) {
+                    related.push_back(f);
+                    break;
+                }
+            }
+        }
+        bool changed = related.size() != 1 ||
+                       finalSets[related[0]] != origSets[o] ||
+                       !structurallyEqual(*orig.body[o],
+                                          *fin.body[related[0]]);
+        if (changed && !origSets[o].empty()) {
+            out.original.body.push_back(cloneNode(*orig.body[o]));
+            finalRelated.insert(related.begin(), related.end());
+        }
+    }
+    for (size_t f : finalRelated)
+        out.transformed.body.push_back(cloneNode(*fin.body[f]));
+    return out;
 }
 
-std::vector<HitRates>
-simulateHitRatesSweep(const OptimizedProgram &opt,
-                      const std::vector<CacheConfig> &configs)
+namespace {
+
+/** The two whole-program runs every simulation starts from. */
+struct WholeRuns
+{
+    SweepResult orig;
+    SweepResult fin;
+};
+
+Result<WholeRuns>
+runWhole(const OptimizedProgram &opt,
+         const std::vector<CacheConfig> &configs)
+{
+    Result<SweepResult> orig = tryRunWithCaches(opt.original, configs);
+    if (!orig.ok())
+        return Result<WholeRuns>::err(orig.diag());
+    Result<SweepResult> fin = tryRunWithCaches(opt.transformed, configs);
+    if (!fin.ok())
+        return Result<WholeRuns>::err(fin.diag());
+    return WholeRuns{std::move(orig.value()), std::move(fin.value())};
+}
+
+std::vector<Performance>
+performanceOf(const WholeRuns &runs)
+{
+    std::vector<Performance> perf(runs.orig.cycles.size());
+    for (size_t i = 0; i < perf.size(); ++i)
+        perf[i] = {runs.orig.cycles[i], runs.fin.cycles[i]};
+    return perf;
+}
+
+} // namespace
+
+Result<std::vector<HitRates>>
+simulateHitRates(const OptimizedProgram &opt,
+                 const std::vector<CacheConfig> &configs,
+                 std::vector<Performance> *perf)
 {
     obs::TraceScope span("driver", "simulate_hit_rates");
     span.arg("program", opt.original.name);
@@ -248,18 +265,29 @@ simulateHitRatesSweep(const OptimizedProgram &opt,
         return rates;
 
     // One interpreter pass per program version feeds every config.
-    SweepResult wholeOrig = runWithCaches(opt.original, configs);
-    SweepResult wholeFinal = runWithCaches(opt.transformed, configs);
+    Result<WholeRuns> whole = runWhole(opt, configs);
+    if (!whole.ok())
+        return Result<std::vector<HitRates>>::err(whole.diag());
     for (size_t i = 0; i < configs.size(); ++i) {
-        rates[i].wholeOrig = wholeOrig.cache[i].hitRateWarm();
-        rates[i].wholeFinal = wholeFinal.cache[i].hitRateWarm();
+        rates[i].wholeOrig = whole.value().orig.cache[i].hitRateWarm();
+        rates[i].wholeFinal = whole.value().fin.cache[i].hitRateWarm();
     }
-    if (opt.anyChanged) {
-        SweepResult optOrig = runWithCaches(opt.origOpt, configs);
-        SweepResult optFinal = runWithCaches(opt.finalOpt, configs);
+    if (perf)
+        *perf = performanceOf(whole.value());
+
+    OptimizedProcedures procs = optimizedProcedures(opt);
+    if (procs.any()) {
+        Result<SweepResult> optOrig =
+            tryRunWithCaches(procs.original, configs);
+        if (!optOrig.ok())
+            return Result<std::vector<HitRates>>::err(optOrig.diag());
+        Result<SweepResult> optFinal =
+            tryRunWithCaches(procs.transformed, configs);
+        if (!optFinal.ok())
+            return Result<std::vector<HitRates>>::err(optFinal.diag());
         for (size_t i = 0; i < configs.size(); ++i) {
-            rates[i].optOrig = optOrig.cache[i].hitRateWarm();
-            rates[i].optFinal = optFinal.cache[i].hitRateWarm();
+            rates[i].optOrig = optOrig.value().cache[i].hitRateWarm();
+            rates[i].optFinal = optFinal.value().cache[i].hitRateWarm();
         }
     } else {
         for (HitRates &r : rates)
@@ -272,16 +300,14 @@ simulateHitRatesSweep(const OptimizedProgram &opt,
     return rates;
 }
 
-Performance
+Result<std::vector<Performance>>
 simulatePerformance(const OptimizedProgram &opt,
-                    const CacheConfig &config,
-                    const MachineModel &machine)
+                    const std::vector<CacheConfig> &configs)
 {
-    Performance perf;
-    perf.origCycles = runWithCache(opt.original, config, machine).cycles;
-    perf.finalCycles =
-        runWithCache(opt.transformed, config, machine).cycles;
-    return perf;
+    Result<WholeRuns> whole = runWhole(opt, configs);
+    if (!whole.ok())
+        return Result<std::vector<Performance>>::err(whole.diag());
+    return performanceOf(whole.value());
 }
 
 } // namespace memoria

@@ -10,7 +10,8 @@
  * The data-access properties of Table 5 are an evaluation instrument,
  * not a pipeline output: callers that want them apply
  * programAccessStats to the original, the transformed and the
- * idealProgram versions.
+ * idealProgram versions. Likewise Table 4's optimized procedures:
+ * optimizedProcedures derives them from a result when it is simulated.
  */
 
 #ifndef MEMORIA_DRIVER_MEMORIA_HH
@@ -72,12 +73,6 @@ struct OptimizedProgram
 
     CompoundResult compound;
     ProgramReport report;
-
-    /** Sub-programs containing only the nests the optimizer changed
-     *  ("optimized procedures" in Table 4). */
-    Program origOpt;
-    Program finalOpt;
-    bool anyChanged = false;
 };
 
 /** Knobs for one pipeline run. */
@@ -99,13 +94,26 @@ struct PipelineOptions
 /** Run the full pipeline on one program. */
 OptimizedProgram optimizeProgram(const Program &input,
                                  const ModelParams &params,
-                                 const PipelineOptions &opts);
+                                 const PipelineOptions &opts = {});
 
-/** Legacy form: default options with fusion toggled. */
-OptimizedProgram optimizeProgram(const Program &input,
-                                 const ModelParams &params,
-                                 bool applyFusion = true,
-                                 double evalN = 64.0);
+/** The "optimized procedures" of Table 4: sub-programs holding only
+ *  the top-level nests Compound changed, before and after. */
+struct OptimizedProcedures
+{
+    Program original;
+    Program transformed;
+
+    /** Whether Compound changed any nest. */
+    bool
+    any() const
+    {
+        return !original.body.empty();
+    }
+};
+
+/** Map the changed nests of `opt` (Table 4 simulation builds these;
+ *  the pipeline itself does not). */
+OptimizedProcedures optimizedProcedures(const OptimizedProgram &opt);
 
 /** Simulated hit rates, cold misses excluded (Table 4). */
 struct HitRates
@@ -115,24 +123,6 @@ struct HitRates
     double wholeOrig = 100.0;
     double wholeFinal = 100.0;
 };
-
-/** Simulate one optimized program against a cache configuration. */
-HitRates simulateHitRates(const OptimizedProgram &opt,
-                          const CacheConfig &config);
-
-/**
- * Simulate one optimized program against several cache configurations
- * in a single sweep (interp::runWithCaches): each program version —
- * whole original, whole transformed, and the optimized-nests
- * sub-programs when any nest changed — is interpreted **once** and its
- * access stream feeds every configuration in lockstep. Returns one
- * HitRates per configuration, in order. Counters match independent
- * simulateHitRates calls exactly; only the interpreter passes (the
- * expensive part, ×N configs before) are shared.
- */
-std::vector<HitRates> simulateHitRatesSweep(
-    const OptimizedProgram &opt,
-    const std::vector<CacheConfig> &configs);
 
 /** Simulated performance (Tables 1 and 3). */
 struct Performance
@@ -147,9 +137,25 @@ struct Performance
     }
 };
 
-Performance simulatePerformance(const OptimizedProgram &opt,
-                                const CacheConfig &config,
-                                const MachineModel &machine = {});
+/**
+ * Simulate one optimized program against several cache configurations
+ * (Table 4). Each program version — whole original, whole transformed,
+ * and the optimized procedures when any nest changed — is interpreted
+ * **once** (interp::tryRunWithCaches) and its access stream feeds every
+ * configuration in lockstep. Returns one HitRates per configuration, in
+ * order. When `perf` is given it receives each configuration's cycles
+ * from the same whole-program runs. A program fault comes back as a
+ * Diag.
+ */
+Result<std::vector<HitRates>> simulateHitRates(
+    const OptimizedProgram &opt, const std::vector<CacheConfig> &configs,
+    std::vector<Performance> *perf = nullptr);
+
+/** Simulated cycles per configuration (Tables 1 and 3): the two
+ *  whole-program runs of simulateHitRates, without the optimized
+ *  procedures. A program fault comes back as a Diag. */
+Result<std::vector<Performance>> simulatePerformance(
+    const OptimizedProgram &opt, const std::vector<CacheConfig> &configs);
 
 /** The "ideal" version of Section 5.2 (Table 5): every nest forced
  *  into memory order, legality ignored. */

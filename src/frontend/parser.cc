@@ -594,10 +594,15 @@ class Parser
 std::string
 ParseError::str() const
 {
-    std::string s = "line " + std::to_string(line);
-    if (col > 0)
-        s += ":" + std::to_string(col);
-    return s + ": " + message;
+    std::string s = "line ";
+    s += std::to_string(line);
+    if (col > 0) {
+        s += ':';
+        s += std::to_string(col);
+    }
+    s += ": ";
+    s += message;
+    return s;
 }
 
 std::optional<Program>

@@ -334,6 +334,17 @@ batchStatusName(BatchStatus s)
     return "?";
 }
 
+std::optional<BatchStatus>
+batchStatusFromName(const std::string &name)
+{
+    for (BatchStatus s :
+         {BatchStatus::Ok, BatchStatus::Degraded, BatchStatus::Diag,
+          BatchStatus::Timeout, BatchStatus::PanicContained})
+        if (name == batchStatusName(s))
+            return s;
+    return std::nullopt;
+}
+
 int
 BatchReport::countWithStatus(BatchStatus s) const
 {
@@ -497,7 +508,8 @@ fileInput(const std::string &path)
                 std::ifstream in(path);
                 if (!in) {
                     return Result<Program>::err(Diag::error(
-                        "batch.read", "cannot open '" + path + "'"));
+                        "batch.read", "no program or readable file '" +
+                                      path + "'; try `memoria list`"));
                 }
                 std::ostringstream buf;
                 buf << in.rdbuf();
@@ -512,6 +524,39 @@ fileInput(const std::string &path)
                 }
                 return Result<Program>(std::move(*prog));
             }};
+}
+
+std::string
+corpusInputName(const std::string &name)
+{
+    for (const BatchInput &k : kernelInputs())
+        if (k.name == name)
+            return "corpus/" + name;
+    return name;
+}
+
+BatchInput
+programInput(const std::string &name, int64_t kernelN,
+             int64_t corpusExtent)
+{
+    for (BatchInput &k : kernelInputs(kernelN))
+        if (k.name == name)
+            return std::move(k);
+    for (const CorpusSpec &spec : corpusSpecs()) {
+        if (corpusInputName(spec.name) != name)
+            continue;
+        // Corpus programs need extent >= 8 to exercise their nests.
+        if (corpusExtent < 8) {
+            warn("corpus program '" + spec.name + "': requested size " +
+                 std::to_string(corpusExtent) + " clamped to 8");
+            corpusExtent = 8;
+        }
+        return {name, [spec, corpusExtent]() {
+                    return Result<Program>(
+                        buildCorpusProgram(spec, corpusExtent));
+                }};
+    }
+    return fileInput(name);
 }
 
 BatchInput

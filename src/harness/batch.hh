@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,9 @@ enum class BatchStatus
 /** Printable name ("ok", "degraded", "diag", "timeout",
  *  "panic-contained"). */
 const char *batchStatusName(BatchStatus s);
+
+/** Inverse of batchStatusName; nullopt for any other string. */
+std::optional<BatchStatus> batchStatusFromName(const std::string &name);
 
 /**
  * One unit of work. `load` runs inside the program's isolation
@@ -229,6 +233,18 @@ std::vector<BatchInput> corpusInputs(int64_t extent = 16);
 
 /** A `.mem` source file; parse failures surface as per-program Diags. */
 BatchInput fileInput(const std::string &path);
+
+/** The name that selects corpus program `name`: the name itself, or
+ *  "corpus/<name>" when a kernel of the same name shadows it. */
+std::string corpusInputName(const std::string &name);
+
+/**
+ * One program by name: a kernel (built at extent `kernelN`), a corpus
+ * program by its corpusInputName (at `corpusExtent`, raised to 8 with a
+ * warning), or else the `.mem` file at that path. Loading stays lazy.
+ */
+BatchInput programInput(const std::string &name, int64_t kernelN = 24,
+                        int64_t corpusExtent = 16);
 
 /** Every `.mem` file under `dir`, sorted; empty when none. */
 std::vector<BatchInput> directoryInputs(const std::string &dir);

@@ -89,7 +89,8 @@ FaultSpec::str() const
     std::string s = site;
     s += ":";
     s += faultActionName(action);
-    s += ":" + std::to_string(onHit);
+    s += ':';
+    s += std::to_string(onHit);
     if (!program.empty())
         s += "@" + program;
     return s;

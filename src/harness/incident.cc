@@ -49,7 +49,8 @@ writeFile(const fs::path &path, const std::string &content)
     return static_cast<bool>(out);
 }
 
-/** Leading dotted code of a rendered Diag ("code: ..." / "code at .."). */
+} // namespace
+
 std::string
 diagCodeOf(const std::string &rendered)
 {
@@ -59,8 +60,6 @@ diagCodeOf(const std::string &rendered)
         ++end;
     return rendered.substr(0, end);
 }
-
-} // namespace
 
 FailureSignature
 signatureOf(const harness::ProgramOutcome &out)

@@ -51,6 +51,9 @@ struct FailureSignature
     std::string diagCode;
 };
 
+/** Leading dotted code of a rendered Diag ("code: ..." / "code at .."). */
+std::string diagCodeOf(const std::string &rendered);
+
 /** The signature a contained outcome exhibits. */
 FailureSignature signatureOf(const harness::ProgramOutcome &out);
 

@@ -328,32 +328,6 @@ Interpreter::checksumFirstArrays(size_t count) const
     return h;
 }
 
-RunResult
-runWithCache(const Program &prog, const CacheConfig &config,
-             const MachineModel &machine)
-{
-    Result<RunResult> r = tryRunWithCache(prog, config, machine);
-    MEMORIA_ASSERT(r.ok(), "runWithCache on faulting program: "
-                               << r.diag().str());
-    return r.value();
-}
-
-Result<RunResult>
-tryRunWithCache(const Program &prog, const CacheConfig &config,
-                const MachineModel &machine)
-{
-    Result<SweepResult> swept = tryRunWithCaches(prog, {config}, machine);
-    if (!swept.ok())
-        return Result<RunResult>::err(swept.diag());
-    const SweepResult &s = swept.value();
-    RunResult r;
-    r.exec = s.exec;
-    r.cache = s.cache.front();
-    r.cycles = s.cycles.front();
-    r.checksum = s.checksum;
-    return r;
-}
-
 SweepResult
 runWithCaches(const Program &prog,
               const std::vector<CacheConfig> &configs,

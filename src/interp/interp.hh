@@ -159,27 +159,6 @@ class Interpreter
     std::unique_ptr<Tape> tape_;          ///< lazily compiled binding
 };
 
-/** Result of one simulated execution against a cache. */
-struct RunResult
-{
-    ExecStats exec;
-    CacheStats cache;
-    double cycles = 0.0;
-    uint64_t checksum = 0;
-};
-
-/** Run a program against one cache configuration: a one-config
- *  runWithCaches. Panics on a program fault; use tryRunWithCache for
- *  untrusted programs. */
-RunResult runWithCache(const Program &prog, const CacheConfig &config,
-                       const MachineModel &machine = MachineModel{});
-
-/** Checked variant: a faulting program reports a Diag instead. The
- *  batch driver uses this so one bad program cannot abort the pool. */
-Result<RunResult> tryRunWithCache(
-    const Program &prog, const CacheConfig &config,
-    const MachineModel &machine = MachineModel{});
-
 /** Result of one execution simulated against several caches at once. */
 struct SweepResult
 {
@@ -194,8 +173,8 @@ struct SweepResult
 /**
  * Run a program once and simulate every configuration in `configs`
  * from that single interpreter pass (cachesim/sweep.hh). Counters are
- * identical to per-config runWithCache calls; the interpreter — the
- * expensive part — executes once instead of N times. Panics on a
+ * identical to one-config runs per configuration; the interpreter —
+ * the expensive part — executes once instead of N times. Panics on a
  * program fault; use tryRunWithCaches for untrusted programs.
  */
 SweepResult runWithCaches(const Program &prog,

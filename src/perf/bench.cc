@@ -159,7 +159,7 @@ benchSuite()
         for (const Program &p : progs) {
             OptimizedProgram opt = optimizeProgram(p, params, popts);
             nests += static_cast<uint64_t>(opt.report.nests);
-            changed += opt.anyChanged ? 1 : 0;
+            changed += optimizedProcedures(opt).any() ? 1 : 0;
         }
         c["programs"] = progs.size();
         c["nests"] = nests;
@@ -199,11 +199,11 @@ benchSuite()
 
     suite.push_back({"simulate", [](Counters &c) {
         static const Program prog = makeMatmul("IKJ", 32);
-        RunResult r = runWithCache(prog, CacheConfig::i860());
-        c["accesses"] = r.cache.accesses;
+        SweepResult r = runWithCaches(prog, {CacheConfig::i860()});
+        c["accesses"] = r.cache[0].accesses;
         c["iterations"] = r.exec.loopIterations;
         c["interp_passes"] = 1;
-        addCacheCounters(c, "i860", r.cache);
+        addCacheCounters(c, "i860", r.cache[0]);
     }});
 
     suite.push_back({"simulate_sweep", [](Counters &c) {

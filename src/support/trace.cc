@@ -343,12 +343,11 @@ RingSink::~RingSink()
 void
 RingSink::event(const TraceEvent &e)
 {
-    Entry entry{e.traceId, renderTraceJson(e)};
     std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.size() < capacity_) {
-        entries_.push_back(std::move(entry));
+    if (events_.size() < capacity_) {
+        events_.push_back(e);
     } else {
-        entries_[next_] = std::move(entry);
+        events_[next_] = e;
         next_ = (next_ + 1) % capacity_;
     }
 }
@@ -358,10 +357,11 @@ RingSink::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> out;
-    out.reserve(entries_.size());
+    out.reserve(events_.size());
     // next_ is the oldest slot once the ring has wrapped.
-    for (size_t i = 0; i < entries_.size(); ++i)
-        out.push_back(entries_[(next_ + i) % entries_.size()].line);
+    for (size_t i = 0; i < events_.size(); ++i)
+        out.push_back(
+            renderTraceJson(events_[(next_ + i) % events_.size()]));
     return out;
 }
 
@@ -370,10 +370,10 @@ RingSink::snapshotFor(const std::string &traceId) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> out;
-    for (size_t i = 0; i < entries_.size(); ++i) {
-        const Entry &entry = entries_[(next_ + i) % entries_.size()];
-        if (entry.traceId == traceId)
-            out.push_back(entry.line);
+    for (size_t i = 0; i < events_.size(); ++i) {
+        const TraceEvent &e = events_[(next_ + i) % events_.size()];
+        if (e.traceId == traceId)
+            out.push_back(renderTraceJson(e));
     }
     return out;
 }

@@ -229,10 +229,11 @@ class RecordingSink : public TraceSink
 };
 
 /**
- * Keeps the last `capacity` records as rendered JSON lines — the
- * "flight recorder" behind incident bundles (harness/incident.hh):
- * when a contained failure is captured, the bundle includes the tail
- * of recent trace activity even when no file sink was requested.
+ * Keeps the last `capacity` records — the "flight recorder" behind
+ * incident bundles (harness/incident.hh): when a contained failure is
+ * captured, the bundle includes the tail of recent trace activity even
+ * when no file sink was requested. Records are stored as events and
+ * rendered to JSON lines (JsonLinesSink's format) only when snapshotted.
  *
  * The most recently constructed RingSink is reachable via
  * `RingSink::instance()`; it may be a direct sink or one leg of a
@@ -260,16 +261,10 @@ class RingSink : public TraceSink
     static RingSink *instance();
 
   private:
-    struct Entry
-    {
-        std::string traceId;
-        std::string line;
-    };
-
     mutable std::mutex mutex_;
     size_t capacity_;
     size_t next_ = 0;
-    std::vector<Entry> entries_;  ///< circular once full
+    std::vector<TraceEvent> events_;  ///< circular once full
 };
 
 /** Forwards every record to two child sinks (file + ring, say). */

@@ -23,7 +23,7 @@
  * per-program crash isolation, budgets, and the degradation ladder
  * (docs/ROBUSTNESS.md):
  *
- *   --all                  kernels + 35-program corpus + examples/*.mem
+ *   --all                  kernels + corpus + the .mem files in examples/
  *   --stdin                read program names / file paths from stdin
  *   --jobs N               worker threads (default: up to 4)
  *   --deadline-ms N        wall-clock budget per ladder attempt
@@ -103,18 +103,23 @@
  *
  * <program> is a kernel name (matmul-ijk, matmul-jki, cholesky, adi,
  * erlebacher, gmtry, simple, vpenta, jacobi), a corpus program name
- * (adm, arc2d, ..., wave), or a path to a source file written in the
- * loop-nest language (see src/frontend/parser.hh and examples/stencil.mem).
+ * (adm, arc2d, ..., wave; the corpus erlebacher and simple, shadowed
+ * by kernels, are corpus/erlebacher and corpus/simple), or a path to a
+ * source file written in the loop-nest language (see
+ * src/frontend/parser.hh and examples/stencil.mem). N, the program
+ * size, must be a whole number > 0; numeric flags must be whole numbers
+ * in range. Anything else is a usage error.
  */
 
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -150,111 +155,30 @@
 #include "ir/printer.hh"
 #include "model/loopcost.hh"
 #include "suite/corpus.hh"
-#include "suite/kernels.hh"
 #include "support/table.hh"
 
 namespace memoria {
 namespace {
 
-using Maker = std::function<Program(int64_t)>;
-
-const std::map<std::string, Maker> &
-kernels()
-{
-    static const std::map<std::string, Maker> table = {
-        {"matmul-ijk", [](int64_t n) { return makeMatmul("IJK", n); }},
-        {"matmul-ikj", [](int64_t n) { return makeMatmul("IKJ", n); }},
-        {"matmul-jki", [](int64_t n) { return makeMatmul("JKI", n); }},
-        {"cholesky", [](int64_t n) { return makeCholeskyKIJ(n); }},
-        {"adi", [](int64_t n) { return makeAdiScalarized(n); }},
-        {"erlebacher",
-         [](int64_t n) { return makeErlebacherDistributed(n); }},
-        {"gmtry", [](int64_t n) { return makeGmtry(n); }},
-        {"simple", [](int64_t n) { return makeSimpleHydro(n); }},
-        {"vpenta", [](int64_t n) { return makeVpenta(n); }},
-        {"jacobi", [](int64_t n) { return makeJacobiBadOrder(n); }},
-    };
-    return table;
-}
-
-/** Corpus programs need extent >= 8 to exercise their nests; smaller
- *  requests are clamped, with a warning so the surprise is visible. */
-int64_t
-clampCorpusExtent(const std::string &name, int64_t n)
-{
-    if (n < 8) {
-        warn("corpus program '" + name + "': requested size " +
-             std::to_string(n) + " clamped to 8");
-        return 8;
-    }
-    return n;
-}
-
-/**
- * Resolve a program by name: kernel, corpus program, or source file.
- * Failures come back as a Diag — the CLI reports them and exits 1
- * instead of aborting mid-pipeline.
- */
-Result<Program>
-resolve(const std::string &name, int64_t n)
-{
-    auto it = kernels().find(name);
-    if (it != kernels().end())
-        return Result<Program>(it->second(n));
-    for (const auto &spec : corpusSpecs())
-        if (spec.name == name)
-            return Result<Program>(
-                buildCorpusProgram(spec, clampCorpusExtent(name, n)));
-
-    // Otherwise treat the name as a source file in the loop-nest
-    // language (see src/frontend/parser.hh).
-    std::ifstream in(name);
-    if (in) {
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        ParseError err;
-        auto p = parseProgram(buf.str(), &err);
-        if (!p)
-            return Result<Program>::err(Diag::error(
-                "parse.error", name + ": " + err.str()));
-        return Result<Program>(std::move(*p));
-    }
-    return Result<Program>::err(
-        Diag::error("cli.unknown_program",
-                    "unknown program or file '" + name +
-                        "'; try `memoria list`"));
-}
-
-/** Same resolution for one batch input; loading stays lazy so failures
- *  are contained inside the batch isolation boundary. */
-harness::BatchInput
-resolveBatchInput(const std::string &name)
-{
-    auto it = kernels().find(name);
-    if (it != kernels().end())
-        return {name, [make = it->second]() {
-                    return Result<Program>(make(24));
-                }};
-    for (const auto &spec : corpusSpecs())
-        if (spec.name == name)
-            return {name, [spec]() {
-                        return Result<Program>(
-                            buildCorpusProgram(spec, 16));
-                    }};
-    return harness::fileInput(name);
-}
-
 int
 cmdList()
 {
     std::cout << "kernels:\n";
-    for (const auto &[name, mk] : kernels())
-        std::cout << "  " << name << "\n";
+    for (const harness::BatchInput &k : harness::kernelInputs())
+        std::cout << "  " << k.name << "\n";
     std::cout << "corpus programs:\n ";
     for (const auto &spec : corpusSpecs())
-        std::cout << " " << spec.name;
+        std::cout << " " << harness::corpusInputName(spec.name);
     std::cout << "\n";
     return 0;
+}
+
+/** Report a failed one-shot command (bad input program): exit 1. */
+int
+failed(const Diag &d)
+{
+    std::cerr << "memoria: " << d.str() << "\n";
+    return 1;
 }
 
 int
@@ -295,12 +219,14 @@ cmdOptimize(Program prog)
               << opt.report.nestsFail
               << "  fused: " << opt.report.fusion.fused
               << "  distributed: " << opt.report.distributions << "\n";
+    Result<uint64_t> orig = tryRunChecksum(opt.original);
+    if (!orig.ok())
+        return failed(orig.diag());
+    Result<uint64_t> fin = tryRunChecksum(opt.transformed);
+    if (!fin.ok())
+        return failed(fin.diag());
     std::cout << "semantics preserved: "
-              << (runChecksum(opt.original) ==
-                          runChecksum(opt.transformed)
-                      ? "yes"
-                      : "NO")
-              << "\n";
+              << (orig.value() == fin.value() ? "yes" : "NO") << "\n";
     return 0;
 }
 
@@ -309,15 +235,20 @@ cmdSimulate(Program prog)
 {
     ModelParams params;
     OptimizedProgram opt = optimizeProgram(prog, params);
+    const std::vector<CacheConfig> configs = {CacheConfig::rs6000(),
+                                              CacheConfig::i860()};
+    std::vector<Performance> perf;
+    Result<std::vector<HitRates>> rates =
+        simulateHitRates(opt, configs, &perf);
+    if (!rates.ok())
+        return failed(rates.diag());
     TextTable t({"cache", "whole orig hit%", "whole final hit%",
                  "speedup"});
-    for (const CacheConfig &cfg :
-         {CacheConfig::rs6000(), CacheConfig::i860()}) {
-        HitRates r = simulateHitRates(opt, cfg);
-        Performance perf = simulatePerformance(opt, cfg);
-        t.addRow({cfg.name, TextTable::num(r.wholeOrig, 2),
+    for (size_t i = 0; i < configs.size(); ++i) {
+        const HitRates &r = rates.value()[i];
+        t.addRow({configs[i].name, TextTable::num(r.wholeOrig, 2),
                   TextTable::num(r.wholeFinal, 2),
-                  TextTable::num(perf.speedup(), 2)});
+                  TextTable::num(perf[i].speedup(), 2)});
     }
     std::cout << t.str();
     return 0;
@@ -328,14 +259,12 @@ cmdReuse(Program prog)
 {
     ModelParams params;
     OptimizedProgram opt = optimizeProgram(prog, params);
-    auto profile = [](Program &p) {
-        ReuseDistanceAnalyzer rd(32);
-        Interpreter interp(p);
-        interp.run(&rd);
-        return rd;
-    };
-    ReuseDistanceAnalyzer r0 = profile(opt.original);
-    ReuseDistanceAnalyzer r1 = profile(opt.transformed);
+    ReuseDistanceAnalyzer r0(32), r1(32);
+    Status st = Interpreter(opt.original).run(&r0);
+    if (st.ok())
+        st = Interpreter(opt.transformed).run(&r1);
+    if (!st.ok())
+        return failed(st.diag());
     std::cout << "mean reuse distance: "
               << TextTable::num(r0.meanDistance(), 1) << " -> "
               << TextTable::num(r1.meanDistance(), 1) << " lines\n";
@@ -377,10 +306,13 @@ cmdTrace(Program prog)
 
     // Confirm the decisions in the cache simulator; this also fills the
     // cachesim.* stats counters so --stats reconciles with the table.
-    HitRates rates = simulateHitRates(opt, CacheConfig::i860());
+    Result<std::vector<HitRates>> rates =
+        simulateHitRates(opt, {CacheConfig::i860()});
+    if (!rates.ok())
+        return failed(rates.diag());
     std::cout << "whole-program hit% (warm, i860): "
-              << TextTable::num(rates.wholeOrig, 2) << " -> "
-              << TextTable::num(rates.wholeFinal, 2) << "\n";
+              << TextTable::num(rates.value()[0].wholeOrig, 2) << " -> "
+              << TextTable::num(rates.value()[0].wholeFinal, 2) << "\n";
     return 0;
 }
 
@@ -467,6 +399,22 @@ struct Options
     bool topOnce = false;         ///< top: --once
 };
 
+const int64_t kMax64 = std::numeric_limits<int64_t>::max();
+/** Upper bound of --jobs and --workers. */
+const int64_t kMaxJobs = 1024;
+
+/** A whole decimal integer in [lo, hi]; nullopt for anything else. */
+std::optional<int64_t>
+parseInteger(const std::string &s, int64_t lo, int64_t hi)
+{
+    int64_t v = 0;
+    const char *end = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || p != end || s.empty() || v < lo || v > hi)
+        return std::nullopt;
+    return v;
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -474,153 +422,76 @@ parseArgs(int argc, char **argv)
     if (argc > 0)
         opts.argv0 = argv[0];
 
-    // Flags taking a value, as "--flag V" or "--flag=V".
-    const std::map<std::string, std::function<void(const std::string &)>>
-        valued = {
-            {"--seed",
-             [&](const std::string &v) {
-                 opts.fuzzSeed =
-                     static_cast<uint64_t>(std::atoll(v.c_str()));
-             }},
-            {"--count",
-             [&](const std::string &v) {
-                 opts.fuzzCount = std::atoi(v.c_str());
-             }},
-            {"--jobs",
-             [&](const std::string &v) {
-                 opts.jobs = std::atoi(v.c_str());
-             }},
-            {"--deadline-ms",
-             [&](const std::string &v) {
-                 opts.deadlineMs = std::atoll(v.c_str());
-             }},
-            {"--max-iterations",
-             [&](const std::string &v) {
-                 opts.maxIterations = std::atoll(v.c_str());
-             }},
-            {"--max-ir-nodes",
-             [&](const std::string &v) {
-                 opts.maxIrNodes = std::atoll(v.c_str());
-             }},
-            {"--fault",
-             [&](const std::string &v) { opts.faultSpec = v; }},
-            {"--caches",
-             [&](const std::string &v) { opts.caches = v; }},
-            {"--reps",
-             [&](const std::string &v) {
-                 opts.benchReps = std::atoi(v.c_str());
-             }},
-            {"--warmup",
-             [&](const std::string &v) {
-                 opts.benchWarmup = std::atoi(v.c_str());
-             }},
-            {"--filter",
-             [&](const std::string &v) { opts.benchFilter = v; }},
-            {"--incidents-dir",
-             [&](const std::string &v) { opts.incidentsDir = v; }},
-            {"--max-checks",
-             [&](const std::string &v) {
-                 opts.maxChecks = std::atoi(v.c_str());
-             }},
-            {"--queue",
-             [&](const std::string &v) {
-                 opts.queueCapacity = std::atoi(v.c_str());
-             }},
-            {"--client-cap",
-             [&](const std::string &v) {
-                 opts.clientCap = std::atoll(v.c_str());
-             }},
-            {"--age-ms",
-             [&](const std::string &v) {
-                 opts.ageMs = std::atoll(v.c_str());
-             }},
-            {"--rss-soft-mb",
-             [&](const std::string &v) {
-                 opts.rssSoftMb = std::atoll(v.c_str());
-             }},
-            {"--rss-hard-mb",
-             [&](const std::string &v) {
-                 opts.rssHardMb = std::atoll(v.c_str());
-             }},
-            {"--max-requests-per-worker",
-             [&](const std::string &v) {
-                 opts.maxRequestsPerWorker = std::atoll(v.c_str());
-             }},
-            {"--max-deadline-ms",
-             [&](const std::string &v) {
-                 opts.maxDeadlineMs = std::atoll(v.c_str());
-             }},
-            {"--drain-deadline-ms",
-             [&](const std::string &v) {
-                 opts.drainDeadlineMs = std::atoll(v.c_str());
-             }},
-            {"--retry-after-ms",
-             [&](const std::string &v) {
-                 opts.retryAfterMs = std::atoll(v.c_str());
-             }},
-            {"--port",
-             [&](const std::string &v) {
-                 opts.port = std::atoi(v.c_str());
-             }},
-            {"--host",
-             [&](const std::string &v) { opts.host = v; }},
-            {"--socket",
-             [&](const std::string &v) { opts.socketPath = v; }},
-            {"--metrics-port",
-             [&](const std::string &v) {
-                 opts.metricsPort = std::atoi(v.c_str());
-             }},
-            {"--metrics-interval-ms",
-             [&](const std::string &v) {
-                 opts.metricsIntervalMs = std::atoll(v.c_str());
-             }},
-            {"--metrics-file",
-             [&](const std::string &v) { opts.metricsFile = v; }},
-            {"--workers",
-             [&](const std::string &v) {
-                 opts.workers = std::atoi(v.c_str());
-             }},
-            {"--journal",
-             [&](const std::string &v) { opts.journalPath = v; }},
-            {"--heartbeat-ms",
-             [&](const std::string &v) {
-                 opts.heartbeatMs = std::atoll(v.c_str());
-             }},
-            {"--max-request-bytes",
-             [&](const std::string &v) {
-                 opts.maxRequestBytes = std::atoll(v.c_str());
-             }},
-            {"--cache-entries",
-             [&](const std::string &v) {
-                 opts.cacheEntries = std::atoll(v.c_str());
-             }},
-            {"--cache-bytes",
-             [&](const std::string &v) {
-                 opts.cacheBytes = std::atoll(v.c_str());
-             }},
-            {"--cache-snapshot-dir",
-             [&](const std::string &v) {
-                 opts.cacheSnapshotDir = v;
-             }},
-            {"--cache-snapshot-interval-ms",
-             [&](const std::string &v) {
-                 opts.cacheSnapshotIntervalMs = std::atoll(v.c_str());
-             }},
-            {"--worker-fd",
-             [&](const std::string &v) {
-                 opts.workerFd = std::atoi(v.c_str());
-             }},
-            {"--shard",
-             [&](const std::string &v) {
-                 opts.shard = std::atoi(v.c_str());
-             }},
-            {"--file",
-             [&](const std::string &v) { opts.topFile = v; }},
-            {"--interval-ms",
-             [&](const std::string &v) {
-                 opts.topIntervalMs = std::atoll(v.c_str());
-             }},
+    // Flags taking a value, as "--flag V" or "--flag=V". Numbers must
+    // be whole decimal integers in the flag's range; a setter returns
+    // false on anything else (a usage error).
+    using Setter = std::function<bool(const std::string &)>;
+    auto text = [](std::string &field) -> Setter {
+        return [&field](const std::string &v) {
+            field = v;
+            return true;
         };
+    };
+    auto integer = [](auto &field, int64_t lo, int64_t hi) -> Setter {
+        return [&field, lo, hi](const std::string &v) {
+            std::optional<int64_t> x = parseInteger(v, lo, hi);
+            if (x)
+                field = static_cast<std::decay_t<decltype(field)>>(*x);
+            return x.has_value();
+        };
+    };
+    const int64_t kMaxInt = std::numeric_limits<int>::max();
+    const std::map<std::string, Setter> valued = {
+        {"--seed",
+         [&](const std::string &v) {
+             const char *end = v.data() + v.size();
+             auto [p, ec] = std::from_chars(v.data(), end, opts.fuzzSeed);
+             return ec == std::errc() && p == end && !v.empty();
+         }},
+        {"--count", integer(opts.fuzzCount, 1, kMaxInt)},
+        {"--jobs", integer(opts.jobs, 0, kMaxJobs)},
+        {"--deadline-ms", integer(opts.deadlineMs, 0, kMax64)},
+        {"--max-iterations", integer(opts.maxIterations, 0, kMax64)},
+        {"--max-ir-nodes", integer(opts.maxIrNodes, 0, kMax64)},
+        {"--fault", text(opts.faultSpec)},
+        {"--caches", text(opts.caches)},
+        {"--reps", integer(opts.benchReps, 1, kMaxInt)},
+        {"--warmup", integer(opts.benchWarmup, 0, kMaxInt)},
+        {"--filter", text(opts.benchFilter)},
+        {"--incidents-dir", text(opts.incidentsDir)},
+        {"--max-checks", integer(opts.maxChecks, 0, kMaxInt)},
+        {"--queue", integer(opts.queueCapacity, 0, kMaxInt)},
+        {"--client-cap", integer(opts.clientCap, 0, kMax64)},
+        {"--age-ms", integer(opts.ageMs, 0, kMax64)},
+        // Megabytes are shifted into bytes.
+        {"--rss-soft-mb", integer(opts.rssSoftMb, 0, kMax64 >> 20)},
+        {"--rss-hard-mb", integer(opts.rssHardMb, 0, kMax64 >> 20)},
+        {"--max-requests-per-worker",
+         integer(opts.maxRequestsPerWorker, 0, kMax64)},
+        {"--max-deadline-ms", integer(opts.maxDeadlineMs, 0, kMax64)},
+        {"--drain-deadline-ms", integer(opts.drainDeadlineMs, 0, kMax64)},
+        {"--retry-after-ms", integer(opts.retryAfterMs, 0, kMax64)},
+        {"--port", integer(opts.port, 0, 65535)},
+        {"--host", text(opts.host)},
+        {"--socket", text(opts.socketPath)},
+        {"--metrics-port", integer(opts.metricsPort, 0, 65535)},
+        {"--metrics-interval-ms",
+         integer(opts.metricsIntervalMs, 0, kMax64)},
+        {"--metrics-file", text(opts.metricsFile)},
+        {"--workers", integer(opts.workers, 0, kMaxJobs)},
+        {"--journal", text(opts.journalPath)},
+        {"--heartbeat-ms", integer(opts.heartbeatMs, 0, kMax64)},
+        {"--max-request-bytes", integer(opts.maxRequestBytes, 0, kMax64)},
+        {"--cache-entries", integer(opts.cacheEntries, 0, kMax64)},
+        {"--cache-bytes", integer(opts.cacheBytes, 0, kMax64)},
+        {"--cache-snapshot-dir", text(opts.cacheSnapshotDir)},
+        {"--cache-snapshot-interval-ms",
+         integer(opts.cacheSnapshotIntervalMs, 0, kMax64)},
+        {"--worker-fd", integer(opts.workerFd, 0, kMaxInt)},
+        {"--shard", integer(opts.shard, 0, kMaxInt)},
+        {"--file", text(opts.topFile)},
+        {"--interval-ms", integer(opts.topIntervalMs, 0, kMax64)},
+    };
 
     for (int i = 1; i < argc && opts.error.empty(); ++i) {
         std::string arg = argv[i];
@@ -664,13 +535,15 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--no-cache") {
             opts.noCache = true;
         } else if (valuedIt != valued.end()) {
-            if (eq != std::string::npos) {
-                valuedIt->second(arg.substr(eq + 1));
-            } else if (i + 1 < argc) {
-                valuedIt->second(argv[++i]);
-            } else {
+            std::string value;
+            if (eq != std::string::npos)
+                value = arg.substr(eq + 1);
+            else if (i + 1 < argc)
+                value = argv[++i];
+            else
                 opts.error = arg + " needs a value";
-            }
+            if (opts.error.empty() && !valuedIt->second(value))
+                opts.error = "bad value '" + value + "' for " + head;
         } else if (arg == "-v") {
             ++opts.verbosity;
         } else if (arg == "-q") {
@@ -769,11 +642,6 @@ parseCacheConfigs(const std::string &spec)
 int
 cmdBench(const Options &opts)
 {
-    if (opts.benchReps <= 0 || opts.benchWarmup < 0) {
-        std::cerr << "memoria bench: --reps must be positive and "
-                     "--warmup non-negative\n";
-        return 2;
-    }
     perf::BenchOptions bopts;
     bopts.reps = opts.benchReps;
     bopts.warmup = opts.benchWarmup;
@@ -1008,11 +876,11 @@ cmdBatch(const Options &opts)
                    isspace(static_cast<unsigned char>(line.back())))
                 line.pop_back();
             if (!line.empty() && line[0] != '#')
-                inputs.push_back(resolveBatchInput(line));
+                inputs.push_back(harness::programInput(line));
         }
     }
     for (size_t i = 1; i < opts.positional.size(); ++i)
-        inputs.push_back(resolveBatchInput(opts.positional[i]));
+        inputs.push_back(harness::programInput(opts.positional[i]));
 
     if (inputs.empty()) {
         std::cerr << "memoria batch: no inputs; use --all, --stdin, "
@@ -1341,13 +1209,14 @@ cmdTop(const Options &opts)
         if (opts.positional.size() > 1) {
             const std::string &hp = opts.positional[1];
             size_t colon = hp.rfind(':');
-            if (colon == std::string::npos) {
-                port = std::atoi(hp.c_str());
-            } else {
+            std::string portText = hp;
+            if (colon != std::string::npos) {
                 if (colon > 0)
                     host = hp.substr(0, colon);
-                port = std::atoi(hp.c_str() + colon + 1);
+                portText = hp.substr(colon + 1);
             }
+            port = static_cast<int>(
+                parseInteger(portText, 1, 65535).value_or(0));
         }
         if (port <= 0) {
             std::cerr << "memoria top: wants host:port (or --file "
@@ -1391,26 +1260,6 @@ cmdTop(const Options &opts)
         std::this_thread::sleep_for(
             std::chrono::milliseconds(intervalMs));
     }
-}
-
-/** The dotted code prefix of a rendered Diag ("code: message"). */
-std::string
-diagCodePrefix(const std::string &detail)
-{
-    size_t end = detail.find_first_of(": ");
-    return end == std::string::npos ? detail : detail.substr(0, end);
-}
-
-std::optional<harness::BatchStatus>
-batchStatusFromName(const std::string &name)
-{
-    using harness::BatchStatus;
-    for (BatchStatus s :
-         {BatchStatus::Ok, BatchStatus::Degraded, BatchStatus::Diag,
-          BatchStatus::Timeout, BatchStatus::PanicContained})
-        if (name == harness::batchStatusName(s))
-            return s;
-    return std::nullopt;
 }
 
 /**
@@ -1486,11 +1335,11 @@ cmdReduce(const Options &opts)
         }
 
         incident::FailureSignature sig;
-        auto status = batchStatusFromName(kind);
+        auto status = harness::batchStatusFromName(kind);
         if (status && *status != harness::BatchStatus::Ok) {
             sig.status = *status;
             if (*status == harness::BatchStatus::Diag)
-                sig.diagCode = diagCodePrefix(detail);
+                sig.diagCode = incident::diagCodeOf(detail);
         } else if (kind == "degraded") {
             sig.status = harness::BatchStatus::Degraded;
         } else {
@@ -1654,22 +1503,20 @@ run(int argc, char **argv)
     } else if (cmd == "bench") {
         rc = cmdBench(opts);
     } else if (cmd == "fuzz") {
-        if (opts.fuzzCount <= 0) {
-            std::cerr << "memoria: --count must be positive\n";
-            rc = 2;
-        } else {
-            rc = cmdFuzz(opts);
-        }
+        rc = cmdFuzz(opts);
     } else if (opts.positional.size() < 2) {
         std::cerr << "missing program name; try `memoria list`\n";
+    } else if (auto n = opts.positional.size() > 2
+                            ? parseInteger(opts.positional[2], 1, kMax64)
+                            : 48;
+               !n) {
+        std::cerr << "memoria: size N wants a whole number > 0, not '"
+                  << opts.positional[2] << "'\n";
     } else {
-        int64_t n = opts.positional.size() > 2
-                        ? std::atoll(opts.positional[2].c_str())
-                        : 48;
-        Result<Program> resolved = resolve(opts.positional[1], n);
+        Result<Program> resolved =
+            harness::programInput(opts.positional[1], *n, *n).load();
         if (!resolved.ok()) {
-            std::cerr << "memoria: " << resolved.diag().str() << "\n";
-            rc = 1;
+            rc = failed(resolved.diag());
         } else {
             Program prog = std::move(resolved.value());
             if (cmd == "print") {

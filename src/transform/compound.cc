@@ -491,13 +491,4 @@ compoundTransform(Program &prog, const ModelParams &params,
     return result;
 }
 
-CompoundResult
-compoundTransform(Program &prog, const ModelParams &params,
-                  bool applyFusion)
-{
-    CompoundOptions opts;
-    opts.applyFusion = applyFusion;
-    return compoundTransform(prog, params, opts);
-}
-
 } // namespace memoria

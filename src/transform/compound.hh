@@ -120,11 +120,7 @@ struct CompoundOptions
 
 /** Run Compound on a whole program in place. */
 CompoundResult compoundTransform(Program &prog, const ModelParams &params,
-                                 const CompoundOptions &opts);
-
-/** Legacy form; equivalent to CompoundOptions{applyFusion, true}. */
-CompoundResult compoundTransform(Program &prog, const ModelParams &params,
-                                 bool applyFusion = true);
+                                 const CompoundOptions &opts = {});
 
 /**
  * Test-only fault injection: the hook runs on each nest after Compound

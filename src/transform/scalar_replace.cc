@@ -134,7 +134,8 @@ struct Promoter
 
             // Allocate the register and rewrite the loop body.
             ArrayDecl decl;
-            decl.name = "R" + std::to_string(nextReg++);
+            decl.name = "R";
+            decl.name += std::to_string(nextReg++);
             decl.isRegister = true;
             prog.arrays.push_back(std::move(decl));
             ArrayId reg = static_cast<ArrayId>(prog.arrays.size() - 1);

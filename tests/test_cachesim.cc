@@ -192,10 +192,10 @@ TEST(Sweep, RunWithCachesMatchesReferencePerConfig)
         EXPECT_EQ(sweep.exec.memRefs, ref.stats.memRefs);
         EXPECT_EQ(sweep.exec.loopIterations, ref.stats.loopIterations);
 
-        // The one-config entry point is the same sweep.
-        RunResult one = runWithCache(p, configs[i]);
-        expectSameStats(one.cache, direct.stats());
-        EXPECT_DOUBLE_EQ(one.cycles, sweep.cycles[i]);
+        // A one-config sweep gives the same counters and cycles.
+        SweepResult one = runWithCaches(p, {configs[i]});
+        expectSameStats(one.cache[0], direct.stats());
+        EXPECT_DOUBLE_EQ(one.cycles[0], sweep.cycles[i]);
     }
 }
 
@@ -222,7 +222,7 @@ TEST(Sweep, OneInterpreterPassPerSweep)
     expectSameStats(sweep.cache[0], direct.stats());
 
     before = runs.value();
-    Result<RunResult> one = tryRunWithCache(p, configs[0]);
+    Result<SweepResult> one = tryRunWithCaches(p, {configs[0]});
     ASSERT_TRUE(one.ok());
     EXPECT_EQ(runs.value() - before, 1u);
 }

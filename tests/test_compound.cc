@@ -126,7 +126,9 @@ TEST(Compound, FusionAblationFlag)
 {
     Program p1 = makeErlebacherDistributed(10);
     uint64_t before = runChecksum(p1);
-    CompoundResult r1 = compoundTransform(p1, cls4(), false);
+    CompoundOptions noFusion;
+    noFusion.applyFusion = false;
+    CompoundResult r1 = compoundTransform(p1, cls4(), noFusion);
     EXPECT_EQ(runChecksum(p1), before);
     EXPECT_EQ(r1.fusion.fused, 0);
     EXPECT_EQ(p1.body.size(), 5u);
@@ -193,10 +195,10 @@ TEST(Compound, SimulatedMissesImproveForScalarizedKernels)
         Program orig = make(48);
         Program opt = orig.clone();
         compoundTransform(opt, cls4());
-        RunResult before = runWithCache(orig, CacheConfig::i860());
-        RunResult after = runWithCache(opt, CacheConfig::i860());
+        SweepResult before = runWithCaches(orig, {CacheConfig::i860()});
+        SweepResult after = runWithCaches(opt, {CacheConfig::i860()});
         EXPECT_EQ(before.checksum, after.checksum);
-        EXPECT_LT(after.cache.misses, before.cache.misses) << orig.name;
+        EXPECT_LT(after.cache[0].misses, before.cache[0].misses) << orig.name;
     }
 }
 

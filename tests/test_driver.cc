@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/memoria.hh"
+#include "frontend/parser.hh"
 #include "suite/corpus.hh"
 #include "suite/kernels.hh"
 
@@ -28,17 +29,26 @@ TEST(Driver, MatmulReportAndRates)
     EXPECT_EQ(opt.report.nestsPerm, 1);
     EXPECT_EQ(opt.report.nestsFail, 0);
     EXPECT_GT(opt.report.ratioFinal, 1.0);
-    EXPECT_TRUE(opt.anyChanged);
+    EXPECT_TRUE(optimizedProcedures(opt).any());
 
     // Semantics: original and transformed agree.
     EXPECT_EQ(runChecksum(opt.original), runChecksum(opt.transformed));
 
-    HitRates rates = simulateHitRates(opt, CacheConfig::i860());
-    EXPECT_GT(rates.wholeFinal, rates.wholeOrig);
-    EXPECT_GT(rates.optFinal, rates.optOrig);
+    std::vector<Performance> perf;
+    Result<std::vector<HitRates>> rates =
+        simulateHitRates(opt, {CacheConfig::i860()}, &perf);
+    ASSERT_TRUE(rates.ok());
+    EXPECT_GT(rates.value()[0].wholeFinal, rates.value()[0].wholeOrig);
+    EXPECT_GT(rates.value()[0].optFinal, rates.value()[0].optOrig);
 
-    Performance perf = simulatePerformance(opt, CacheConfig::i860());
-    EXPECT_GT(perf.speedup(), 1.0);
+    // The cycles come from the same whole-program runs.
+    ASSERT_EQ(perf.size(), 1u);
+    EXPECT_GT(perf[0].speedup(), 1.0);
+    Result<std::vector<Performance>> alone =
+        simulatePerformance(opt, {CacheConfig::i860()});
+    ASSERT_TRUE(alone.ok());
+    EXPECT_EQ(alone.value()[0].origCycles, perf[0].origCycles);
+    EXPECT_EQ(alone.value()[0].finalCycles, perf[0].finalCycles);
 }
 
 TEST(Driver, OptimalProgramUntouched)
@@ -46,10 +56,40 @@ TEST(Driver, OptimalProgramUntouched)
     Program p = makeMatmul("JKI", 24);
     OptimizedProgram opt = optimizeProgram(p, cls4());
     EXPECT_EQ(opt.report.nestsOrig, 1);
-    EXPECT_FALSE(opt.anyChanged);
+    EXPECT_FALSE(optimizedProcedures(opt).any());
     EXPECT_TRUE(structurallyEqual(opt.original, opt.transformed));
-    HitRates rates = simulateHitRates(opt, CacheConfig::i860());
+    HitRates rates =
+        simulateHitRates(opt, {CacheConfig::i860()}).value()[0];
     EXPECT_DOUBLE_EQ(rates.wholeOrig, rates.wholeFinal);
+}
+
+TEST(Driver, FaultingProgramReportsDiag)
+{
+    // B(I,J) = A(I+1) reads A(N+1) on the last iteration of I.
+    std::optional<Program> p = parseProgram("PROGRAM oob\n"
+                                            "  PARAMETER N = 8\n"
+                                            "  REAL*8 A(N)\n"
+                                            "  REAL*8 B(N,N)\n"
+                                            "  DO I = 1, N\n"
+                                            "    DO J = 1, N\n"
+                                            "      B(I,J) = A(I+1)\n"
+                                            "    ENDDO\n"
+                                            "  ENDDO\n"
+                                            "END\n");
+    ASSERT_TRUE(p);
+    OptimizedProgram opt = optimizeProgram(*p, cls4());
+    const std::vector<CacheConfig> configs = {CacheConfig::rs6000(),
+                                              CacheConfig::i860()};
+    std::vector<Performance> perf;
+    Result<std::vector<HitRates>> rates =
+        simulateHitRates(opt, configs, &perf);
+    ASSERT_FALSE(rates.ok());
+    EXPECT_EQ(rates.diag().code, "interp.oob");
+    EXPECT_TRUE(perf.empty());
+    Result<std::vector<Performance>> cycles =
+        simulatePerformance(opt, configs);
+    ASSERT_FALSE(cycles.ok());
+    EXPECT_EQ(cycles.diag().code, "interp.oob");
 }
 
 TEST(Driver, IdealIgnoresLegality)
@@ -115,8 +155,10 @@ TEST(Driver, AccessStatsImproveUnitStride)
 TEST(Driver, AblationWithoutFusion)
 {
     Program p = makeErlebacherDistributed(10);
-    OptimizedProgram withF = optimizeProgram(p, cls4(), true);
-    OptimizedProgram withoutF = optimizeProgram(p, cls4(), false);
+    PipelineOptions noFusion;
+    noFusion.compound.applyFusion = false;
+    OptimizedProgram withF = optimizeProgram(p, cls4());
+    OptimizedProgram withoutF = optimizeProgram(p, cls4(), noFusion);
     EXPECT_GT(withF.report.fusion.fused, 0);
     EXPECT_EQ(withoutF.report.fusion.fused, 0);
     EXPECT_EQ(runChecksum(withoutF.transformed),

@@ -100,8 +100,8 @@ TEST(ScalarReplace, ReducesMemoryTraffic)
     Program opt = orig.clone();
     scalarReplace(opt);
 
-    RunResult r0 = runWithCache(orig, CacheConfig::i860());
-    RunResult r1 = runWithCache(opt, CacheConfig::i860());
+    SweepResult r0 = runWithCaches(orig, {CacheConfig::i860()});
+    SweepResult r1 = runWithCaches(opt, {CacheConfig::i860()});
     // One of four references per iteration becomes a register access.
     EXPECT_LT(r1.exec.memRefs, r0.exec.memRefs);
     EXPECT_NEAR(static_cast<double>(r1.exec.memRefs),
@@ -197,13 +197,13 @@ TEST(UnrollJam, ComposesWithScalarReplacement)
     // The Section 1.1 step-3 pipeline: unroll-and-jam then scalar
     // replacement; traffic per original iteration drops.
     Program base = makeMatmul("JKI", 32);
-    RunResult r0 = runWithCache(base, CacheConfig::i860());
+    SweepResult r0 = runWithCaches(base, {CacheConfig::i860()});
 
     Program opt = base.clone();
     DependenceGraph g(opt, collectStmts(opt));
     ASSERT_TRUE(unrollAndJam(opt, opt.body[0].get(), 2, g.edges()));
     scalarReplace(opt);
-    RunResult r1 = runWithCache(opt, CacheConfig::i860());
+    SweepResult r1 = runWithCaches(opt, {CacheConfig::i860()});
 
     EXPECT_EQ(r0.checksum,
               [&] {
@@ -240,14 +240,14 @@ TEST(Tile, RefusesNonDividingTile)
 TEST(Tile, ReducesMissesWhenTileFits)
 {
     Program base = makeMatmul("JKI", 64);
-    RunResult r0 = runWithCache(base, CacheConfig::i860());
+    SweepResult r0 = runWithCaches(base, {CacheConfig::i860()});
     Program tiled = base.clone();
     DependenceGraph g(tiled, collectStmts(tiled));
     ASSERT_TRUE(
         tilePerfectNest(tiled, tiled.body[0].get(), 3, 16, g.edges()));
-    RunResult r1 = runWithCache(tiled, CacheConfig::i860());
+    SweepResult r1 = runWithCaches(tiled, {CacheConfig::i860()});
     EXPECT_EQ(r0.checksum, r1.checksum);
-    EXPECT_LT(r1.cache.misses, r0.cache.misses);
+    EXPECT_LT(r1.cache[0].misses, r0.cache[0].misses);
 }
 
 // ----------------------------------------------------------- reversal

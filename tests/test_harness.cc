@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cctype>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,8 @@
 #include "harness/budget.hh"
 #include "harness/fault.hh"
 #include "harness/ladder.hh"
+#include "ir/printer.hh"
+#include "suite/corpus.hh"
 #include "suite/kernels.hh"
 #include "support/stats.hh"
 
@@ -405,6 +408,52 @@ TEST(Batch, CleanRunAllOk)
     }
     EXPECT_TRUE(rep.allOk());
     EXPECT_EQ(rep.containedCount(), 0);
+}
+
+TEST(Batch, EveryListedNameResolvesToItsProgram)
+{
+    // `memoria list` prints the kernel names, then corpusInputName of
+    // every corpus program; each must select the program it is listed
+    // as, and no name may be printed twice.
+    std::set<std::string> seen;
+    for (const harness::BatchInput &k : harness::kernelInputs(20)) {
+        EXPECT_TRUE(seen.insert(k.name).second) << k.name;
+        Result<Program> got = harness::programInput(k.name, 20, 12).load();
+        ASSERT_TRUE(got.ok()) << k.name;
+        EXPECT_EQ(printProgram(got.value()), printProgram(k.load().value()))
+            << k.name;
+    }
+    int shadowed = 0;
+    for (const CorpusSpec &spec : corpusSpecs()) {
+        const std::string name = harness::corpusInputName(spec.name);
+        EXPECT_TRUE(seen.insert(name).second) << name;
+        shadowed += name != spec.name;
+        Result<Program> got = harness::programInput(name, 20, 12).load();
+        ASSERT_TRUE(got.ok()) << name;
+        EXPECT_EQ(printProgram(got.value()),
+                  printProgram(buildCorpusProgram(spec, 12)))
+            << name;
+    }
+    // The corpus erlebacher and simple share a kernel's name.
+    EXPECT_EQ(shadowed, 2);
+    EXPECT_EQ(harness::corpusInputName("erlebacher"), "corpus/erlebacher");
+
+    // Anything else is a file path.
+    Result<Program> missing =
+        harness::programInput("no-such-program").load();
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.diag().code, "batch.read");
+}
+
+TEST(Batch, StatusNamesRoundTrip)
+{
+    using harness::BatchStatus;
+    for (BatchStatus s :
+         {BatchStatus::Ok, BatchStatus::Degraded, BatchStatus::Diag,
+          BatchStatus::Timeout, BatchStatus::PanicContained})
+        EXPECT_EQ(harness::batchStatusFromName(harness::batchStatusName(s)),
+                  s);
+    EXPECT_FALSE(harness::batchStatusFromName("fuzz.equivalence"));
 }
 
 TEST(Batch, BadInputIsContainedAsDiag)

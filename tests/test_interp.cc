@@ -117,25 +117,25 @@ TEST(Interp, RunWithCacheCyclesAccounting)
 {
     Program p = makeMatmul("JKI", 32);
     MachineModel mm;
-    RunResult r = runWithCache(p, CacheConfig::i860(), mm);
+    SweepResult r = runWithCaches(p, {CacheConfig::i860()}, mm);
     EXPECT_EQ(r.exec.stmtsExecuted, 32u * 32 * 32);
-    EXPECT_EQ(r.cache.accesses, r.exec.memRefs);
+    EXPECT_EQ(r.cache[0].accesses, r.exec.memRefs);
     double expect = mm.cyclesPerStmt * r.exec.stmtsExecuted +
                     mm.cyclesPerRef * r.exec.memRefs +
-                    mm.missPenalty * r.cache.misses;
-    EXPECT_DOUBLE_EQ(r.cycles, expect);
+                    mm.missPenalty * r.cache[0].misses;
+    EXPECT_DOUBLE_EQ(r.cycles[0], expect);
     EXPECT_EQ(r.checksum, runChecksum(p));
 }
 
 TEST(Interp, MemoryOrderHasFewerMissesThanWorstOrder)
 {
     // The core claim of Figure 2 at simulator level: JKI beats IKJ.
-    RunResult good = runWithCache(makeMatmul("JKI", 48),
-                                  CacheConfig::i860());
-    RunResult bad = runWithCache(makeMatmul("IKJ", 48),
-                                 CacheConfig::i860());
-    EXPECT_LT(good.cache.misses, bad.cache.misses);
-    EXPECT_LT(good.cycles, bad.cycles);
+    SweepResult good =
+        runWithCaches(makeMatmul("JKI", 48), {CacheConfig::i860()});
+    SweepResult bad =
+        runWithCaches(makeMatmul("IKJ", 48), {CacheConfig::i860()});
+    EXPECT_LT(good.cache[0].misses, bad.cache[0].misses);
+    EXPECT_LT(good.cycles[0], bad.cycles[0]);
 }
 
 TEST(Interp, ChecksumIsDeterministic)

@@ -381,7 +381,7 @@ TEST_F(ObsTest, FullPipelineTraceIsValidJsonLines)
     Program p = makeMatmul("IKJ", 12);
     ModelParams params;
     OptimizedProgram opt = optimizeProgram(p, params);
-    simulateHitRates(opt, CacheConfig::i860());
+    ASSERT_TRUE(simulateHitRates(opt, {CacheConfig::i860()}).ok());
     obs::setTraceSink(nullptr);
 
     std::istringstream lines(out.str());
@@ -457,7 +457,8 @@ TEST_F(ObsTest, CacheCountersReconcileWithHitRates)
     OptimizedProgram opt = optimizeProgram(p, params);
 
     obs::statsRegistry().resetValues();
-    HitRates rates = simulateHitRates(opt, CacheConfig::i860());
+    HitRates rates =
+        simulateHitRates(opt, {CacheConfig::i860()}).value()[0];
 
     uint64_t accesses = obs::counter("cachesim.accesses").value();
     uint64_t hits = obs::counter("cachesim.hits").value();
@@ -472,9 +473,9 @@ TEST_F(ObsTest, CacheCountersReconcileWithHitRates)
 
     // The published aggregate must reproduce the Table 4 whole-program
     // computation when re-derived per run.
-    RunResult orig = runWithCache(opt.original, CacheConfig::i860());
-    orig.cache.checkConsistent();
-    double warmRate = orig.cache.hitRateWarm();
+    SweepResult orig = runWithCaches(opt.original, {CacheConfig::i860()});
+    orig.cache[0].checkConsistent();
+    double warmRate = orig.cache[0].hitRateWarm();
     EXPECT_NEAR(warmRate, rates.wholeOrig, 1e-9);
 }
 
@@ -699,6 +700,60 @@ TEST_F(ObsTest, RingSinkFlightRecorderFiltersByTraceId)
     auto b = ring->snapshotFor("tBBB");
     ASSERT_EQ(b.size(), 2u);
     EXPECT_TRUE(ring->snapshotFor("tZZZ").empty());
+}
+
+TEST_F(ObsTest, RingSinkRendersLikeJsonLinesSink)
+{
+    // The ring stores events and renders them only when snapshotted;
+    // its lines must be the file sink's lines, byte for byte.
+    const size_t capacity = 5;
+    std::vector<obs::TraceEvent> events;
+    for (int i = 0; i < 12; ++i) {
+        obs::TraceEvent e;
+        e.type = static_cast<obs::TraceEvent::Type>(i % 3);
+        e.category = "cat" + std::to_string(i % 2);
+        e.name = i % 4 == 0 ? "quote\"back\\slash\n" : "n";
+        e.depth = i % 3;
+        e.durationUs = 1.5 * i;
+        e.seq = static_cast<uint64_t>(100 + i);
+        if (i % 3 != 2) {
+            e.traceId = i % 3 == 0 ? "tAAA" : "tBBB";
+            e.spanId = static_cast<uint64_t>(i);
+        }
+        e.args.emplace_back("s", obs::TraceValue("v\t" + std::to_string(i)));
+        e.args.emplace_back("i", obs::TraceValue(int64_t(-i)));
+        e.args.emplace_back("f", obs::TraceValue(0.25 * i));
+        e.args.emplace_back("b", obs::TraceValue(i % 2 == 0));
+        events.push_back(std::move(e));
+    }
+
+    std::ostringstream out;
+    obs::JsonLinesSink json(out);
+    obs::RingSink ring(capacity);
+    for (const obs::TraceEvent &e : events) {
+        json.event(e);
+        ring.event(e);
+    }
+
+    std::vector<std::string> lines;
+    std::istringstream in(out.str());
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), events.size());
+
+    // The ring wrapped: it holds the last `capacity` lines, oldest first.
+    const size_t first = events.size() - capacity;
+    std::vector<std::string> tail(lines.begin() + first, lines.end());
+    EXPECT_EQ(ring.snapshot(), tail);
+
+    for (const std::string id : {"tAAA", "tBBB", ""}) {
+        std::vector<std::string> want;
+        for (size_t i = first; i < events.size(); ++i)
+            if (events[i].traceId == id)
+                want.push_back(lines[i]);
+        EXPECT_FALSE(want.empty()) << id;
+        EXPECT_EQ(ring.snapshotFor(id), want) << id;
+    }
 }
 
 // ---------------------------------------------------------------------
