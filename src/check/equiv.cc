@@ -1,11 +1,8 @@
 #include "check/equiv.hh"
 
-#include <atomic>
 #include <cstring>
-#include <exception>
-#include <mutex>
+#include <optional>
 #include <sstream>
-#include <thread>
 
 #include "harness/budget.hh"
 #include "harness/fault.hh"
@@ -29,41 +26,44 @@ isSymbolicParam(const VarInfo &v)
     return v.kind == VarKind::Param && !v.paramPoly.isConstant();
 }
 
-/** One interpreted execution, or the fault that stopped it. */
-struct RunOutcome
+/**
+ * One side of a check bound to one trial size. Binding (construction,
+ * setParam per symbolic parameter, the tape compile on the first run)
+ * happens once; every seed round then re-seeds the data and reruns.
+ */
+struct BoundSide
 {
-    bool ok = false;
-    Diag diag;
-    Interpreter *interp = nullptr;
-};
+    Interpreter interp;
+    std::optional<Diag> bindError;  ///< setParam fault, if any
 
-/** Bind size/seed and run. `interp` must outlive the outcome. */
-RunOutcome
-runOne(const Program &prog, Interpreter &interp, int64_t size,
-       uint64_t seed)
-{
-    RunOutcome out;
-    out.interp = &interp;
-    if (size > 0) {
+    BoundSide(const Program &prog, int64_t size) : interp(prog)
+    {
+        if (size <= 0)
+            return;  // keep the program's own parameter values
         for (const auto &v : prog.vars) {
             if (!isSymbolicParam(v))
                 continue;
             Status st = interp.setParam(v.name, size);
             if (!st.ok()) {
-                out.diag = st.diag();
-                return out;
+                bindError = st.diag();
+                return;
             }
         }
     }
-    interp.setInitSeed(seed);
-    Status st = interp.run(nullptr);
-    if (!st.ok()) {
-        out.diag = st.diag();
-        return out;
+
+    /** Run under `seed`; the fault that stopped it, if any. */
+    std::optional<Diag>
+    run(uint64_t seed)
+    {
+        if (bindError)
+            return bindError;
+        interp.setInitSeed(seed);
+        Status st = interp.run(nullptr);
+        if (!st.ok())
+            return st.diag();
+        return std::nullopt;
     }
-    out.ok = true;
-    return out;
-}
+};
 
 /** Index of the array named `name`, or -1. */
 ArrayId
@@ -144,46 +144,11 @@ checkEquivalence(const Program &reference, const Program &candidate,
         }
     }
 
-    /** Outcome of one (size, seed) round, computed independently —
-     *  possibly on a worker thread — and folded in seed order. */
-    struct Round
-    {
-        bool refOk = false;    ///< reference ran (round is conclusive)
-        bool compared = false; ///< candidate also ran; arrays compared
-        bool equal = true;
-        std::string detail;    ///< set when !equal
-    };
-
-    // One full round: bind, run both sides, compare array states.
-    // Everything it touches is round-local (each round owns its two
-    // interpreters), so rounds are freely parallelizable.
-    auto runRound = [&](int64_t size, uint64_t seed) -> Round {
-        harness::poll("check.equiv.round");
-        Round round;
-        Interpreter refInterp(reference);
-        RunOutcome ref = runOne(reference, refInterp, size, seed);
-        if (!ref.ok) {
-            // The reference itself faults at this trial point:
-            // inconclusive, not a miscompile.
-            return round;
-        }
-        round.refOk = true;
-
-        Interpreter candInterp(candidate);
-        RunOutcome cand = runOne(candidate, candInterp, size, seed);
-        if (!cand.ok) {
-            round.equal = false;
-            std::ostringstream os;
-            os << "candidate '" << candidate.name
-               << "' faults where the reference runs (size=" << size
-               << ", seed=" << seed << "): " << cand.diag.str();
-            round.detail = os.str();
-            return round;
-        }
-
-        round.compared = true;
-        for (size_t a = 0; round.equal && a < reference.arrays.size();
-             ++a) {
+    // The first divergence between two completed runs, or empty.
+    auto compareArrays = [&](const Interpreter &refInterp,
+                             const Interpreter &candInterp, int64_t size,
+                             uint64_t seed) -> std::string {
+        for (size_t a = 0; a < reference.arrays.size(); ++a) {
             const ArrayDecl &decl = reference.arrays[a];
             if (decl.isRegister)
                 continue;  // compiler temporaries, not outputs
@@ -192,25 +157,21 @@ checkEquivalence(const Program &reference, const Program &candidate,
             // per array per round dominated the all-equal fast path
             // for corpus-sized symbol tables.
             if (ca < 0) {
-                round.equal = false;
                 std::ostringstream os;
                 os << "array '" << decl.name
                    << "' missing from candidate '" << candidate.name
                    << "'";
-                round.detail = os.str();
-                break;
+                return os.str();
             }
             uint64_t relems =
                 refInterp.arrayElems(static_cast<ArrayId>(a));
             uint64_t celems = candInterp.arrayElems(ca);
             if (relems != celems) {
-                round.equal = false;
                 std::ostringstream os;
                 os << "array '" << decl.name << "' has " << relems
                    << " elements in the reference, " << celems
                    << " in the candidate";
-                round.detail = os.str();
-                break;
+                return os.str();
             }
             if (!compare[a])
                 continue;  // written by neither; identical
@@ -224,78 +185,53 @@ checkEquivalence(const Program &reference, const Program &candidate,
             for (size_t i = 0; i < rv.size(); ++i) {
                 if (std::memcmp(&rv[i], &cv[i], sizeof(double)) == 0)
                     continue;
-                round.equal = false;
                 std::ostringstream os;
                 os << "array '" << decl.name << "' diverges at "
                    << "element " << i << " (size=" << size
                    << ", seed=" << seed << "): " << rv[i]
                    << " != " << cv[i];
-                round.detail = os.str();
-                break;
+                return os.str();
             }
         }
-        return round;
+        return {};
     };
 
     for (int64_t size : opts.sizes) {
+        // Each side is bound to the size once; the candidate only on
+        // the first round whose reference runs, so a size the
+        // reference cannot run at never binds (or runs) the candidate.
+        BoundSide ref(reference, size);
+        std::optional<BoundSide> cand;
         // Every seed round of a size executes (even after a failing
         // round), so the executed round set — and with it every obs
         // and sim counter — is a function of the programs alone, not
-        // of the jobs value or of which round failed first.
-        std::vector<Round> rounds(opts.seeds.size());
-        int jobs = std::max(
-            1, std::min<int>(opts.jobs,
-                             static_cast<int>(opts.seeds.size())));
-        if (jobs <= 1) {
-            for (size_t k = 0; k < opts.seeds.size(); ++k)
-                rounds[k] = runRound(size, opts.seeds[k]);
-        } else {
-            std::atomic<size_t> next{0};
-            std::exception_ptr firstError;
-            std::mutex errorMu;
-            harness::CancelToken *parent = harness::currentToken();
-            auto work = [&]() {
-                // Workers share the caller's budget, so deadlines and
-                // iteration budgets cancel the whole check.
-                harness::BudgetScope scope(parent);
-                for (;;) {
-                    size_t k =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (k >= opts.seeds.size())
-                        break;
-                    try {
-                        rounds[k] = runRound(size, opts.seeds[k]);
-                    } catch (...) {
-                        std::lock_guard<std::mutex> lock(errorMu);
-                        if (!firstError)
-                            firstError = std::current_exception();
-                        break;
-                    }
-                }
-            };
-            std::vector<std::thread> pool;
-            for (int j = 1; j < jobs; ++j)
-                pool.emplace_back(work);
-            work();
-            for (std::thread &t : pool)
-                t.join();
-            if (firstError)
-                std::rethrow_exception(firstError);
-        }
-
-        // Serial fold in seed order: identical verdicts and details
-        // for every jobs value.
-        for (const Round &round : rounds) {
-            if (!round.refOk) {
+        // of which round failed first. Rounds fold in seed order.
+        for (uint64_t seed : opts.seeds) {
+            harness::poll("check.equiv.round");
+            if (ref.run(seed)) {
+                // The reference itself faults at this trial point:
+                // inconclusive, not a miscompile.
                 ++result.skippedRuns;
                 continue;
             }
             ++cRuns;
-            if (round.compared)
+            if (!cand)
+                cand.emplace(candidate, size);
+            std::string detail;
+            if (std::optional<Diag> fault = cand->run(seed)) {
+                std::ostringstream os;
+                os << "candidate '" << candidate.name
+                   << "' faults where the reference runs (size=" << size
+                   << ", seed=" << seed << "): " << fault->str();
+                detail = os.str();
+            } else {
                 ++result.comparedRuns;
-            if (result.equivalent && !round.equal) {
+                detail = compareArrays(ref.interp, cand->interp, size,
+                                       seed);
+            }
+            if (result.equivalent && !detail.empty()) {
                 result.equivalent = false;
-                result.detail = round.detail;
+                result.detail = std::move(detail);
             }
         }
         if (!result.equivalent)

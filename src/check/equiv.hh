@@ -22,6 +22,12 @@
  *    (matched by name, register temporaries excluded) must agree
  *    bit-for-bit. Initial data is integer-valued, so exact comparison
  *    does not trip over rounding; see interp/interp.cc.
+ *
+ * Each side is bound once per trial size — one Interpreter, its
+ * parameters set and its tape compiled once — and rerun under every
+ * seed through Interpreter::setInitSeed, which refills only the data.
+ * Binding is O(declarations) and corpus programs declare hundreds of
+ * arrays, so per-round rebinding cost more than the runs themselves.
  */
 
 #ifndef MEMORIA_CHECK_EQUIV_HH
@@ -56,17 +62,6 @@ struct EquivOptions
      * fallback only when shrinking was inconclusive.
      */
     bool stopAfterConclusiveSize = false;
-
-    /**
-     * Worker threads for the (seed) rounds of each trial size. Every
-     * round is independent — its own pair of interpreters over its own
-     * seeded data — so rounds run concurrently and the outcomes are
-     * folded in seed order, making the result (and the executed round
-     * set, hence all obs counters) identical for every jobs value.
-     * Workers inherit the caller's budget token, so deadlines and
-     * iteration budgets still cancel cooperatively.
-     */
-    int jobs = 1;
 };
 
 /** Outcome of a differential check. */

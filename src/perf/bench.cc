@@ -151,11 +151,14 @@ benchSuite()
         static obs::Counter &cAnalyses = obs::counter("model.nest_analyses");
         static obs::Counter &cGraphs =
             obs::counter("dependence.graph_builds");
+        static obs::Counter &cCompiles =
+            obs::counter("interp.tape_compiles");
         ModelParams params;
         PipelineOptions popts;
         uint64_t nests = 0, changed = 0;
         uint64_t analysesBefore = cAnalyses.value();
         uint64_t graphsBefore = cGraphs.value();
+        uint64_t compilesBefore = cCompiles.value();
         for (const Program &p : progs) {
             OptimizedProgram opt = optimizeProgram(p, params, popts);
             nests += static_cast<uint64_t>(opt.report.nests);
@@ -166,6 +169,7 @@ benchSuite()
         c["changed"] = changed;
         c["nest_analyses"] = cAnalyses.value() - analysesBefore;
         c["graph_builds"] = cGraphs.value() - graphsBefore;
+        c["tape_compiles"] = cCompiles.value() - compilesBefore;
     }});
 
     suite.push_back({"oracle", [](Counters &c) {
@@ -186,6 +190,9 @@ benchSuite()
                 }
                 return v;
             }();
+        static obs::Counter &cCompiles =
+            obs::counter("interp.tape_compiles");
+        uint64_t compilesBefore = cCompiles.value();
         uint64_t compared = 0, equivalent = 0;
         for (const auto &[ref, cand] : pairs) {
             EquivResult r = checkEquivalence(ref, cand);
@@ -195,6 +202,7 @@ benchSuite()
         c["pairs"] = pairs.size();
         c["compared_runs"] = compared;
         c["equivalent"] = equivalent;
+        c["tape_compiles"] = cCompiles.value() - compilesBefore;
     }});
 
     suite.push_back({"simulate", [](Counters &c) {
@@ -264,6 +272,8 @@ benchSuite()
         static obs::Counter &cAnalyses = obs::counter("model.nest_analyses");
         static obs::Counter &cGraphs =
             obs::counter("dependence.graph_builds");
+        static obs::Counter &cCompiles =
+            obs::counter("interp.tape_compiles");
         harness::BatchOptions bopts;
         bopts.jobs = 2;
         bopts.cacheConfigs = {CacheConfig::rs6000(),
@@ -272,6 +282,7 @@ benchSuite()
         uint64_t checksBefore = cChecks.value();
         uint64_t analysesBefore = cAnalyses.value();
         uint64_t graphsBefore = cGraphs.value();
+        uint64_t compilesBefore = cCompiles.value();
         harness::BatchReport rep =
             harness::runBatch(harness::corpusInputs(10), bopts);
         uint64_t accesses = 0, iterations = 0;
@@ -289,6 +300,7 @@ benchSuite()
         c["equiv_checks"] = cChecks.value() - checksBefore;
         c["nest_analyses"] = cAnalyses.value() - analysesBefore;
         c["graph_builds"] = cGraphs.value() - graphsBefore;
+        c["tape_compiles"] = cCompiles.value() - compilesBefore;
     }});
 
     return suite;

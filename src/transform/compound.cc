@@ -104,7 +104,7 @@ struct VerifyScratch
  * the candidate was rejected, or an empty string when it passes.
  */
 std::string
-verifyAgainst(const Program &ref, const Program &cand, int jobs)
+verifyAgainst(const Program &ref, const Program &cand)
 {
     // Verification time accrues to the request's verify stage even
     // though it runs nested inside the optimize stage; the optimize
@@ -113,9 +113,7 @@ verifyAgainst(const Program &ref, const Program &cand, int jobs)
     std::vector<Diag> diags = validateProgram(cand);
     if (!diags.empty())
         return "IR validation: " + diags.front().str();
-    EquivOptions eo = guardEquivOptions();
-    eo.jobs = jobs;
-    EquivResult eq = checkEquivalence(ref, cand, eo);
+    EquivResult eq = checkEquivalence(ref, cand, guardEquivOptions());
     if (!eq.equivalent)
         return eq.detail;
     return {};
@@ -324,7 +322,7 @@ optimizeNest(const Program &prog, std::vector<NodePtr> &ownerBody,
         candP.name = prog.name + "#opt";
         for (size_t s = 0; s < slots; ++s)
             candP.body.push_back(cloneNode(*ownerBody[index + s]));
-        std::string why = verifyAgainst(refP, candP, opts.verifyJobs);
+        std::string why = verifyAgainst(refP, candP);
         if (!why.empty()) {
             auto first =
                 ownerBody.begin() + static_cast<std::ptrdiff_t>(index);
@@ -463,8 +461,7 @@ compoundTransform(Program &prog, const ModelParams &params,
             Program &refP = scratch.refP;
             refP.name = prog.name + "#prefuse";
             refP.body = std::move(snapshot);
-            std::string why =
-                verifyAgainst(refP, prog, opts.verifyJobs);
+            std::string why = verifyAgainst(refP, prog);
             if (!why.empty()) {
                 prog.body = std::move(refP.body);
                 result.fusion.failVerify += 1;

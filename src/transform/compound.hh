@@ -109,13 +109,6 @@ struct CompoundOptions
 
     /** Enable the distribution step (Section 4.4); see enableFuseAll. */
     bool enableDistribution = true;
-
-    /**
-     * Worker threads for the equivalence oracle's seed rounds (see
-     * EquivOptions::jobs). Verdicts and counters are identical for
-     * every value; >1 only buys wall-clock time on multi-core hosts.
-     */
-    int verifyJobs = 1;
 };
 
 /** Run Compound on a whole program in place. */

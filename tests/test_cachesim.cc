@@ -27,8 +27,12 @@ CacheConfig
 makeConfig(int64_t size, int assoc, int line)
 {
     CacheConfig c;
-    c.name = "t" + std::to_string(size) + "x" + std::to_string(assoc) +
-             "x" + std::to_string(line);
+    c.name = "t";
+    c.name += std::to_string(size);
+    c.name += "x";
+    c.name += std::to_string(assoc);
+    c.name += "x";
+    c.name += std::to_string(line);
     c.sizeBytes = size;
     c.associativity = assoc;
     c.lineBytes = line;
