@@ -45,12 +45,6 @@ CacheConfig::i860()
 }
 
 double
-CacheStats::hitRate() const
-{
-    return accesses == 0 ? 100.0 : 100.0 * hits / accesses;
-}
-
-double
 CacheStats::hitRateWarm() const
 {
     uint64_t warm = accesses - coldMisses;
@@ -173,15 +167,6 @@ Cache::publishStats(const std::string &prefix) const
     obs::counter(prefix + ".misses") += stats_.misses;
     obs::counter(prefix + ".cold_misses") += stats_.coldMisses;
     obs::counter(prefix + ".evictions") += stats_.evictions;
-}
-
-void
-Cache::reset()
-{
-    stats_ = CacheStats{};
-    std::fill(fill_.begin(), fill_.end(), 0);
-    std::fill(seenBits_.begin(), seenBits_.end(), 0);
-    seenOutside_.clear();
 }
 
 } // namespace memoria

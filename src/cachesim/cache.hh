@@ -53,9 +53,6 @@ struct CacheStats
     uint64_t coldMisses = 0;
     uint64_t evictions = 0;  ///< valid lines displaced by a fill
 
-    /** Hit rate in percent over all accesses. */
-    double hitRate() const;
-
     /** Hit rate in percent with cold misses excluded (Table 4). */
     double hitRateWarm() const;
 
@@ -137,9 +134,6 @@ class Cache : public MemoryListener
 
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return config_; }
-
-    /** Empty the cache and zero the statistics. */
-    void reset();
 
     /**
      * Emit every `period`-th access as a `cachesim/access` trace event

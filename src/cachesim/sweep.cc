@@ -6,14 +6,12 @@ namespace memoria {
 
 MultiCacheSim::MultiCacheSim(const std::vector<CacheConfig> &configs,
                              SweepReuseOptions reuse)
-    : reuseOpts_(reuse)
 {
     caches_.reserve(configs.size());
     for (const CacheConfig &c : configs)
         caches_.emplace_back(c);
-    if (reuseOpts_.enabled)
-        reuse_ = std::make_unique<ReuseDistanceAnalyzer>(
-            reuseOpts_.lineBytes);
+    if (reuse.enabled)
+        reuse_ = std::make_unique<ReuseDistanceAnalyzer>(reuse.lineBytes);
 }
 
 void
@@ -30,18 +28,6 @@ MultiCacheSim::consumeBatch(const AccessRecord *rec, size_t n)
                            rec[i].isWrite);
     static obs::Counter &cBatches = obs::counter("cachesim.sweep.batches");
     ++cBatches;
-}
-
-void
-MultiCacheSim::reset()
-{
-    for (Cache &c : caches_)
-        c.reset();
-    // ReuseDistanceAnalyzer has no reset; rebuild with the same
-    // geometry (line size is its only construction parameter).
-    if (reuse_)
-        reuse_ = std::make_unique<ReuseDistanceAnalyzer>(
-            reuseOpts_.lineBytes);
 }
 
 } // namespace memoria

@@ -72,12 +72,8 @@ class MultiCacheSim final : public MemoryListener
     /** Null unless reuse mode was enabled. */
     const ReuseDistanceAnalyzer *reuse() const { return reuse_.get(); }
 
-    /** Empty every cache and the analyzer; zero all statistics. */
-    void reset();
-
   private:
     std::vector<Cache> caches_;
-    SweepReuseOptions reuseOpts_;
     std::unique_ptr<ReuseDistanceAnalyzer> reuse_;
 };
 

@@ -320,13 +320,4 @@ validateProgram(const Program &prog, const ValidateOptions &opts)
     return diags;
 }
 
-Status
-validateProgramStatus(const Program &prog, const ValidateOptions &opts)
-{
-    std::vector<Diag> diags = validateProgram(prog, opts);
-    if (diags.empty())
-        return Status{};
-    return Status::err(diags.front());
-}
-
 } // namespace memoria

@@ -46,10 +46,6 @@ struct ValidateOptions
 std::vector<Diag> validateProgram(const Program &prog,
                                   const ValidateOptions &opts = {});
 
-/** First violation as a Status (ok when the program is valid). */
-Status validateProgramStatus(const Program &prog,
-                             const ValidateOptions &opts = {});
-
 } // namespace memoria
 
 #endif // MEMORIA_CHECK_VALIDATE_HH

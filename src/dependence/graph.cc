@@ -1,7 +1,5 @@
 #include "dependence/graph.hh"
 
-#include <algorithm>
-
 #include "dependence/tests.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
@@ -67,15 +65,6 @@ DependenceGraph::DependenceGraph(const Program &prog,
     static obs::Counter &cBuilds = obs::counter("dependence.graph_builds");
     ++cBuilds;
     build(prog);
-}
-
-int
-DependenceGraph::positionOf(int stmtId) const
-{
-    for (size_t i = 0; i < scope_.size(); ++i)
-        if (scope_[i].node->stmt.id == stmtId)
-            return static_cast<int>(i);
-    return -1;
 }
 
 void
@@ -148,60 +137,6 @@ DependenceGraph::build(const Program &prog)
             addEdges(occs[i], occs[j], false);
         }
     }
-}
-
-std::vector<std::vector<int>>
-DependenceGraph::sccs(const std::function<bool(const DepEdge &)> &keep) const
-{
-    int n = static_cast<int>(scope_.size());
-    std::vector<std::vector<int>> adj(n);
-    for (const auto &e : edges_) {
-        if (!e.constrains() || !keep(e))
-            continue;
-        adj[e.srcPos].push_back(e.dstPos);
-    }
-
-    // Tarjan's algorithm (iterative would be sturdier, but scopes are
-    // small: tens of statements).
-    std::vector<int> index(n, -1), low(n, 0), stackPos(n, 0);
-    std::vector<bool> onStack(n, false);
-    std::vector<int> stack;
-    std::vector<std::vector<int>> components;
-    int counter = 0;
-
-    std::function<void(int)> strongConnect = [&](int v) {
-        index[v] = low[v] = counter++;
-        stack.push_back(v);
-        onStack[v] = true;
-        for (int w : adj[v]) {
-            if (index[w] < 0) {
-                strongConnect(w);
-                low[v] = std::min(low[v], low[w]);
-            } else if (onStack[w]) {
-                low[v] = std::min(low[v], index[w]);
-            }
-        }
-        if (low[v] == index[v]) {
-            std::vector<int> comp;
-            int w;
-            do {
-                w = stack.back();
-                stack.pop_back();
-                onStack[w] = false;
-                comp.push_back(w);
-            } while (w != v);
-            std::sort(comp.begin(), comp.end());
-            components.push_back(std::move(comp));
-        }
-    };
-
-    for (int v = 0; v < n; ++v)
-        if (index[v] < 0)
-            strongConnect(v);
-
-    // Tarjan emits components in reverse topological order.
-    std::reverse(components.begin(), components.end());
-    return components;
 }
 
 } // namespace memoria

@@ -11,7 +11,6 @@
 #ifndef MEMORIA_DEPENDENCE_GRAPH_HH
 #define MEMORIA_DEPENDENCE_GRAPH_HH
 
-#include <functional>
 #include <vector>
 
 #include "dependence/vector.hh"
@@ -69,18 +68,6 @@ class DependenceGraph
 
     const std::vector<DepEdge> &edges() const { return edges_; }
     const std::vector<StmtContext> &scope() const { return scope_; }
-
-    /** Position of a statement id within the scope; -1 if absent. */
-    int positionOf(int stmtId) const;
-
-    /**
-     * Strongly connected components of the statement graph restricted to
-     * edges satisfying `keep` (input dependences never form recurrences
-     * and are always excluded). Components are returned in a topological
-     * order of the condensation; each component lists scope positions.
-     */
-    std::vector<std::vector<int>>
-    sccs(const std::function<bool(const DepEdge &)> &keep) const;
 
   private:
     void build(const Program &prog);

@@ -25,43 +25,16 @@ permutationLegal(const std::vector<DepEdge> &edges,
     return true;
 }
 
-bool
-prefixFeasible(const std::vector<DepEdge> &edges,
-               const std::vector<int> &prefix)
+std::vector<DepEdge>
+edgesWithReversedLevels(const std::vector<DepEdge> &edges,
+                        const std::vector<int> &levels)
 {
-    for (const auto &e : edges) {
-        if (!e.constrains())
-            continue;
-        bool resolved = false;
-        for (int p : prefix) {
-            if (p >= static_cast<int>(e.vec.levels.size()))
-                continue;
-            const DepLevel &l = e.vec.levels[p];
-            if (l.isLT()) {
-                resolved = true;
-                break;  // guaranteed positive already
-            }
-            if (l.canGT())
-                return false;  // could go negative at this position
-            // Level is '=' (or '<='): keep scanning.
-        }
-        (void)resolved;
-    }
-    return true;
-}
-
-bool
-reversalLegal(const std::vector<DepEdge> &edges, int level)
-{
-    for (const auto &e : edges) {
-        if (!e.constrains())
-            continue;
-        if (level >= static_cast<int>(e.vec.levels.size()))
-            continue;
-        if (e.vec.withLevelReversed(level).maybeNegative())
-            return false;
-    }
-    return true;
+    std::vector<DepEdge> out = edges;
+    for (auto &e : out)
+        for (int l : levels)
+            if (l < static_cast<int>(e.vec.levels.size()))
+                e.vec = e.vec.withLevelReversed(l);
+    return out;
 }
 
 bool

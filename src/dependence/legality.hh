@@ -4,8 +4,8 @@
  *
  * Legality follows the classic rules the paper builds on: a permutation
  * is legal when every permuted dependence vector stays lexicographically
- * non-negative; reversal is legal when dependences remain carried on
- * outer loops; distribution must keep recurrences (dependence cycles)
+ * non-negative, with the vectors of any reversed loops flipped first;
+ * distribution must keep recurrences (dependence cycles)
  * within one partition; fusion must not reverse any inter-nest
  * dependence [War84].
  */
@@ -28,18 +28,13 @@ bool permutationLegal(const std::vector<DepEdge> &edges,
                       const std::vector<int> &perm);
 
 /**
- * True when the partial outer-to-inner placement `prefix` (original
- * level indices) can still be completed into a legal permutation: no
- * dependence can become negative within the placed prefix.
+ * The dependences after reversing the loops at original `levels`: each
+ * such level of every vector flips direction. A reversal-enabled
+ * permutation is legal when permutationLegal holds on these edges.
  */
-bool prefixFeasible(const std::vector<DepEdge> &edges,
-                    const std::vector<int> &prefix);
-
-/**
- * True when reversing the iteration direction of level `level` keeps
- * every constraining dependence lexicographically non-negative.
- */
-bool reversalLegal(const std::vector<DepEdge> &edges, int level);
+std::vector<DepEdge>
+edgesWithReversedLevels(const std::vector<DepEdge> &edges,
+                        const std::vector<int> &levels);
 
 /**
  * True when the edge is definitely carried at a level shallower than

@@ -65,19 +65,6 @@ DepVector::maybeNegative() const
     return false;
 }
 
-bool
-DepVector::lexPositive() const
-{
-    if (maybeNegative())
-        return false;
-    // Not maybe-negative, so the only non-positive possibility left is
-    // the all-equals combination.
-    for (const auto &l : levels)
-        if (!l.canEQ())
-            return true;
-    return false;
-}
-
 DepVector
 DepVector::reversed() const
 {
@@ -89,32 +76,11 @@ DepVector::reversed() const
 }
 
 DepVector
-DepVector::permuted(const std::vector<int> &perm) const
-{
-    MEMORIA_ASSERT(perm.size() == levels.size(),
-                   "permutation size mismatch");
-    DepVector out;
-    out.levels.reserve(levels.size());
-    for (int p : perm)
-        out.levels.push_back(levels.at(p));
-    return out;
-}
-
-DepVector
 DepVector::withLevelReversed(int level) const
 {
     DepVector out = *this;
     out.levels.at(level) = out.levels.at(level).reversed();
     return out;
-}
-
-int
-DepVector::carrierLevel() const
-{
-    for (size_t i = 0; i < levels.size(); ++i)
-        if (!levels[i].canEQ())
-            return static_cast<int>(i);
-    return -1;
 }
 
 std::string

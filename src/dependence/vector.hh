@@ -75,25 +75,14 @@ struct DepVector
     /** Every level is exactly '='. */
     bool allEq() const;
 
-    /** Guaranteed lexicographically positive (a '<' level is reached
-     *  before any level that could be '>' or the walk ends). */
-    bool lexPositive() const;
-
     /** Could be lexicographically negative for some direction choice. */
     bool maybeNegative() const;
 
     /** The vector of the reversed dependence (sink -> source). */
     DepVector reversed() const;
 
-    /** Reorder the levels by a loop permutation: out[i] = in[perm[i]]. */
-    DepVector permuted(const std::vector<int> &perm) const;
-
     /** Negate one level (the effect of reversing that loop). */
     DepVector withLevelReversed(int level) const;
-
-    /** First level that is definitely not '=' (-1 if none): the level
-     *  that carries the dependence. */
-    int carrierLevel() const;
 
     /** Render like "(<, =, 2)". */
     std::string str() const;

@@ -81,19 +81,6 @@ programAccessStats(Program &prog, const ModelParams &params)
     return total;
 }
 
-Poly
-programNestCost(Program &prog, const ModelParams &params)
-{
-    Poly total;
-    for (auto &n : prog.body) {
-        if (!n->isLoop() || loopDepth(*n) < 2)
-            continue;
-        NestAnalysis na(prog, n.get(), params);
-        total += nestCost(na);
-    }
-    return total;
-}
-
 OptimizedProgram
 optimizeProgram(const Program &input, const ModelParams &params,
                 const PipelineOptions &opts)

@@ -164,9 +164,6 @@ Program idealProgram(const Program &input, const ModelParams &params);
 /** Access statistics of a whole program (every depth>=2 nest). */
 AccessStats programAccessStats(Program &prog, const ModelParams &params);
 
-/** Aggregate LoopCost (nestCost summed over depth>=2 nests). */
-Poly programNestCost(Program &prog, const ModelParams &params);
-
 } // namespace memoria
 
 #endif // MEMORIA_DRIVER_MEMORIA_HH

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -15,6 +14,7 @@
 #include "harness/fault.hh"
 #include "suite/corpus.hh"
 #include "suite/kernels.hh"
+#include "support/clock.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
 #include "transform/compound.hh"
@@ -35,14 +35,6 @@ struct InputError
 {
     Diag diag;
 };
-
-double
-nowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** JSON string escaping (quotes included). */
 std::string
@@ -233,7 +225,7 @@ runIsolated(const BatchInput &in, const BatchOptions &opts)
 {
     ProgramOutcome out;
     out.name = in.name;
-    const double t0 = nowMs();
+    const double t0 = steadyMsF();
 
     ProgramContext pctx(in.name);
 
@@ -300,7 +292,7 @@ runIsolated(const BatchInput &in, const BatchOptions &opts)
     }
 
     out.faultHits = drainFaultHits();
-    out.timeMs = nowMs() - t0;
+    out.timeMs = steadyMsF() - t0;
 
     const obs::StageTimes &st = obs::stageTimes();
     out.timings.loadUs = st.loadUs;
@@ -597,7 +589,7 @@ runBatch(const std::vector<BatchInput> &inputs, const BatchOptions &opts)
 {
     BatchReport report;
     report.programs.resize(inputs.size());
-    const double t0 = nowMs();
+    const double t0 = steadyMsF();
 
     obs::TraceScope span("batch", "run");
     span.arg("programs", static_cast<int64_t>(inputs.size()));
@@ -639,7 +631,7 @@ runBatch(const std::vector<BatchInput> &inputs, const BatchOptions &opts)
 
     setFaultAccounting(false);
 
-    report.totalMs = nowMs() - t0;
+    report.totalMs = steadyMsF() - t0;
     obs::counter("batch.programs") += inputs.size();
     for (const ProgramOutcome &p : report.programs) {
         ++obs::counter(statusCounterName(p.status));

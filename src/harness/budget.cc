@@ -32,10 +32,11 @@ CancelledError::str() const
 }
 
 CancelToken::CancelToken(const Budget &budget)
-    : budget_(budget), start_(std::chrono::steady_clock::now())
+    : budget_(budget)
 {
     deadline_ = budget_.deadlineMs > 0
-                    ? start_ + std::chrono::milliseconds(budget_.deadlineMs)
+                    ? std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(budget_.deadlineMs)
                     : std::chrono::steady_clock::time_point::max();
 }
 
@@ -71,14 +72,6 @@ CancelToken::chargeIrNodes(uint64_t nodes, const char *where)
     if (budget_.maxIrNodes > 0 && nodes > budget_.maxIrNodes)
         throw CancelledError{CancelKind::IrBudget, where};
     poll(where);
-}
-
-int64_t
-CancelToken::elapsedMs() const
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
 }
 
 CancelToken *

@@ -95,14 +95,10 @@ class CancelToken
         return irNodesSeen_.load(std::memory_order_relaxed);
     }
 
-    /** Milliseconds elapsed since the token was created. */
-    int64_t elapsedMs() const;
-
     const Budget &budget() const { return budget_; }
 
   private:
     Budget budget_;
-    std::chrono::steady_clock::time_point start_;
     std::chrono::steady_clock::time_point deadline_;
     std::atomic<bool> cancelled_{false};
     std::atomic<uint64_t> iterations_{0};

@@ -9,6 +9,7 @@
 
 #include "harness/budget.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
 
 namespace memoria {
 namespace harness {
@@ -214,10 +215,7 @@ seededFault(uint64_t seed)
     std::vector<std::string> names = faultSites();
     MEMORIA_ASSERT(!names.empty(), "no fault sites registered");
     // splitmix64 step so consecutive seeds pick unrelated sites.
-    uint64_t h = seed + 0x9e3779b97f4a7c15ULL;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    h ^= h >> 31;
+    const uint64_t h = splitmix64(seed);
     FaultSpec spec;
     spec.site = names[h % names.size()];
     // % 3 on purpose: seeded campaigns must stay containable, so Abort
@@ -315,12 +313,6 @@ ProgramContext::ProgramContext(std::string name)
 ProgramContext::~ProgramContext()
 {
     tlsProgram = std::move(prev_);
-}
-
-const std::string &
-currentProgram()
-{
-    return tlsProgram;
 }
 
 } // namespace harness

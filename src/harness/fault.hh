@@ -174,9 +174,6 @@ class ProgramContext
     std::string prev_;
 };
 
-/** The current thread's program name ("" outside any context). */
-const std::string &currentProgram();
-
 } // namespace harness
 } // namespace memoria
 

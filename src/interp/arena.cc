@@ -120,76 +120,85 @@ ProgramArena::addNode(const ::memoria::Node &n)
     return static_cast<ArenaId>(nodes_.size() - 1);
 }
 
-AffineExpr
-ProgramArena::affineExpr(ArenaId id) const
-{
-    const Affine &a = affines_.at(id);
-    AffineExpr e(a.constant);
-    for (int32_t i = 0; i < a.termCount; ++i) {
-        const Term &t = terms_[a.firstTerm + i];
-        e = e + AffineExpr::makeVar(t.var, t.coeff);
-    }
-    return e;
-}
+namespace {
 
-ArrayRef
-ProgramArena::refExpr(ArenaId id) const
+/** Rebuilds tree IR from an arena's pools, for toProgram(). */
+struct Rebuild
 {
-    const Ref &r = refs_.at(id);
-    ArrayRef out;
-    out.array = r.array;
-    out.subs.reserve(r.subCount);
-    for (int32_t k = 0; k < r.subCount; ++k) {
-        const Sub &s = subs_[r.firstSub + k];
-        if (s.opaque != kNoArena)
-            out.subs.push_back(Subscript::makeOpaque(valueExpr(s.opaque)));
-        else
-            out.subs.push_back(Subscript(affineExpr(s.affine)));
-    }
-    return out;
-}
+    const ProgramArena &a;
 
-ValuePtr
-ProgramArena::valueExpr(ArenaId id) const
-{
-    const Val &v = vals_.at(id);
-    switch (v.op) {
-      case ValOp::Const:
-        return Value::makeConst(v.constant);
-      case ValOp::Index:
-        return Value::makeIndex(affineExpr(v.index));
-      case ValOp::Load:
-        return Value::makeLoad(refExpr(v.ref));
-      default: {
-        std::vector<ValuePtr> kids;
-        kids.push_back(valueExpr(v.kid0));
-        if (v.kid1 != kNoArena)
-            kids.push_back(valueExpr(v.kid1));
-        return Value::make(v.op, std::move(kids));
-      }
+    AffineExpr
+    affine(ArenaId id) const
+    {
+        const ProgramArena::Affine &x = a.affines().at(id);
+        AffineExpr e(x.constant);
+        for (int32_t i = 0; i < x.termCount; ++i) {
+            const ProgramArena::Term &t = a.terms()[x.firstTerm + i];
+            e = e + AffineExpr::makeVar(t.var, t.coeff);
+        }
+        return e;
     }
-}
 
-NodePtr
-ProgramArena::nodeExpr(ArenaId id) const
-{
-    const Node &n = nodes_.at(id);
-    if (!n.isLoop) {
-        const Stmt &s = stmts_.at(n.stmt);
-        Statement stmt;
-        stmt.id = s.id;
-        stmt.write = refExpr(s.write);
-        stmt.rhs = valueExpr(s.rhs);
-        return ::memoria::Node::makeStmt(std::move(stmt));
+    ArrayRef
+    ref(ArenaId id) const
+    {
+        const ProgramArena::Ref &r = a.refs().at(id);
+        ArrayRef out;
+        out.array = r.array;
+        out.subs.reserve(r.subCount);
+        for (int32_t k = 0; k < r.subCount; ++k) {
+            const ProgramArena::Sub &s = a.subs()[r.firstSub + k];
+            if (s.opaque != kNoArena)
+                out.subs.push_back(Subscript::makeOpaque(value(s.opaque)));
+            else
+                out.subs.push_back(Subscript(affine(s.affine)));
+        }
+        return out;
     }
-    std::vector<NodePtr> body;
-    body.reserve(n.childCount);
-    for (int32_t i = 0; i < n.childCount; ++i)
-        body.push_back(nodeExpr(children_[n.firstChild + i]));
-    return ::memoria::Node::makeLoop(n.var, affineExpr(n.lb),
-                                     affineExpr(n.ub), n.step,
-                                     std::move(body));
-}
+
+    ValuePtr
+    value(ArenaId id) const
+    {
+        const ProgramArena::Val &v = a.vals().at(id);
+        switch (v.op) {
+          case ValOp::Const:
+            return Value::makeConst(v.constant);
+          case ValOp::Index:
+            return Value::makeIndex(affine(v.index));
+          case ValOp::Load:
+            return Value::makeLoad(ref(v.ref));
+          default: {
+            std::vector<ValuePtr> kids;
+            kids.push_back(value(v.kid0));
+            if (v.kid1 != kNoArena)
+                kids.push_back(value(v.kid1));
+            return Value::make(v.op, std::move(kids));
+          }
+        }
+    }
+
+    NodePtr
+    node(ArenaId id) const
+    {
+        const ProgramArena::Node &n = a.nodes().at(id);
+        if (!n.isLoop) {
+            const ProgramArena::Stmt &s = a.stmts().at(n.stmt);
+            Statement stmt;
+            stmt.id = s.id;
+            stmt.write = ref(s.write);
+            stmt.rhs = value(s.rhs);
+            return Node::makeStmt(std::move(stmt));
+        }
+        std::vector<NodePtr> body;
+        body.reserve(n.childCount);
+        for (int32_t i = 0; i < n.childCount; ++i)
+            body.push_back(node(a.childIndex()[n.firstChild + i]));
+        return Node::makeLoop(n.var, affine(n.lb), affine(n.ub), n.step,
+                              std::move(body));
+    }
+};
+
+} // namespace
 
 Program
 ProgramArena::toProgram() const
@@ -198,8 +207,9 @@ ProgramArena::toProgram() const
     out.name = src_->name;
     out.vars = src_->vars;
     out.arrays = src_->arrays;
+    Rebuild rebuild{*this};
     for (ArenaId root : roots_)
-        out.body.push_back(nodeExpr(root));
+        out.body.push_back(rebuild.node(root));
     return out;
 }
 

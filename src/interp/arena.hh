@@ -147,9 +147,6 @@ class ProgramArena
         return r;
     }
 
-    /** Reconstruct the AffineExpr for pool entry `id`. */
-    AffineExpr affineExpr(ArenaId id) const;
-
     /** Rebuild an equivalent tree Program (round-trip check). The
      *  declarations are copied from the source as they are. */
     Program toProgram() const;
@@ -159,11 +156,6 @@ class ProgramArena
     ArenaId addRef(const ArrayRef &ref);
     ArenaId addValue(const ValuePtr &v);
     ArenaId addNode(const ::memoria::Node &n);
-
-    // Reconstruction helpers for toProgram().
-    ArrayRef refExpr(ArenaId id) const;
-    ValuePtr valueExpr(ArenaId id) const;
-    NodePtr nodeExpr(ArenaId id) const;
 
     const Program *src_;
 

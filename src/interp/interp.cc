@@ -248,14 +248,6 @@ Interpreter::evalAffine(const AffineExpr &e) const
     return r;
 }
 
-int64_t
-Interpreter::paramValue(VarId v) const
-{
-    MEMORIA_ASSERT(prog_.varInfo(v).kind == VarKind::Param,
-                   "paramValue of a loop variable");
-    return env_[v];
-}
-
 Status
 Interpreter::run(MemoryListener *listener)
 {

@@ -116,9 +116,6 @@ class Interpreter
 
     const ExecStats &stats() const { return stats_; }
 
-    /** Bound value of a parameter. */
-    int64_t paramValue(VarId v) const;
-
     /** Virtual base address of an array. */
     uint64_t arrayBase(ArrayId a) const { return bases_.at(a); }
 

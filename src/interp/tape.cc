@@ -144,17 +144,6 @@ Tape::addAffine(const ProgramArena &arena, ArenaId id)
     return static_cast<int32_t>(affines_.size() - 1);
 }
 
-AffineExpr
-Tape::affineExpr(int32_t id) const
-{
-    const Aff &a = affines_.at(id);
-    AffineExpr e(a.constant);
-    for (int32_t i = 0; i < a.termCount; ++i)
-        e = e + AffineExpr::makeVar(termVar_[a.firstTerm + i],
-                                    termCoeff_[a.firstTerm + i]);
-    return e;
-}
-
 bool
 Tape::affineInterval(const ProgramArena &arena, ArenaId id,
                      Interval &out) const
@@ -745,6 +734,14 @@ std::string
 Tape::disassemble() const
 {
     auto nameOf = [this](VarId v) { return prog_->varName(v); };
+    auto affine = [&](int32_t id) {
+        const Aff &a = affines_.at(id);
+        AffineExpr e(a.constant);
+        for (int32_t i = 0; i < a.termCount; ++i)
+            e = e + AffineExpr::makeVar(termVar_[a.firstTerm + i],
+                                        termCoeff_[a.firstTerm + i]);
+        return e.str(nameOf);
+    };
     std::ostringstream os;
     os << "tape '" << prog_->name << "': " << code_.size()
        << " instrs, " << loops_.size() << " loops, " << fastRefs_
@@ -759,8 +756,8 @@ Tape::disassemble() const
           case Op::LoopBegin: {
             const Loop &L = loops_[in.a];
             os << "loop.begin " << nameOf(L.var) << " = <"
-               << affineExpr(L.lb).str(nameOf) << "> .. <"
-               << affineExpr(L.ub).str(nameOf) << "> step " << L.step
+               << affine(L.lb) << "> .. <"
+               << affine(L.ub) << "> step " << L.step
                << " end@" << in.b;
             break;
           }
@@ -779,7 +776,7 @@ Tape::disassemble() const
             break;
           }
           case Op::PushIndex:
-            os << "push.index <" << affineExpr(in.a).str(nameOf) << ">";
+            os << "push.index <" << affine(in.a) << ">";
             break;
           case Op::Add: os << "add"; break;
           case Op::Sub: os << "sub"; break;
@@ -796,7 +793,7 @@ Tape::disassemble() const
           case Op::DimAffine: {
             const Dim &d = dims_[in.a];
             os << "dim.affine " << prog_->arrayDecl(d.array).name << "#"
-               << d.subIndex + 1 << " <" << affineExpr(d.affine).str(nameOf)
+               << d.subIndex + 1 << " <" << affine(d.affine)
                << "> stride " << d.stride
                << (d.check ? " check 1.." : " proven 1..") << d.extent;
             break;
@@ -820,13 +817,13 @@ Tape::disassemble() const
             break;
           case Op::LoadFast:
             os << "load.fast " << prog_->arrayDecl(in.b).name << "[<"
-               << affineExpr(in.a).str(nameOf) << ">]";
+               << affine(in.a) << ">]";
             if (in.flags & kFlagRegister)
                 os << " reg";
             break;
           case Op::StoreFast:
             os << "store.fast " << prog_->arrayDecl(in.b).name << "[<"
-               << affineExpr(in.a).str(nameOf) << ">]";
+               << affine(in.a) << ">]";
             if (in.flags & kFlagRegister)
                 os << " reg";
             break;

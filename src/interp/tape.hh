@@ -201,9 +201,6 @@ class Tape
                               int lastStmt, const std::string &code,
                               const std::string &msg) const;
 
-    /** Reconstructed AffineExpr for disassembly. */
-    AffineExpr affineExpr(int32_t id) const;
-
     const Program *prog_;
 
     /** Compile-time view of the interpreter's binding (extents, bases,

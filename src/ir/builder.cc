@@ -35,18 +35,6 @@ Arr::operator()(const Ix &i, const Ix &j, const Ix &k) const
 }
 
 Ref
-Arr::operator()(const Ix &i, const Ix &j, const Ix &k, const Ix &l) const
-{
-    ArrayRef r;
-    r.array = id;
-    r.subs.emplace_back(i.e);
-    r.subs.emplace_back(j.e);
-    r.subs.emplace_back(k.e);
-    r.subs.emplace_back(l.e);
-    return {r};
-}
-
-Ref
 Arr::at(std::vector<Subscript> subs) const
 {
     ArrayRef r;
@@ -79,18 +67,6 @@ ProgramBuilder::param(const std::string &name, int64_t value)
 }
 
 Var
-ProgramBuilder::paramFixed(const std::string &name, int64_t value)
-{
-    VarInfo info;
-    info.name = name;
-    info.kind = VarKind::Param;
-    info.paramValue = value;
-    info.paramPoly = Poly(static_cast<double>(value));
-    prog_.vars.push_back(std::move(info));
-    return {static_cast<VarId>(prog_.vars.size() - 1)};
-}
-
-Var
 ProgramBuilder::loopVar(const std::string &name)
 {
     VarInfo info;
@@ -109,16 +85,6 @@ ProgramBuilder::array(const std::string &name, std::vector<Ix> extents,
     decl.elemSize = elemSize;
     for (const auto &ix : extents)
         decl.extents.push_back(ix.e);
-    prog_.arrays.push_back(std::move(decl));
-    return {static_cast<ArrayId>(prog_.arrays.size() - 1)};
-}
-
-Arr
-ProgramBuilder::scalar(const std::string &name)
-{
-    ArrayDecl decl;
-    decl.name = name;
-    decl.isRegister = true;
     prog_.arrays.push_back(std::move(decl));
     return {static_cast<ArrayId>(prog_.arrays.size() - 1)};
 }

@@ -136,8 +136,6 @@ struct Arr
     Ref operator()(const Ix &i) const;
     Ref operator()(const Ix &i, const Ix &j) const;
     Ref operator()(const Ix &i, const Ix &j, const Ix &k) const;
-    Ref operator()(const Ix &i, const Ix &j, const Ix &k,
-                   const Ix &l) const;
 
     /** General form, allowing opaque subscripts. */
     Ref at(std::vector<Subscript> subs) const;
@@ -158,21 +156,12 @@ class ProgramBuilder
     /** Symbolic size parameter; cost model sees it as the symbol n. */
     Var param(const std::string &name, int64_t value);
 
-    /**
-     * Size parameter the cost model treats as a known small constant
-     * (e.g. the 5x5 leading dimensions in Applu).
-     */
-    Var paramFixed(const std::string &name, int64_t value);
-
     /** Declare a loop index variable. */
     Var loopVar(const std::string &name);
 
     /** Declare a column-major array. */
     Arr array(const std::string &name, std::vector<Ix> extents,
               int elemSize = 8);
-
-    /** Declare a rank-0 register scalar (no memory traffic). */
-    Arr scalar(const std::string &name);
 
     /** Build an assignment statement node. */
     NodePtr assign(const Ref &lhs, const Val &rhs);

@@ -28,16 +28,6 @@ AffineExpr::isSingleVar() const
     return constant_ == 0 && terms_.size() == 1 && terms_[0].second == 1;
 }
 
-std::vector<VarId>
-AffineExpr::vars() const
-{
-    std::vector<VarId> out;
-    out.reserve(terms_.size());
-    for (const auto &[var, c] : terms_)
-        out.push_back(var);
-    return out;
-}
-
 AffineExpr
 AffineExpr::operator+(const AffineExpr &o) const
 {

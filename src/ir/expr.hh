@@ -63,9 +63,6 @@ class AffineExpr
     /** All terms, sorted by VarId. */
     const std::vector<Term> &terms() const { return terms_; }
 
-    /** The variables that appear. */
-    std::vector<VarId> vars() const;
-
     /** True when variable v appears with non-zero coefficient. */
     bool uses(VarId v) const { return coeff(v) != 0; }
 

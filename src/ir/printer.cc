@@ -160,14 +160,6 @@ printValue(const Program &prog, const ValuePtr &v)
 }
 
 std::string
-printNode(const Program &prog, const Node &n, int indent)
-{
-    std::ostringstream os;
-    printNodeImpl(prog, n, indent, os);
-    return os.str();
-}
-
-std::string
 printProgram(const Program &prog)
 {
     std::ostringstream os;

@@ -15,9 +15,6 @@ namespace memoria {
 /** Render a whole program, declarations included. */
 std::string printProgram(const Program &prog);
 
-/** Render one node subtree at the given indentation level. */
-std::string printNode(const Program &prog, const Node &n, int indent = 0);
-
 /** Render an array reference like "A(I,K+1)". */
 std::string printRef(const Program &prog, const ArrayRef &ref);
 

@@ -108,16 +108,6 @@ collectLoops(Node *root)
 }
 
 std::vector<Node *>
-topLevelLoops(Program &prog)
-{
-    std::vector<Node *> out;
-    for (auto &n : prog.body)
-        if (n->isLoop())
-            out.push_back(n.get());
-    return out;
-}
-
-std::vector<Node *>
 perfectChain(Node *loop)
 {
     MEMORIA_ASSERT(loop->isLoop(), "perfectChain requires a loop");
@@ -338,29 +328,6 @@ renumberStmtsFrom(Node &n, int &next)
     }
     for (auto &kid : n.body)
         renumberStmtsFrom(*kid, next);
-}
-
-bool
-pathFromRoot(const Node &root, const Node *target, std::vector<int> &path)
-{
-    if (&root == target)
-        return true;
-    for (size_t i = 0; i < root.body.size(); ++i) {
-        path.push_back(static_cast<int>(i));
-        if (pathFromRoot(*root.body[i], target, path))
-            return true;
-        path.pop_back();
-    }
-    return false;
-}
-
-Node *
-resolvePath(Node &root, const std::vector<int> &path)
-{
-    Node *cur = &root;
-    for (int i : path)
-        cur = cur->body.at(i).get();
-    return cur;
 }
 
 bool

@@ -42,9 +42,6 @@ std::vector<RefOcc> collectRefs(const Statement &stmt);
 /** All loop nodes under root, preorder. */
 std::vector<Node *> collectLoops(Node *root);
 
-/** Top-level loop nodes of the program, in order. */
-std::vector<Node *> topLevelLoops(Program &prog);
-
 /**
  * The maximal perfect-nest chain starting at loop: {loop, its only loop
  * child, ...} while each body consists of exactly one loop. The last
@@ -90,16 +87,6 @@ int maxStmtId(const Program &prog);
 
 /** Assign fresh statement ids to every Stmt node in the subtree. */
 void renumberStmtsFrom(Node &n, int &next);
-
-/**
- * Child-index path from `root` to `target` (empty when they are the
- * same node). Returns false when target is not in the subtree.
- */
-bool pathFromRoot(const Node &root, const Node *target,
-                  std::vector<int> &path);
-
-/** Follow a child-index path. */
-Node *resolvePath(Node &root, const std::vector<int> &path);
 
 } // namespace memoria
 

@@ -43,17 +43,6 @@ checkedMul(int64_t a, int64_t b)
 }
 
 int64_t
-checkedAdd(int64_t a, int64_t b)
-{
-    int64_t r = 0;
-    if (__builtin_add_overflow(a, b, &r)) {
-        warnOnce("add");
-        return saturate(a < 0);
-    }
-    return r;
-}
-
-int64_t
 checkedAbs(int64_t a)
 {
     if (a == std::numeric_limits<int64_t>::min()) {

@@ -24,9 +24,6 @@ namespace memoria {
 /** a * b, saturating at the int64 limits on overflow. */
 int64_t checkedMul(int64_t a, int64_t b);
 
-/** a + b, saturating at the int64 limits on overflow. */
-int64_t checkedAdd(int64_t a, int64_t b);
-
 /** |a|, saturating at INT64_MAX (|INT64_MIN| overflows). */
 int64_t checkedAbs(int64_t a);
 

@@ -362,15 +362,6 @@ summarize(std::vector<double> times)
 
 } // namespace
 
-std::vector<std::string>
-benchNames()
-{
-    std::vector<std::string> names;
-    for (const Bench &b : benchSuite())
-        names.push_back(b.name);
-    return names;
-}
-
 BenchReport
 runBenchSuite(const BenchOptions &opts)
 {

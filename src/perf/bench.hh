@@ -98,9 +98,6 @@ struct BenchReport
     std::string toText() const;
 };
 
-/** Names of the registered benchmarks, in execution order. */
-std::vector<std::string> benchNames();
-
 /** Run the suite (optionally filtered) and collect the report. */
 BenchReport runBenchSuite(const BenchOptions &opts = {});
 

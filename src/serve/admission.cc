@@ -34,12 +34,6 @@ parsePriority(const std::string &s, Priority &out)
     return false;
 }
 
-const char *
-priorityName(Priority p)
-{
-    return p == Priority::Interactive ? "interactive" : "batch";
-}
-
 AdmissionController::AdmissionController(AdmissionOptions opts)
     : opts_(opts)
 {

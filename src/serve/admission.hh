@@ -68,7 +68,6 @@ enum class Priority
 
 /** "interactive"/"batch" → Priority; unknown strings report false. */
 bool parsePriority(const std::string &s, Priority &out);
-const char *priorityName(Priority p);
 
 struct AdmissionOptions
 {

@@ -1,7 +1,6 @@
 #include "serve/breaker.hh"
 
-#include <chrono>
-
+#include "support/clock.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
 
@@ -9,14 +8,6 @@ namespace memoria {
 namespace serve {
 
 namespace {
-
-int64_t
-nowMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Attribute a failure detail string to a stage by its dotted prefix
  *  conventions (Diag codes and fault-site names share them). */
@@ -88,7 +79,7 @@ CircuitBreaker::allow()
       case State::Closed:
         return true;
       case State::Open:
-        if (nowMs() - openedAtMs_ >= opts_.cooldownMs) {
+        if (steadyMs() - openedAtMs_ >= opts_.cooldownMs) {
             state_ = State::HalfOpen;
             probeInFlight_ = true;
             obs::traceEvent("serve", "breaker_half_open",
@@ -144,7 +135,7 @@ CircuitBreaker::onFailure(const std::string &detail)
     }
     if (trip) {
         state_ = State::Open;
-        openedAtMs_ = nowMs();
+        openedAtMs_ = steadyMs();
         ++stats_.trips;
         ++obs::counter("serve.breaker." + name_ + ".trips");
         obs::traceEvent("serve", "breaker_trip",

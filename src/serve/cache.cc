@@ -4,32 +4,13 @@
 
 #include "frontend/parser.hh"
 #include "ir/printer.hh"
+#include "support/hash.hh"
 #include "support/stats.hh"
 
 namespace memoria {
 namespace serve {
 
 namespace {
-
-uint64_t
-fnv1a64(const std::string &s, uint64_t h = 1469598103934665603ull)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-std::string
-hex64(uint64_t v)
-{
-    static const char *digits = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i, v >>= 4)
-        out[i] = digits[v & 0xf];
-    return out;
-}
 
 /** 128 bits of key: two differently-seeded FNV passes. Collisions
  *  would serve a wrong-but-well-formed response, so 64 bits is not

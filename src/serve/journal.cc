@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/fdio.hh"
 #include "support/json.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
@@ -21,18 +22,6 @@ Diag
 journalError(const std::string &path, const std::string &why)
 {
     return Diag::error("serve.journal", "'" + path + "': " + why);
-}
-
-/** fsync with EINTR retry: a signal (SIGCHLD from a reaped worker,
- *  the chaos soak's SIGSTOP/SIGCONT) must not silently skip a sync. */
-int
-fsyncRetry(int fd)
-{
-    int rc;
-    do {
-        rc = ::fsync(fd);
-    } while (rc < 0 && errno == EINTR);
-    return rc;
 }
 
 } // namespace
@@ -79,29 +68,22 @@ Journal::appendLocked(const std::string &line)
     if (disabled_)
         return;
     std::string rec = line + "\n";
-    size_t off = 0;
-    while (off < rec.size()) {
-        ssize_t n = ::write(fd_, rec.data() + off, rec.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno == ENOSPC) {
-                // A full disk is a structured degradation: the
-                // journal goes dark, the service keeps answering.
-                // Crash-retry auditing is lost until restart; that is
-                // strictly better than taking the worker down.
-                disabled_ = true;
-                ++obs::counter("serve.journal.disabled");
-                obs::traceEvent("serve", "journal_disabled",
-                                {{"path", path_}});
-                return;
-            }
-            // Any other journal write error must not take requests
-            // down with it; count it and keep serving.
-            ++obs::counter("serve.worker.journal_errors");
-            return;
-        }
-        off += static_cast<size_t>(n);
+    const int err = writeAll(fd_, rec);
+    if (err == ENOSPC) {
+        // A full disk is a structured degradation: the journal goes
+        // dark, the service keeps answering. Crash-retry auditing is
+        // lost until restart; that is strictly better than taking the
+        // worker down.
+        disabled_ = true;
+        ++obs::counter("serve.journal.disabled");
+        obs::traceEvent("serve", "journal_disabled", {{"path", path_}});
+        return;
+    }
+    if (err != 0) {
+        // Any other journal write error must not take requests down
+        // with it; count it and keep serving.
+        ++obs::counter("serve.worker.journal_errors");
+        return;
     }
     bytes_ += rec.size();
     if (opts_.syncEveryRecords > 0 &&
@@ -198,13 +180,6 @@ Journal::bytes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return bytes_;
-}
-
-bool
-Journal::disabled() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return disabled_;
 }
 
 Result<std::vector<JournalEntry>>

@@ -100,9 +100,6 @@ class Journal
     /** Bytes appended to the current file generation. */
     size_t bytes() const;
 
-    /** True once ENOSPC turned durability off (serving continues). */
-    bool disabled() const;
-
     const std::string &path() const { return path_; }
 
     /**

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "support/export.hh"
+#include "support/fdio.hh"
 #include "support/logging.hh"
 #include "support/signals.hh"
 #include "support/stats.hh"
@@ -44,29 +45,20 @@ setCloexec(int fd)
 }
 
 /**
- * write() the whole buffer, riding out EINTR and short writes.
- * Returns false when the peer is gone (EPIPE/ECONNRESET) or the write
- * failed outright — a transport condition, never a service failure,
- * so callers count it and move on without touching breakers.
+ * writeAll() to a client. Returns false when the peer is gone
+ * (EPIPE/ECONNRESET) or the write failed outright — a transport
+ * condition, never a service failure, so callers count it and move on
+ * without touching breakers.
  */
 bool
-writeAll(int fd, const std::string &data)
+sendAll(int fd, const std::string &data)
 {
-    size_t off = 0;
-    while (off < data.size()) {
-        ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno == EPIPE || errno == ECONNRESET)
-                ++obs::counter("serve.client_gone");
-            else
-                ++obs::counter("serve.write_errors");
-            return false;
-        }
-        off += static_cast<size_t>(n);
-    }
-    return true;
+    const int err = writeAll(fd, data);
+    if (err == EPIPE || err == ECONNRESET)
+        ++obs::counter("serve.client_gone");
+    else if (err != 0)
+        ++obs::counter("serve.write_errors");
+    return err == 0;
 }
 
 /**
@@ -90,7 +82,7 @@ struct Conn
         if (!alive.load(std::memory_order_relaxed))
             return;
         std::lock_guard<std::mutex> lock(mutex);
-        if (!writeAll(fd, line + "\n"))
+        if (!sendAll(fd, line + "\n"))
             alive.store(false, std::memory_order_relaxed);
     }
 
@@ -220,7 +212,7 @@ serveMetricsConn(int fd)
         "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
         "Content-Length: " + std::to_string(body.size()) + "\r\n"
         "Connection: close\r\n\r\n" + body;
-    writeAll(fd, resp);
+    sendAll(fd, resp);
     ::close(fd);
 }
 
@@ -255,7 +247,7 @@ runWorkerFd(Executor &executor, int fd)
     std::mutex outMutex;
     auto respond = [&outMutex, fd](const std::string &line) {
         std::lock_guard<std::mutex> lock(outMutex);
-        writeAll(fd, line + "\n");
+        sendAll(fd, line + "\n");
     };
     executor.start();
     pumpLines(fd, [&](const std::string &line) {

@@ -6,6 +6,7 @@
 
 #include "harness/fault.hh"
 #include "serve/snapshot.hh"
+#include "support/clock.hh"
 #include "support/json.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
@@ -14,14 +15,6 @@ namespace memoria {
 namespace serve {
 
 namespace {
-
-double
-nowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 json::Value
 breakerJson(const CircuitBreaker::Snapshot &s)
@@ -153,7 +146,7 @@ Executor::submit(Request req, double enqueuedUs, Answer answer)
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         queue_.push_back(Job{std::move(req), std::move(answer),
-                             enqueuedUs > 0.0 ? enqueuedUs : nowUs()});
+                             enqueuedUs > 0.0 ? enqueuedUs : steadyUsF()});
     }
     queueCv_.notify_one();
 }
@@ -194,7 +187,7 @@ void
 Executor::process(const Job &job)
 {
     const Request &req = job.req;
-    const double startUs = nowUs();
+    const double startUs = steadyUsF();
     const double queueUs =
         job.enqueuedUs > 0.0 ? startUs - job.enqueuedUs : 0.0;
 
@@ -435,7 +428,7 @@ Executor::process(const Job &job)
     ResponseMeta meta;
     meta.traceId = traceId;
     meta.queueUs = queueUs;
-    meta.totalUs = queueUs + (nowUs() - startUs);
+    meta.totalUs = queueUs + (steadyUsF() - startUs);
     obs::histogram("serve.stage.queue_us").sample(queueUs);
     obs::histogram("serve.stage.load_us").sample(out.timings.loadUs);
     obs::histogram("serve.stage.optimize_us")
@@ -586,7 +579,7 @@ Executor::respondCached(const Job &job, const std::string &body,
     ResponseMeta meta;
     meta.traceId = traceId;
     meta.queueUs = queueUs;
-    meta.totalUs = queueUs + (nowUs() - startUs);
+    meta.totalUs = queueUs + (steadyUsF() - startUs);
     obs::histogram("serve.stage.queue_us").sample(queueUs);
     obs::histogram("serve.stage.total_us").sample(meta.totalUs);
     job.answer(cachedResultResponse(body, job.req.id, meta, dedupFollower),

@@ -11,6 +11,8 @@
 #include <sstream>
 
 #include "harness/fault.hh"
+#include "support/fdio.hh"
+#include "support/hash.hh"
 #include "support/json.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
@@ -29,26 +31,6 @@ namespace fs = std::filesystem;
  */
 harness::FaultSite gCorruptSnapshotSite("serve.cache.corrupt-snapshot");
 
-uint64_t
-fnv1a64(const std::string &s, uint64_t h = 1469598103934665603ull)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-std::string
-hex64(uint64_t v)
-{
-    static const char *digits = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i, v >>= 4)
-        out[i] = digits[v & 0xf];
-    return out;
-}
-
 std::string
 entryCrc(const std::string &key, const std::string &body)
 {
@@ -63,33 +45,6 @@ writeError(const std::string &path, const std::string &why, int err)
     return Status::err(
         Diag::error(code, "'" + path + "': " + why + ": " +
                               std::strerror(err)));
-}
-
-int
-fsyncRetry(int fd)
-{
-    int rc;
-    do {
-        rc = ::fsync(fd);
-    } while (rc < 0 && errno == EINTR);
-    return rc;
-}
-
-/** Full write with EINTR retry; returns errno (0 on success). */
-int
-writeAllFd(int fd, const std::string &data)
-{
-    size_t off = 0;
-    while (off < data.size()) {
-        ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return errno;
-        }
-        off += static_cast<size_t>(n);
-    }
-    return 0;
 }
 
 Result<std::vector<std::pair<std::string, std::string>>>
@@ -130,7 +85,7 @@ writeCacheSnapshot(
               json::Value::number(static_cast<int64_t>(entries.size())));
         content << h.dump() << "\n";
     }
-    uint64_t running = 1469598103934665603ull;
+    uint64_t running = kFnvBasis;
     for (const auto &[key, body] : entries) {
         std::string crc = entryCrc(key, body);
         running = fnv1a64(crc, running);
@@ -171,7 +126,7 @@ writeCacheSnapshot(
                     0644);
     if (fd < 0)
         return writeError(tmp, "open", errno);
-    if (int err = writeAllFd(fd, data); err != 0) {
+    if (int err = writeAll(fd, data); err != 0) {
         ::close(fd);
         ::unlink(tmp.c_str());
         return writeError(tmp, "write", err);
@@ -232,7 +187,7 @@ readCacheSnapshot(const std::string &path,
 
     std::vector<std::pair<std::string, std::string>> out;
     out.reserve(static_cast<size_t>(expected));
-    uint64_t running = 1469598103934665603ull;
+    uint64_t running = kFnvBasis;
     for (int64_t i = 0; i < expected; ++i) {
         if (!std::getline(in, line))
             return rejected(path, "truncated tail");

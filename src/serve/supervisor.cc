@@ -16,10 +16,13 @@
 #include <sstream>
 
 #include "serve/server.hh"
+#include "support/clock.hh"
 #include "support/export.hh"
+#include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/procstat.hh"
+#include "support/rng.hh"
 #include "support/signals.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
@@ -30,39 +33,6 @@ namespace serve {
 
 namespace {
 
-int64_t
-nowMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-double
-nowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Integer steady-clock µs for the admission controller's clock. */
-int64_t
-steadyUs()
-{
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-int64_t
-wallMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
-
 std::string
 registryDumpJson()
 {
@@ -72,26 +42,6 @@ registryDumpJson()
     while (!s.empty() && (s.back() == '\n' || s.back() == '\r'))
         s.pop_back();
     return s;
-}
-
-uint64_t
-fnv1a64(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-uint64_t
-splitmix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
 }
 
 /** Classify a waitpid status for the crash-kind counters. */
@@ -142,7 +92,7 @@ Supervisor::Supervisor(SupervisorOptions opts,
     : opts_(std::move(opts)), local_(std::move(local))
 {
     opts_.workers = local_ ? 1 : std::max(1, opts_.workers);
-    startedAtMs_ = nowMs();
+    startedAtMs_ = steadyMs();
     // Each shard queues at most queueCapacity requests; in-flight work
     // is bounded separately, by `jobs` (pumpWorkerLocked).
     AdmissionOptions aopts;
@@ -376,7 +326,7 @@ Supervisor::handleLine(const std::string &line, const Respond &respond,
         // Idempotent kinds retry transparently; compound only on the
         // client's explicit "replay": true.
         p.replayOk = req.kind != RequestKind::Compound || req.replay;
-        p.enqueuedUs = nowUs();
+        p.enqueuedUs = steadyUsF();
         p.client = client;
         p.priority = pri;
         p.admitDeadlineUs = deadlineAtUs;
@@ -416,7 +366,7 @@ Supervisor::pumpWorkerLocked(Worker &w, std::vector<Outgoing> &out)
         }
         Pending &p = it->second;
         p.inflight = true;
-        p.forwardedAtUs = nowUs();
+        p.forwardedAtUs = steadyUsF();
         w.inflight.insert(seq);
         if (local_) {
             local_->submit(p.req, p.enqueuedUs,
@@ -428,7 +378,7 @@ Supervisor::pumpWorkerLocked(Worker &w, std::vector<Outgoing> &out)
         }
         const int64_t eff = effectiveDeadlineMs(p.req);
         p.deadlineAtMs =
-            eff > 0 ? nowMs() + eff + opts_.hangGraceMs : 0;
+            eff > 0 ? steadyMs() + eff + opts_.hangGraceMs : 0;
         w.outbuf += forwardLine(p, seq);
         w.outbuf += "\n";
     }
@@ -451,7 +401,7 @@ Supervisor::answerDropsLocked(Worker &w,
             // Its deadline passed while it sat in the queue: answering
             // now beats burning a worker on a result nobody can use.
             const int64_t waitedMs = static_cast<int64_t>(
-                (nowUs() - p.enqueuedUs) / 1000.0);
+                (steadyUsF() - p.enqueuedUs) / 1000.0);
             finishLocked(d.id,
                          deadlineExceededResponse(p.req.id, waitedMs),
                          "deadline-exceeded", errors_, out);
@@ -477,7 +427,7 @@ Supervisor::beginRecycleLocked(Worker &w, const std::string &reason)
     w.recycling = true;
     w.recycleEofSent = false;
     w.recycleReason = reason;
-    w.recycleStartedMs = nowMs();
+    w.recycleStartedMs = steadyMs();
     ++obs::counter("serve.worker.recycle_started");
     if (journal_)
         journal_->appendEvent(
@@ -560,7 +510,7 @@ Supervisor::spawnWorkerLocked(Worker &w, std::vector<Outgoing> &out)
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) < 0) {
         warn("serve: socketpair failed: " +
              std::string(std::strerror(errno)));
-        w.respawnAtMs = nowMs() + 1000;
+        w.respawnAtMs = steadyMs() + 1000;
         return false;
     }
     setCloexecNonblock(sv[0]);
@@ -585,7 +535,7 @@ Supervisor::spawnWorkerLocked(Worker &w, std::vector<Outgoing> &out)
         ::close(sv[1]);
         warn("serve: fork failed: " +
              std::string(std::strerror(errno)));
-        w.respawnAtMs = nowMs() + 1000;
+        w.respawnAtMs = steadyMs() + 1000;
         return false;
     }
     if (pid == 0) {
@@ -601,7 +551,7 @@ Supervisor::spawnWorkerLocked(Worker &w, std::vector<Outgoing> &out)
     w.fd = sv[0];
     w.up = true;
     ++w.generation;
-    w.spawnedAtMs = w.lastBeatMs = w.lastBeatSentMs = nowMs();
+    w.spawnedAtMs = w.lastBeatMs = w.lastBeatSentMs = steadyMs();
     w.killReason.clear();
     w.recycling = false;
     w.recycleEofSent = false;
@@ -696,7 +646,7 @@ Supervisor::onWorkerLine(int shard, uint64_t generation,
         Worker &w = *workers_[shard];
         if (w.generation != generation)
             return;  // a stale reader must not touch the new worker
-        w.lastBeatMs = nowMs();
+        w.lastBeatMs = steadyMs();
 
         if (!parsed.ok()) {
             ++obs::counter("serve.worker.protocol_errors");
@@ -799,7 +749,7 @@ Supervisor::answeredLocked(Worker &w, uint64_t seq,
     // deadline feasibility predicts with, per kind; the controller's
     // drain-rate and fallback EWMA feed from the same sample.
     if (p.forwardedAtUs > 0.0) {
-        const double serviceUs = nowUs() - p.forwardedAtUs;
+        const double serviceUs = steadyUsF() - p.forwardedAtUs;
         obs::histogram(std::string("serve.service_us.") +
                        requestKindName(p.req.kind))
             .sample(serviceUs);
@@ -843,7 +793,7 @@ Supervisor::finishLocked(uint64_t seq, const std::string &line,
     if (p.enqueuedUs > 0.0)
         obs::histogram(std::string("serve.latency_us.") +
                        requestKindName(p.req.kind))
-            .sample(nowUs() - p.enqueuedUs);
+            .sample(steadyUsF() - p.enqueuedUs);
     if (journal_)
         journal_->appendDone(seq, outcome);
     out.push_back(Outgoing{p.respond, line});
@@ -972,7 +922,7 @@ Supervisor::handleWorkerDownLocked(Worker &w, const std::string &why,
     w.backoffMs = w.backoffMs == 0
                       ? opts_.backoffBaseMs
                       : std::min(opts_.backoffCapMs, w.backoffMs * 2);
-    w.respawnAtMs = nowMs() + w.backoffMs;
+    w.respawnAtMs = steadyMs() + w.backoffMs;
 }
 
 void
@@ -1019,7 +969,7 @@ Supervisor::monitorLoop()
             break;
 
         std::vector<Outgoing> out;
-        const int64_t now = nowMs();
+        const int64_t now = steadyMs();
         // Summed admission-depth gauges (the per-shard controllers do
         // not publish their own).
         uint64_t qInt = 0, qBatch = 0;
@@ -1178,11 +1128,11 @@ Supervisor::drain()
     cv_.notify_all();
 
     const int64_t deadline =
-        nowMs() + opts_.serve.drainDeadlineMs;
+        steadyMs() + opts_.serve.drainDeadlineMs;
     std::vector<Outgoing> out;
     {
         std::unique_lock<std::mutex> lock(mu_);
-        while (!pending_.empty() && nowMs() < deadline)
+        while (!pending_.empty() && steadyMs() < deadline)
             cv_.wait_for(lock, std::chrono::milliseconds(25));
 
         // Strand whatever the deadline left behind — queued, or
@@ -1237,7 +1187,7 @@ Supervisor::drain()
     joinRetired();
 
     // Reap with a bounded wait, then escalate to SIGKILL.
-    const int64_t reapDeadline = nowMs() + 2000;
+    const int64_t reapDeadline = steadyMs() + 2000;
     for (;;) {
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -1254,12 +1204,12 @@ Supervisor::drain()
             }
             if (pidToShard_.empty())
                 break;
-            if (nowMs() >= reapDeadline) {
+            if (steadyMs() >= reapDeadline) {
                 for (auto &[pid, shard] : pidToShard_)
                     ::kill(pid, SIGKILL);
             }
         }
-        if (nowMs() >= reapDeadline + 2000)
+        if (steadyMs() >= reapDeadline + 2000)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
@@ -1331,7 +1281,7 @@ Supervisor::writeMetricsSnapshotNow()
     extra.emplace_back("queue_depth", std::to_string(queueDepth()));
     extra.emplace_back("queue_capacity", std::to_string(queueCapacity()));
     extra.emplace_back("uptime_ms",
-                       std::to_string(nowMs() - startedAtMs_));
+                       std::to_string(steadyMs() - startedAtMs_));
     extra.emplace_back("draining",
                        draining_.load() ? "true" : "false");
     extra.push_back(shardsBlock());
@@ -1373,7 +1323,7 @@ std::vector<WorkerRow>
 Supervisor::workerRows() const
 {
     std::vector<WorkerRow> rows;
-    const int64_t now = nowMs();
+    const int64_t now = steadyMs();
     std::lock_guard<std::mutex> lock(mu_);
     rows.reserve(workers_.size());
     for (const auto &wp : workers_) {
@@ -1490,7 +1440,7 @@ Supervisor::healthLine(const std::string &id) const
     r.set("status", json::Value::string(
                         draining_.load() ? "draining" : "ok"));
     r.set("version", json::Value::string(versionLine()));
-    r.set("uptime_ms", json::Value::number(nowMs() - startedAtMs_));
+    r.set("uptime_ms", json::Value::number(steadyMs() - startedAtMs_));
     if (local_)
         r.set("jobs", json::Value::number(
                           int64_t{std::max(1, opts_.serve.jobs)}));
@@ -1580,7 +1530,7 @@ Supervisor::metricsLine(const std::string &id) const
     const auto [key, block] = shardsBlock();
     return "{\"id\":" + json::quote(id) + ",\"type\":\"metrics\"" +
            ",\"ts_ms\":" + std::to_string(wallMs()) +
-           ",\"uptime_ms\":" + std::to_string(nowMs() - startedAtMs_) +
+           ",\"uptime_ms\":" + std::to_string(steadyMs() - startedAtMs_) +
            ",\"queue_depth\":" + std::to_string(queueDepth()) +
            ",\"queue_capacity\":" + std::to_string(queueCapacity()) +
            ",\"draining\":" + (draining_.load() ? "true" : "false") +

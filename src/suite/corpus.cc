@@ -452,14 +452,4 @@ buildCorpusProgram(const CorpusSpec &spec, int64_t extent)
     return s.finish();
 }
 
-std::vector<Program>
-buildCorpus(int64_t extent)
-{
-    std::vector<Program> out;
-    out.reserve(corpusSpecs().size());
-    for (const auto &spec : corpusSpecs())
-        out.push_back(buildCorpusProgram(spec, extent));
-    return out;
-}
-
 } // namespace memoria

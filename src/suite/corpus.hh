@@ -59,9 +59,6 @@ const std::vector<CorpusSpec> &corpusSpecs();
  *  extent used throughout (kept small so cache simulation stays fast). */
 Program buildCorpusProgram(const CorpusSpec &spec, int64_t extent = 16);
 
-/** Build the whole corpus. */
-std::vector<Program> buildCorpus(int64_t extent = 16);
-
 } // namespace memoria
 
 #endif // MEMORIA_SUITE_CORPUS_HH

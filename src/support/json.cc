@@ -10,7 +10,6 @@ namespace json {
 
 namespace {
 
-const std::string kEmptyString;
 const std::vector<Value> kEmptyItems;
 const std::vector<Member> kEmptyMembers;
 
@@ -409,12 +408,6 @@ int64_t
 Value::asInt(int64_t fallback) const
 {
     return kind_ == Kind::Number ? static_cast<int64_t>(num_) : fallback;
-}
-
-const std::string &
-Value::asString() const
-{
-    return kind_ == Kind::String ? str_ : kEmptyString;
 }
 
 std::string

@@ -69,7 +69,6 @@ class Value
     bool asBool(bool fallback = false) const;
     double asNumber(double fallback = 0.0) const;
     int64_t asInt(int64_t fallback = 0) const;
-    const std::string &asString() const;  ///< empty on mismatch
     std::string asString(const std::string &fallback) const;
 
     /** Array/object contents (empty on kind mismatch). */

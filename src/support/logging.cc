@@ -86,16 +86,4 @@ warn(const std::string &msg)
     report(LogLevel::Warn, "warn", msg);
 }
 
-void
-inform(const std::string &msg)
-{
-    report(LogLevel::Info, "info", msg);
-}
-
-void
-debugLog(const std::string &msg)
-{
-    report(LogLevel::Debug, "debug", msg);
-}
-
 } // namespace memoria

@@ -47,12 +47,6 @@ void setLogLevel(LogLevel level);
 /** Print a non-fatal warning to stderr (level >= Warn). */
 void warn(const std::string &msg);
 
-/** Print an informational message to stderr (level >= Info). */
-void inform(const std::string &msg);
-
-/** Print a debug message to stderr (level >= Debug). */
-void debugLog(const std::string &msg);
-
 /**
  * Check an internal invariant; calls panic with the failing condition
  * and location when it does not hold.

@@ -14,6 +14,23 @@
 
 namespace memoria {
 
+/** Splitmix64's state increment (the 64-bit golden ratio). */
+constexpr uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * Splitmix64's output for state `x`: one increment, then a bijective
+ * mix. Rng streams it; the fault campaign and shard placement use it
+ * as a one-shot hash finalizer.
+ */
+inline uint64_t
+splitmix64(uint64_t x)
+{
+    x += kSplitmixGamma;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /** Splitmix64: tiny, fast, deterministic PRNG with full 64-bit state. */
 class Rng
 {
@@ -24,10 +41,9 @@ class Rng
     uint64_t
     next()
     {
-        uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
+        uint64_t z = splitmix64(state_);
+        state_ += kSplitmixGamma;
+        return z;
     }
 
     /** Uniform integer in [0, bound). bound must be > 0. */

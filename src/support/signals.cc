@@ -132,12 +132,6 @@ installHupHandler()
 }
 
 bool
-hupPending()
-{
-    return gHupPending.load(std::memory_order_relaxed);
-}
-
-bool
 consumeHup()
 {
     return gHupPending.exchange(false, std::memory_order_relaxed);
@@ -147,12 +141,6 @@ void
 requestHup()
 {
     gHupPending.store(true, std::memory_order_relaxed);
-}
-
-bool
-childEventPending()
-{
-    return gChildPending.load(std::memory_order_relaxed);
 }
 
 void
@@ -165,12 +153,6 @@ bool
 drainRequested()
 {
     return gDrainSignal.load(std::memory_order_relaxed) != 0;
-}
-
-int
-drainSignal()
-{
-    return gDrainSignal.load(std::memory_order_relaxed);
 }
 
 void

@@ -59,22 +59,16 @@ void installDrainHandler();
 /** True once a drain signal has arrived. */
 bool drainRequested();
 
-/** The signal that requested the drain (0 when none). */
-int drainSignal();
-
 /** Programmatic drain request (the serve `shutdown` op uses this). */
 void requestDrain();
 
 /**
  * SIGCHLD support for the serve supervisor: the handler only sets an
  * atomic flag (SA_NOCLDSTOP, no SA_RESTART — a supervisor blocked in
- * poll() wakes with EINTR and reaps). Consumers poll
- * `childEventPending()` and reap with waitpid(WNOHANG).
+ * poll() wakes with EINTR and reaps). Consumers call
+ * `consumeChildEvent()` and reap with waitpid(WNOHANG).
  */
 void installChildHandler();
-
-/** True when a SIGCHLD arrived since the last consume. */
-bool childEventPending();
 
 /** Clear the SIGCHLD flag (call before waitpid so a signal racing the
  *  reap loop re-sets it). */
@@ -83,13 +77,10 @@ void consumeChildEvent();
 /**
  * SIGHUP support for the serve supervisor: the handler only sets an
  * atomic flag (no SA_RESTART). The supervisor's monitor loop polls
- * `hupPending()` and starts a rolling recycle of all shard workers —
+ * `consumeHup()` and starts a rolling recycle of all shard workers —
  * one at a time, zero requests lost — when it consumes the flag.
  */
 void installHupHandler();
-
-/** True when a SIGHUP arrived since the last consume. */
-bool hupPending();
 
 /** Test-and-clear the SIGHUP flag: true when one was pending. */
 bool consumeHup();

@@ -1,24 +1,17 @@
 #include "support/stats.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 
+#include "support/clock.hh"
+
 namespace memoria {
 namespace obs {
 
 namespace {
-
-double
-nowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Render a double compactly and JSON-valid (no inf/nan). */
 std::string
@@ -125,11 +118,11 @@ Histogram::snapshot() const
     return s;
 }
 
-ScopedTimer::ScopedTimer(Histogram &h) : hist_(h), startUs_(nowUs()) {}
+ScopedTimer::ScopedTimer(Histogram &h) : hist_(h), startUs_(steadyUsF()) {}
 
 ScopedTimer::~ScopedTimer()
 {
-    hist_.sample(nowUs() - startUs_);
+    hist_.sample(steadyUsF() - startUs_);
 }
 
 Counter &

@@ -80,14 +80,6 @@ TextTable::num(double v, int precision)
 }
 
 std::string
-TextTable::pct(double v, int precision)
-{
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(precision) << v;
-    return os.str();
-}
-
-std::string
 asciiBar(double fraction, int width)
 {
     fraction = std::clamp(fraction, 0.0, 1.0);

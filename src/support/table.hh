@@ -34,9 +34,6 @@ class TextTable
     /** Format a double with the given precision. */
     static std::string num(double v, int precision = 2);
 
-    /** Format a percentage (already in 0..100). */
-    static std::string pct(double v, int precision = 0);
-
   private:
     std::vector<std::string> headers_;
     /** Empty vector encodes a rule row. */

@@ -299,12 +299,6 @@ setTraceSink(std::unique_ptr<TraceSink> sink)
     spanDepth = 0;
 }
 
-TraceSink *
-traceSink()
-{
-    return detail::sinkPtr;
-}
-
 void
 flushTrace()
 {

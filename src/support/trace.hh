@@ -317,9 +317,6 @@ tracingEnabled()
  */
 void setTraceSink(std::unique_ptr<TraceSink> sink);
 
-/** The installed sink, or nullptr. Ownership stays with the tracer. */
-TraceSink *traceSink();
-
 /** Flush the installed sink, if any; safe to call from fatal/panic. */
 void flushTrace();
 

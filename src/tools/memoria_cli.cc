@@ -145,6 +145,7 @@
 #include "serve/listener.hh"
 #include "serve/supervisor.hh"
 #include "serve/top.hh"
+#include "support/fdio.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/signals.hh"
@@ -1128,17 +1129,9 @@ fetchMetricsTcp(const std::string &host, int port, std::string &line)
         ::close(fd);
         return false;
     }
-    const std::string req = "{\"id\":\"top\",\"kind\":\"metrics\"}\n";
-    size_t off = 0;
-    while (off < req.size()) {
-        ssize_t n = ::write(fd, req.data() + off, req.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            return false;
-        }
-        off += static_cast<size_t>(n);
+    if (writeAll(fd, "{\"id\":\"top\",\"kind\":\"metrics\"}\n") != 0) {
+        ::close(fd);
+        return false;
     }
     ::shutdown(fd, SHUT_WR);
     std::string buf;

@@ -1,6 +1,7 @@
 #include "transform/distribute.hh"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -54,16 +55,11 @@ collectStmtIdsInto(const Node &n, std::set<int> &out)
         collectStmtIdsInto(*kid, out);
 }
 
-/**
- * Partition the body items of `loop` into the finest groups that keep
- * recurrences together, considering only dependences not definitely
- * carried above `loopLevel`. Returns the partitions as lists of item
- * indices in a dependence-respecting order (min-index-first Kahn), or
- * an empty vector when no split is possible.
- */
+} // namespace
+
 std::vector<std::vector<int>>
-partitionItems(const DependenceGraph &graph, const Node &loop,
-               int loopLevel)
+distributionPartitions(const DependenceGraph &graph, const Node &loop,
+                       int loopLevel)
 {
     int k = static_cast<int>(loop.body.size());
     if (k < 2)
@@ -160,8 +156,6 @@ partitionItems(const DependenceGraph &graph, const Node &loop,
     return order;
 }
 
-} // namespace
-
 DistributeResult
 distributeForMemoryOrder(const Program &prog,
                          std::vector<NodePtr> &ownerBody, size_t index,
@@ -205,7 +199,7 @@ distributeForMemoryOrder(const Program &prog,
             ++cTrials;
             DependenceGraph graph(prog,
                                   collectStmts(trialTop[0].get()));
-            auto parts = partitionItems(graph, *cand.loop, jz);
+            auto parts = distributionPartitions(graph, *cand.loop, jz);
             if (parts.empty()) {
                 if (obs::tracingEnabled()) {
                     obs::traceEvent("pass.distribute", "trial",

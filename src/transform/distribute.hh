@@ -20,6 +20,8 @@
 
 namespace memoria {
 
+class DependenceGraph;
+
 /** Outcome of one Distribute invocation. */
 struct DistributeResult
 {
@@ -36,6 +38,18 @@ struct DistributeResult
      *  siblings in the owner body). */
     bool splitTopLevel = false;
 };
+
+/**
+ * Partition the body items of `loop` into the finest groups that keep
+ * recurrences together (Tarjan SCC over the items), considering only
+ * dependences not definitely carried above `loopLevel`. `graph` must
+ * cover the statements under `loop`. Returns the partitions as lists
+ * of item indices in a dependence-respecting order (min-index-first
+ * Kahn), or an empty vector when no split is possible.
+ */
+std::vector<std::vector<int>>
+distributionPartitions(const DependenceGraph &graph, const Node &loop,
+                       int loopLevel);
 
 /**
  * Try to enable memory order for the nest at ownerBody[index] through

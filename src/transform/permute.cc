@@ -158,40 +158,42 @@ allPermutations(int d)
     return out;
 }
 
-/** Edges with selected original levels reversed (reversal enabling). */
-std::vector<DepEdge>
-edgesWithReversedLevels(const std::vector<DepEdge> &edges,
-                        const std::vector<int> &levels)
+std::vector<Header>
+headersOf(const std::vector<Node *> &chain)
 {
-    std::vector<DepEdge> out = edges;
-    for (auto &e : out)
-        for (int l : levels)
-            if (l < static_cast<int>(e.vec.levels.size()))
-                e.vec = e.vec.withLevelReversed(l);
-    return out;
+    std::vector<Header> h;
+    for (Node *l : chain)
+        h.push_back(headerOf(*l));
+    return h;
+}
+
+/** Whether `perm` can reorder `headers` (a copy) by bound exchanges. */
+bool
+exchangeable(std::vector<Header> headers, const std::vector<int> &perm)
+{
+    return applyHeaderPermutation(headers, perm);
+}
+
+/**
+ * The chain's memory order as a permutation: slot i takes chain index
+ * target[i]. Loops outside the chain are skipped.
+ */
+std::vector<int>
+memoryOrderTarget(const NestAnalysis &analysis,
+                  const std::vector<Node *> &chain)
+{
+    std::vector<int> target;
+    for (Node *l : analysis.memoryOrder()) {
+        auto it = std::find(chain.begin(), chain.end(), l);
+        if (it != chain.end())
+            target.push_back(static_cast<int>(it - chain.begin()));
+    }
+    MEMORIA_ASSERT(target.size() == chain.size(),
+                   "memory order does not cover the chain");
+    return target;
 }
 
 } // namespace
-
-bool
-canExchangeAdjacent(const Node &outer, const Node &inner)
-{
-    Header hu = headerOf(outer);
-    Header hv = headerOf(inner);
-    return exchangeHeaders(hu, hv);
-}
-
-bool
-exchangeAdjacent(Node &outer, Node &inner)
-{
-    Header hu = headerOf(outer);
-    Header hv = headerOf(inner);
-    if (!exchangeHeaders(hu, hv))
-        return false;
-    setHeader(outer, hu);
-    setHeader(inner, hv);
-    return true;
-}
 
 bool
 applyPermutation(Node *chainRoot, const std::vector<int> &perm)
@@ -199,9 +201,7 @@ applyPermutation(Node *chainRoot, const std::vector<int> &perm)
     std::vector<Node *> chain = perfectChain(chainRoot);
     MEMORIA_ASSERT(perm.size() == chain.size(),
                    "permutation size mismatch");
-    std::vector<Header> h;
-    for (Node *l : chain)
-        h.push_back(headerOf(*l));
+    std::vector<Header> h = headersOf(chain);
     if (!applyHeaderPermutation(h, perm))
         return false;
     for (size_t i = 0; i < chain.size(); ++i)
@@ -213,38 +213,17 @@ bool
 permuteIgnoringLegality(const NestAnalysis &analysis, Node *chainRoot)
 {
     std::vector<Node *> chain = perfectChain(chainRoot);
-    int d = static_cast<int>(chain.size());
-    if (d < 2)
+    if (chain.size() < 2)
         return false;
-
-    std::vector<Node *> mo;
-    for (Node *l : analysis.memoryOrder())
-        if (std::find(chain.begin(), chain.end(), l) != chain.end())
-            mo.push_back(l);
-
-    std::vector<int> target(d);
-    for (int i = 0; i < d; ++i) {
-        auto it = std::find(chain.begin(), chain.end(), mo[i]);
-        target[i] = static_cast<int>(it - chain.begin());
-    }
-    std::vector<int> identity(d);
-    std::iota(identity.begin(), identity.end(), 0);
-    if (target == identity)
-        return false;
-
-    std::vector<Header> h;
-    for (Node *l : chain)
-        h.push_back(headerOf(*l));
-    if (!applyHeaderPermutation(h, target))
-        return false;  // bounds too complex even for the ideal program
-    for (int i = 0; i < d; ++i)
-        setHeader(*chain[i], h[i]);
-    return true;
+    std::vector<int> target = memoryOrderTarget(analysis, chain);
+    if (std::is_sorted(target.begin(), target.end()))
+        return false;  // already in memory order
+    // False when the bounds are too complex even for the ideal program.
+    return applyPermutation(chainRoot, target);
 }
 
 PermuteResult
-permuteToMemoryOrder(const NestAnalysis &analysis, Node *chainRoot,
-                     bool allowReversal)
+permuteToMemoryOrder(const NestAnalysis &analysis, Node *chainRoot)
 {
     gPermuteFault.fireNoDiag();
     harness::poll("transform.permute");
@@ -256,22 +235,11 @@ permuteToMemoryOrder(const NestAnalysis &analysis, Node *chainRoot,
     if (d < 1)
         return result;
 
-    // Memory order restricted to the chain's loops.
-    std::vector<Node *> mo;
-    for (Node *l : analysis.memoryOrder())
-        if (std::find(chain.begin(), chain.end(), l) != chain.end())
-            mo.push_back(l);
-    MEMORIA_ASSERT(static_cast<int>(mo.size()) == d,
-                   "memory order does not cover the chain");
-
     // Desired permutation: position i takes chain index target[i].
-    std::vector<int> target(d);
+    std::vector<int> target = memoryOrderTarget(analysis, chain);
     std::vector<int> moIndexOf(d);  // chain index -> rank in memory order
-    for (int i = 0; i < d; ++i) {
-        auto it = std::find(chain.begin(), chain.end(), mo[i]);
-        target[i] = static_cast<int>(it - chain.begin());
+    for (int i = 0; i < d; ++i)
         moIndexOf[target[i]] = i;
-    }
 
     std::vector<int> identity(d);
     std::iota(identity.begin(), identity.end(), 0);
@@ -286,14 +254,7 @@ permuteToMemoryOrder(const NestAnalysis &analysis, Node *chainRoot,
 
     const auto &edges = analysis.graph().edges();
 
-    std::vector<Header> baseHeaders;
-    for (Node *l : chain)
-        baseHeaders.push_back(headerOf(*l));
-
-    auto boundsOk = [&](const std::vector<int> &perm) {
-        std::vector<Header> h = baseHeaders;
-        return applyHeaderPermutation(h, perm);
-    };
+    const std::vector<Header> baseHeaders = headersOf(chain);
 
     // Rank candidate permutations: prefer the most desirable inner
     // loop, then the next position outward, etc. (Section 4.1).
@@ -324,7 +285,7 @@ permuteToMemoryOrder(const NestAnalysis &analysis, Node *chainRoot,
             bool legal = permutationLegal(edges, perm);
             if (legal && perm == target)
                 targetLegalByDeps = true;
-            bool viable = legal && boundsOk(perm);
+            bool viable = legal && exchangeable(baseHeaders, perm);
             if (obs::tracingEnabled()) {
                 obs::traceEvent("pass.permute", "candidate",
                                 {{"perm", permString(perm)},
@@ -346,20 +307,20 @@ permuteToMemoryOrder(const NestAnalysis &analysis, Node *chainRoot,
 
     // Reversal as an enabler: only chased for the full memory-order
     // target, single reversed loop at a time (the paper found reversal
-    // never helped; we keep the capability faithful but narrow).
-    std::vector<int> reversedLevels;
-    if (allowReversal && best != target) {
-        for (int l = 0; l < d && reversedLevels.empty(); ++l) {
-            auto mod = edgesWithReversedLevels(edges, {l});
-            if (!permutationLegal(mod, target))
+    // never helped; we keep the capability faithful but narrow). The
+    // loop is reversed in place for the bounds check and reversed back
+    // (reversal is its own inverse) when the exchange still fails.
+    if (best != target) {
+        for (int l = 0; l < d && !result.usedReversal; ++l) {
+            if (!permutationLegal(edgesWithReversedLevels(edges, {l}),
+                                  target))
                 continue;
-            std::vector<Header> h = baseHeaders;
-            h[l].lb = baseHeaders[l].ub;
-            h[l].ub = baseHeaders[l].lb;
-            h[l].step = -baseHeaders[l].step;
-            if (applyHeaderPermutation(h, target)) {
-                reversedLevels = {l};
+            reverseLoop(*chain[l]);
+            if (exchangeable(headersOf(chain), target)) {
+                result.usedReversal = true;
                 best = target;
+            } else {
+                reverseLoop(*chain[l]);
             }
         }
     }
@@ -380,17 +341,9 @@ permuteToMemoryOrder(const NestAnalysis &analysis, Node *chainRoot,
         return result;
     }
 
-    // Apply: reversals first, then the permutation on real headers.
-    std::vector<Header> h = baseHeaders;
-    for (int l : reversedLevels) {
-        std::swap(h[l].lb, h[l].ub);
-        h[l].step = -h[l].step;
-        result.usedReversal = true;
-    }
-    bool ok = applyHeaderPermutation(h, best);
+    // Apply on the real headers (any enabling reversal is already in).
+    bool ok = applyPermutation(chainRoot, best);
     MEMORIA_ASSERT(ok, "bounds exchange failed after dry run succeeded");
-    for (int i = 0; i < d; ++i)
-        setHeader(*chain[i], h[i]);
 
     result.changed = true;
     result.achievedMemoryOrder = (best == target);

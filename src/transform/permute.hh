@@ -62,23 +62,12 @@ struct PermuteResult
  * `analysis` must be a NestAnalysis rooted at the same node; it supplies
  * LoopCost, memory order and the dependence edges. The transformation
  * mutates the loop headers in place (node identity of the chain is
- * preserved; headers move between nodes). When `allowReversal` is set,
- * loops may be reversed to enable an otherwise illegal placement.
+ * preserved; headers move between nodes). When no legal placement
+ * reaches memory order, one loop may be reversed (reverseLoop) to
+ * enable it.
  */
 PermuteResult permuteToMemoryOrder(const NestAnalysis &analysis,
-                                   Node *chainRoot,
-                                   bool allowReversal = true);
-
-/**
- * Whether the adjacent pair (outer, inner) can exchange bounds, and if
- * so perform it. Rectangular pairs swap headers; triangular pairs
- * (inner bound using the outer variable with coefficient one) use the
- * standard min/max exchange when it simplifies statically.
- */
-bool exchangeAdjacent(Node &outer, Node &inner);
-
-/** Dry-run variant of exchangeAdjacent: test only, no mutation. */
-bool canExchangeAdjacent(const Node &outer, const Node &inner);
+                                   Node *chainRoot);
 
 /**
  * Permute the chain into memory order IGNORING dependence legality
@@ -91,7 +80,10 @@ bool permuteIgnoringLegality(const NestAnalysis &analysis,
 
 /**
  * Apply an explicit permutation to the perfect chain at `chainRoot`
- * (slot i receives the original level perm[i]). No dependence check —
+ * (slot i receives the original level perm[i]) by exchanging adjacent
+ * headers. Rectangular pairs swap headers; triangular pairs (inner
+ * bound using the outer variable with coefficient one) use the standard
+ * min/max exchange when it simplifies statically. No dependence check —
  * callers are responsible for legality. Returns false (nest untouched)
  * when the bounds cannot be exchanged.
  */

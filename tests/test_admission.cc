@@ -33,7 +33,7 @@ namespace {
 // ---------------------------------------------------------------------
 // Priority parsing
 
-TEST(Priority, ParseAndName)
+TEST(Priority, Parse)
 {
     Priority p = Priority::Batch;
     EXPECT_TRUE(parsePriority("", p));
@@ -43,8 +43,6 @@ TEST(Priority, ParseAndName)
     EXPECT_TRUE(parsePriority("batch", p));
     EXPECT_EQ(p, Priority::Batch);
     EXPECT_FALSE(parsePriority("urgent", p)) << "unknown class rejected";
-    EXPECT_STREQ(priorityName(Priority::Interactive), "interactive");
-    EXPECT_STREQ(priorityName(Priority::Batch), "batch");
 }
 
 // ---------------------------------------------------------------------

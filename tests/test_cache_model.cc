@@ -252,7 +252,7 @@ TEST(CacheModel, FarApartLines)
     expectAgree(CacheConfig::i860(), s, "far apart");
 }
 
-TEST(CacheModel, ResetBetweenStreams)
+TEST(CacheModel, FreshCachePerStream)
 {
     const std::vector<std::vector<uint64_t>> streams = {
         randomStream(7, 5000, 0x100000, 65536),
@@ -261,10 +261,9 @@ TEST(CacheModel, ResetBetweenStreams)
         stridedStream(0x100000, 32, 600, 2),
     };
     for (const CacheConfig &c : geometries()) {
-        Cache cache(c);
         for (size_t k = 0; k < streams.size(); ++k) {
             SCOPED_TRACE("stream " + std::to_string(k) + " on " + c.name);
-            cache.reset();
+            Cache cache(c);
             ModelLru model(c.sizeBytes, c.associativity, c.lineBytes);
             for (uint64_t a : streams[k])
                 ASSERT_EQ(cache.probe(a), model.access(a)) << a;

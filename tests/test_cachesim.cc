@@ -116,28 +116,6 @@ TEST(Sweep, BatchBoundariesDoNotChangeCounters)
         expectSameStats(whole.stats(i), chunked.stats(i));
 }
 
-TEST(Sweep, ResetClearsEverything)
-{
-    const std::vector<AccessRecord> trace = syntheticTrace(5000);
-    SweepReuseOptions reuse;
-    reuse.enabled = true;
-    MultiCacheSim sim({CacheConfig::i860()}, reuse);
-    sim.consumeBatch(trace.data(), trace.size());
-    ASSERT_GT(sim.stats(0).accesses, 0u);
-    ASSERT_NE(sim.reuse(), nullptr);
-
-    sim.reset();
-    EXPECT_EQ(sim.stats(0).accesses, 0u);
-    EXPECT_EQ(sim.reuse()->warmAccesses(), 0u);
-    EXPECT_EQ(sim.reuse()->coldAccesses(), 0u);
-
-    // After a reset the counters match a fresh simulation.
-    sim.consumeBatch(trace.data(), trace.size());
-    MultiCacheSim fresh({CacheConfig::i860()});
-    fresh.consumeBatch(trace.data(), trace.size());
-    expectSameStats(sim.stats(0), fresh.stats(0));
-}
-
 TEST(Sweep, ReuseDistanceMatchesFullyAssociativeCache)
 {
     const std::vector<AccessRecord> trace = syntheticTrace(20000);

@@ -9,6 +9,7 @@
 #include "oracle.hh"
 #include "suite/kernels.hh"
 #include "support/rng.hh"
+#include "transform/distribute.hh"
 
 namespace memoria {
 namespace {
@@ -17,39 +18,31 @@ TEST(DepVector, LexPredicates)
 {
     DepVector v;
     v.levels = {DepLevel::exact(0), DepLevel::exact(1)};
-    EXPECT_TRUE(v.lexPositive());
     EXPECT_FALSE(v.maybeNegative());
     EXPECT_FALSE(v.allEq());
-    EXPECT_EQ(v.carrierLevel(), 1);
 
     DepVector eq;
     eq.levels = {DepLevel::exact(0), DepLevel::exact(0)};
     EXPECT_TRUE(eq.allEq());
-    EXPECT_FALSE(eq.lexPositive());
     EXPECT_FALSE(eq.maybeNegative());
 
     DepVector amb;
     amb.levels = {DepLevel::dir(kDirAll)};
     EXPECT_TRUE(amb.maybeNegative());
-    EXPECT_FALSE(amb.lexPositive());
 
     DepVector neg;
     neg.levels = {DepLevel::exact(-1), DepLevel::exact(2)};
     EXPECT_TRUE(neg.maybeNegative());
     DepVector rev = neg.reversed();
-    EXPECT_TRUE(rev.lexPositive());
+    EXPECT_FALSE(rev.maybeNegative());
     EXPECT_EQ(rev.levels[0].dist, 1);
     EXPECT_EQ(rev.levels[1].dist, -2);
 }
 
-TEST(DepVector, PermuteAndReverseLevel)
+TEST(DepVector, ReverseLevel)
 {
     DepVector v;
     v.levels = {DepLevel::exact(1), DepLevel::exact(-1)};
-    DepVector p = v.permuted({1, 0});
-    EXPECT_EQ(p.levels[0].dist, -1);
-    EXPECT_TRUE(p.maybeNegative());
-
     DepVector r = v.withLevelReversed(1);
     EXPECT_EQ(r.levels[1].dist, 1);
     EXPECT_EQ(r.str(), "(1, 1)");
@@ -244,10 +237,12 @@ TEST(Legality, InterchangeBlockedByAntidiagonalDep)
     DependenceGraph g(p, collectStmts(p));
     EXPECT_FALSE(permutationLegal(g.edges(), {1, 0}));
     EXPECT_TRUE(permutationLegal(g.edges(), {0, 1}));
-    // Reversing J makes the vector (1,1): interchange stays illegal but
-    // reversal itself is fine.
-    EXPECT_TRUE(reversalLegal(g.edges(), 1));
-    EXPECT_FALSE(reversalLegal(g.edges(), 0));
+    // Reversing J alone is legal, reversing I alone is not: it would
+    // run the carrying loop backwards.
+    EXPECT_TRUE(permutationLegal(edgesWithReversedLevels(g.edges(), {1}),
+                                 {0, 1}));
+    EXPECT_FALSE(permutationLegal(edgesWithReversedLevels(g.edges(), {0}),
+                                  {0, 1}));
 }
 
 TEST(Legality, MatmulFullyPermutable)
@@ -261,9 +256,11 @@ TEST(Legality, MatmulFullyPermutable)
         EXPECT_TRUE(permutationLegal(g.edges(), perm));
 }
 
-TEST(Legality, PrefixFeasibility)
+TEST(Legality, ReversalEnablesInterchange)
 {
-    // Vector (1,-1): prefix [1] (J first) is infeasible, [0] is fine.
+    // Vector (1,-1): with J reversed it reads (1,1), so J can move
+    // outermost; reversing I instead leaves it illegal. This is the
+    // check Permute makes before reversing a loop.
     ProgramBuilder b("wave2");
     Var n = b.param("N", 8);
     Arr a = b.array("A", {Ix(n) + 2, Ix(n) + 2});
@@ -275,14 +272,16 @@ TEST(Legality, PrefixFeasibility)
                                  a(Ix(i) - 1, Ix(j) + 1) + 1.0))));
     Program p = b.finish();
     DependenceGraph g(p, collectStmts(p));
-    EXPECT_FALSE(prefixFeasible(g.edges(), {1}));
-    EXPECT_TRUE(prefixFeasible(g.edges(), {0}));
-    EXPECT_TRUE(prefixFeasible(g.edges(), {0, 1}));
+    EXPECT_TRUE(permutationLegal(edgesWithReversedLevels(g.edges(), {1}),
+                                 {1, 0}));
+    EXPECT_FALSE(permutationLegal(edgesWithReversedLevels(g.edges(), {0}),
+                                  {1, 0}));
 }
 
 TEST(Scc, RecurrenceDetection)
 {
-    // S1 feeds S2 and S2 feeds S1 across iterations: one SCC.
+    // S1 feeds S2 and S2 feeds S1 across iterations: one SCC, so
+    // distribution finds no split.
     ProgramBuilder b("rec");
     Var n = b.param("N", 8);
     Arr a = b.array("A", {Ix(n) + 2});
@@ -296,9 +295,7 @@ TEST(Scc, RecurrenceDetection)
     b.add(b.loop(i, 2, n, std::move(body)));
     Program p = b.finish();
     DependenceGraph g(p, collectStmts(p));
-    auto comps = g.sccs([](const DepEdge &) { return true; });
-    ASSERT_EQ(comps.size(), 1u);
-    EXPECT_EQ(comps[0].size(), 2u);
+    EXPECT_TRUE(distributionPartitions(g, *p.body[0], 0).empty());
 }
 
 TEST(Scc, IndependentStatementsSplit)
@@ -316,7 +313,7 @@ TEST(Scc, IndependentStatementsSplit)
     b.add(b.loop(i, 1, n, std::move(body)));
     Program p = b.finish();
     DependenceGraph g(p, collectStmts(p));
-    auto comps = g.sccs([](const DepEdge &) { return true; });
+    auto comps = distributionPartitions(g, *p.body[0], 0);
     ASSERT_EQ(comps.size(), 2u);
     // Topological order: the producer S1 comes first.
     EXPECT_EQ(comps[0], std::vector<int>{0});

@@ -1,5 +1,5 @@
-/** Tests for the extension transformations and analyses: skewing,
- *  scalar replacement, unroll-and-jam, tiling, reversal, the
+/** Tests for the extension transformations and analyses: scalar
+ *  replacement, unroll-and-jam, tiling, reversal, the
  *  reuse-distance analyzer and the two-level cache hierarchy. */
 
 #include <gtest/gtest.h>
@@ -13,66 +13,11 @@
 #include "suite/kernels.hh"
 #include "transform/reverse.hh"
 #include "transform/scalar_replace.hh"
-#include "transform/skew.hh"
 #include "transform/tile.hh"
 #include "transform/unroll_jam.hh"
 
 namespace memoria {
 namespace {
-
-// ---------------------------------------------------------------- skew
-
-TEST(Skew, PreservesSemantics)
-{
-    Program p = makeJacobiBadOrder(12);
-    uint64_t before = runChecksum(p);
-    Node *outer = p.body[0].get();
-    Node *inner = outer->body[0].get();
-    skewLoop(*outer, *inner, 1);
-    EXPECT_EQ(runChecksum(p), before);
-    // The inner bounds now depend on the outer variable.
-    EXPECT_EQ(inner->lb.coeff(outer->var), 1);
-    EXPECT_EQ(inner->ub.coeff(outer->var), 1);
-}
-
-TEST(Skew, MakesWavefrontBandPermutable)
-{
-    // A(I,J) = A(I-1,J+1) + A(I-1,J-1): vectors (1,-1),(1,1). With
-    // skew factor 1 they become (1,0),(1,2): fully permutable.
-    ProgramBuilder b("wave");
-    Var n = b.param("N", 10);
-    Arr a = b.array("A", {Ix(n) + 2, Ix(n) * 2 + 2});
-    Var i = b.loopVar("I");
-    Var j = b.loopVar("J");
-    b.add(b.loop(i, 2, n,
-                 b.loop(j, 2, n,
-                        b.assign(a(i, j),
-                                 a(Ix(i) - 1, Ix(j) + 1) +
-                                     a(Ix(i) - 1, Ix(j) - 1)))));
-    Program p = b.finish();
-    uint64_t before = runChecksum(p);
-
-    {
-        DependenceGraph g(p, collectStmts(p));
-        EXPECT_FALSE(bandFullyPermutable(g.edges(), 2));
-    }
-    Node *outer = p.body[0].get();
-    skewLoop(*outer, *outer->body[0], 1);
-    EXPECT_EQ(runChecksum(p), before);
-    {
-        DependenceGraph g(p, collectStmts(p));
-        EXPECT_TRUE(bandFullyPermutable(g.edges(), 2));
-    }
-}
-
-TEST(Skew, NegativeFactorAlsoExact)
-{
-    Program p = makeMatmul("JKI", 8);
-    uint64_t before = runChecksum(p);
-    auto chain = perfectChain(p.body[0].get());
-    skewLoop(*chain[0], *chain[2], -2);
-    EXPECT_EQ(runChecksum(p), before);
-}
 
 // --------------------------------------------------- scalar replacement
 
@@ -235,6 +180,26 @@ TEST(Tile, RefusesNonDividingTile)
     Program p = makeMatmul("JKI", 30);
     DependenceGraph g(p, collectStmts(p));
     EXPECT_FALSE(tilePerfectNest(p, p.body[0].get(), 3, 8, g.edges()));
+}
+
+TEST(Tile, RefusesWavefrontBand)
+{
+    // A(I,J) = A(I-1,J+1) + A(I-1,J-1): vectors (1,-1),(1,1). The band
+    // is not fully permutable, so it cannot be tiled.
+    ProgramBuilder b("wave");
+    Var n = b.param("N", 10);
+    Arr a = b.array("A", {Ix(n) + 2, Ix(n) * 2 + 2});
+    Var i = b.loopVar("I");
+    Var j = b.loopVar("J");
+    b.add(b.loop(i, 2, n,
+                 b.loop(j, 2, n,
+                        b.assign(a(i, j),
+                                 a(Ix(i) - 1, Ix(j) + 1) +
+                                     a(Ix(i) - 1, Ix(j) - 1)))));
+    Program p = b.finish();
+    DependenceGraph g(p, collectStmts(p));
+    EXPECT_FALSE(bandFullyPermutable(g.edges(), 2));
+    EXPECT_FALSE(tilePerfectNest(p, p.body[0].get(), 2, 2, g.edges()));
 }
 
 TEST(Tile, ReducesMissesWhenTileFits)

@@ -158,19 +158,6 @@ TEST(Walk, UsesVar)
     EXPECT_FALSE(usesVar(*i, fresh));
 }
 
-TEST(Walk, PathRoundTrip)
-{
-    Program p = makeCholeskyKIJ(8);
-    Node *k = p.body[0].get();
-    auto stmts = collectStmts(k);
-    ASSERT_EQ(stmts.size(), 3u);
-    for (const auto &ctx : stmts) {
-        std::vector<int> path;
-        ASSERT_TRUE(pathFromRoot(*k, ctx.node, path));
-        EXPECT_EQ(resolvePath(*k, path), ctx.node);
-    }
-}
-
 TEST(Walk, OpaqueSubscriptRefsCollected)
 {
     ProgramBuilder b("idx");

@@ -501,25 +501,20 @@ TEST_F(ObsTest, LogLevelGatesStderrButAlwaysTraces)
     setLogLevel(LogLevel::Quiet);
     testing::internal::CaptureStderr();
     warn("w1");
-    inform("i1");
     EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 
-    setLogLevel(LogLevel::Info);
+    setLogLevel(LogLevel::Warn);
     testing::internal::CaptureStderr();
     warn("w2");
-    inform("i2");
-    debugLog("d2");
     std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("warn: w2"), std::string::npos);
-    EXPECT_NE(err.find("info: i2"), std::string::npos);
-    EXPECT_EQ(err.find("debug: d2"), std::string::npos);
 
     // Every message was mirrored into the trace sink regardless.
     int logEvents = 0;
     for (const auto &e : rec_->events)
         if (e.category == "log")
             ++logEvents;
-    EXPECT_EQ(logEvents, 5);
+    EXPECT_EQ(logEvents, 2);
 }
 
 TEST_F(ObsTest, FatalFlushesTraceSinkBeforeExit)

@@ -226,6 +226,69 @@ TEST(ResultCache, ConfigDigestReflectsCacheGeometry)
 }
 
 // ---------------------------------------------------------------------
+// Golden hashes. The literals were recorded from the implementation
+// that first wrote them to disk: cache keys and snapshot checksums are
+// persisted, and shard placement decides which worker's cache holds a
+// program. A change to any value breaks warm restarts on existing
+// snapshot directories, so it must be deliberate.
+
+TEST(GoldenHash, CacheKeyAndConfigDigest)
+{
+    std::string cfg = serveConfigDigest(ModelParams{},
+                                        {CacheConfig::i860()});
+    EXPECT_EQ(cfg, "91ef074a63ccab61");
+    EXPECT_EQ(resultCacheKey(kProgram, "compound", true, 0, cfg),
+              "cb678da3541ff2df968e907572be57a4");
+}
+
+TEST(GoldenHash, SnapshotEntryAndFooterCrc)
+{
+    TempDir dir("memoria-golden");
+    std::string path = (dir.path / "s.snap").string();
+    ASSERT_TRUE(
+        writeCacheSnapshot(path, {{"key", "the body"}}, 0, "cfg").ok());
+    std::ifstream in(path);
+    std::string header, entry, footer;
+    ASSERT_TRUE(std::getline(in, header) && std::getline(in, entry) &&
+                std::getline(in, footer));
+    EXPECT_EQ(json::parse(entry).value().getString("crc"),
+              "deab83b0d8701d23");
+    EXPECT_EQ(json::parse(footer).value().getString("crc"),
+              "e070d5a8ef071529");
+}
+
+TEST(GoldenHash, ShardPlacement)
+{
+    const std::vector<std::string> programs = {
+        "", "PROGRAM a", "PROGRAM b", "PROGRAM c", "PROGRAM d",
+        kProgram, kProgramReformatted};
+    for (int workers : {2, 3}) {
+        SupervisorOptions opts;
+        opts.workers = workers;
+        opts.workerCommand = {"/bin/false"};  // never started
+        Supervisor sup(std::move(opts));
+        std::string shards;
+        for (const std::string &p : programs)
+            shards += std::to_string(sup.shardOf(p));
+        EXPECT_EQ(shards, workers == 2 ? "0110011" : "0112012") << workers;
+    }
+}
+
+TEST(GoldenHash, SeededFaults)
+{
+    // The site index also depends on which fault sites this binary
+    // registers; the action and hit count depend on the hash alone.
+    std::string specs;
+    for (uint64_t seed : {0ull, 1ull, 42ull, 9001ull})
+        specs += harness::seededFault(seed).str() + ";";
+    EXPECT_EQ(specs,
+              "transform.distribute:throw:3;"
+              "serve.cache.leader-crash:diag:3;"
+              "transform.distribute:stall:1;"
+              "serve.cache.corrupt-snapshot:stall:2;");
+}
+
+// ---------------------------------------------------------------------
 // Single-flight
 
 TEST(ResultCache, FollowersReceiveTheLeadersResult)

@@ -121,7 +121,6 @@ TEST(TextTable, NumberFormatting)
 {
     EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
     EXPECT_EQ(TextTable::num(2.0, 0), "2");
-    EXPECT_EQ(TextTable::pct(99.951, 2), "99.95");
 }
 
 TEST(AsciiBar, Clamps)
