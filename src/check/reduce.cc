@@ -14,17 +14,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /** Statement ids in program order (deterministic). */
-void
-collectStmtIds(const Node &n, std::vector<int> &ids)
-{
-    if (n.isStmt()) {
-        ids.push_back(n.stmt.id);
-        return;
-    }
-    for (const NodePtr &child : n.body)
-        collectStmtIds(*child, ids);
-}
-
 std::vector<int>
 stmtIds(const Program &prog)
 {

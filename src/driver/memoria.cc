@@ -13,29 +13,25 @@ namespace memoria {
 
 namespace {
 
+/** Concrete size at which cost-ratio polynomials are evaluated. */
+constexpr double kEvalN = 64.0;
+
 /** Statement-id set of one subtree. */
 std::set<int>
-stmtIds(const Node &n)
+stmtIdSet(const Node &n)
 {
-    std::set<int> out;
-    if (n.isStmt()) {
-        out.insert(n.stmt.id);
-        return out;
-    }
-    for (const auto &kid : n.body) {
-        std::set<int> sub = stmtIds(*kid);
-        out.insert(sub.begin(), sub.end());
-    }
-    return out;
+    std::vector<int> ids;
+    collectStmtIds(n, ids);
+    return {ids.begin(), ids.end()};
 }
 
-/** Evaluate orig/new cost ratio at a concrete size; never below 1 when
- *  the transformation never hurts (guards tiny numeric noise). */
+/** Evaluate orig/new cost ratio at kEvalN; never below 1 when the
+ *  transformation never hurts (guards tiny numeric noise). */
 double
-costRatio(const Poly &orig, const Poly &now, double evalN)
+costRatio(const Poly &orig, const Poly &now)
 {
-    double o = checkedEval(orig, evalN);
-    double t = checkedEval(now, evalN);
+    double o = checkedEval(orig, kEvalN);
+    double t = checkedEval(now, kEvalN);
     if (t <= 0.0 || o <= 0.0)
         return 1.0;
     return o / t;
@@ -85,7 +81,6 @@ OptimizedProgram
 optimizeProgram(const Program &input, const ModelParams &params,
                 const PipelineOptions &opts)
 {
-    const double evalN = opts.evalN;
     obs::TraceScope span("driver", "optimize_program");
     span.arg("program", input.name);
     ++obs::counter("driver.programs_optimized");
@@ -128,8 +123,8 @@ optimizeProgram(const Program &input, const ModelParams &params,
                 ++rep.failDeps;
         }
 
-        double rf = costRatio(nr.origCost, nr.finalCost, evalN);
-        double ri = costRatio(nr.origCost, nr.idealCost, evalN);
+        double rf = costRatio(nr.origCost, nr.finalCost);
+        double ri = costRatio(nr.origCost, nr.idealCost);
         double w = nr.depth;
         sumRf += rf;
         sumRi += ri;
@@ -168,9 +163,9 @@ optimizedProcedures(const OptimizedProgram &opt)
     const Program &fin = opt.transformed;
     std::vector<std::set<int>> origSets, finalSets;
     for (const auto &n : orig.body)
-        origSets.push_back(stmtIds(*n));
+        origSets.push_back(stmtIdSet(*n));
     for (const auto &n : fin.body)
-        finalSets.push_back(stmtIds(*n));
+        finalSets.push_back(stmtIdSet(*n));
 
     OptimizedProcedures out;
     out.original.name = orig.name + "_orig_opt";

@@ -86,9 +86,6 @@ struct PipelineOptions
      * downstream consumer (simulation, reporting) still works.
      */
     bool transform = true;
-
-    /** Concrete size at which cost-ratio polynomials are evaluated. */
-    double evalN = 64.0;
 };
 
 /** Run the full pipeline on one program. */

@@ -15,6 +15,7 @@
 #include "suite/corpus.hh"
 #include "suite/kernels.hh"
 #include "support/clock.hh"
+#include "support/json.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
 #include "transform/compound.hh"
@@ -35,44 +36,6 @@ struct InputError
 {
     Diag diag;
 };
-
-/** JSON string escaping (quotes included). */
-std::string
-jstr(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    out.push_back('"');
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(static_cast<char>(c));
-            }
-        }
-    }
-    out.push_back('"');
-    return out;
-}
 
 /** JSON-valid double rendering (no inf/nan). */
 std::string
@@ -367,9 +330,9 @@ BatchReport::toJson() const
         if (!firstProg)
             os << ",";
         firstProg = false;
-        os << "{\"name\":" << jstr(p.name)
-           << ",\"status\":" << jstr(batchStatusName(p.status))
-           << ",\"rung\":" << jstr(rungName(p.rung))
+        os << "{\"name\":" << json::quote(p.name)
+           << ",\"status\":" << json::quote(batchStatusName(p.status))
+           << ",\"rung\":" << json::quote(rungName(p.rung))
            << ",\"attempts\":" << p.attempts
            << ",\"time_ms\":" << jnum(p.timeMs)
            << ",\"iterations\":" << p.iterations
@@ -388,9 +351,9 @@ BatchReport::toJson() const
             if (!first)
                 os << ",";
             first = false;
-            os << "{\"rung\":" << jstr(rungName(f.rung))
-               << ",\"kind\":" << jstr(f.kind)
-               << ",\"detail\":" << jstr(f.detail) << "}";
+            os << "{\"rung\":" << json::quote(rungName(f.rung))
+               << ",\"kind\":" << json::quote(f.kind)
+               << ",\"detail\":" << json::quote(f.detail) << "}";
         }
         os << "]";
 
@@ -400,7 +363,7 @@ BatchReport::toJson() const
             if (!first)
                 os << ",";
             first = false;
-            os << jstr(site) << ":" << hitCount;
+            os << json::quote(site) << ":" << hitCount;
         }
         os << "}";
 
@@ -411,14 +374,14 @@ BatchReport::toJson() const
                 os << ",";
             first = false;
             os << "{\"depth\":" << n.depth
-               << ",\"strategy\":" << jstr(n.strategy)
+               << ",\"strategy\":" << json::quote(n.strategy)
                << ",\"rolled_back\":"
                << (n.rolledBack ? "true" : "false") << "}";
         }
         os << "]";
 
         if (!p.diag.empty())
-            os << ",\"diag\":" << jstr(p.diag);
+            os << ",\"diag\":" << json::quote(p.diag);
         if (p.simulated) {
             os << ",\"sim\":{\"accesses\":" << p.accesses
                << ",\"hits\":" << p.hits << ",\"misses\":" << p.misses
@@ -430,7 +393,7 @@ BatchReport::toJson() const
                 if (!first)
                     os << ",";
                 first = false;
-                os << "{\"cache\":" << jstr(s.cache)
+                os << "{\"cache\":" << json::quote(s.cache)
                    << ",\"accesses\":" << s.accesses
                    << ",\"hits\":" << s.hits
                    << ",\"misses\":" << s.misses
@@ -448,7 +411,7 @@ BatchReport::toJson() const
           BatchStatus::Timeout, BatchStatus::PanicContained}) {
         std::string key = batchStatusName(s);
         std::replace(key.begin(), key.end(), '-', '_');
-        os << "," << jstr(key) << ":" << countWithStatus(s);
+        os << "," << json::quote(key) << ":" << countWithStatus(s);
     }
     os << ",\"contained\":" << containedCount()
        << ",\"total_ms\":" << jnum(totalMs) << "}}";

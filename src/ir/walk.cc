@@ -142,6 +142,17 @@ countStmts(const Node &n)
     return total;
 }
 
+void
+collectStmtIds(const Node &n, std::vector<int> &out)
+{
+    if (n.isStmt()) {
+        out.push_back(n.stmt.id);
+        return;
+    }
+    for (const auto &kid : n.body)
+        collectStmtIds(*kid, out);
+}
+
 namespace {
 
 ArrayRef

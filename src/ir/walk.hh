@@ -56,6 +56,9 @@ int loopDepth(const Node &n);
 /** Number of Stmt nodes in the subtree. */
 int countStmts(const Node &n);
 
+/** Append the subtree's statement ids to `out`, in program order. */
+void collectStmtIds(const Node &n, std::vector<int> &out);
+
 /**
  * Substitute variable `v` by affine expression `e` everywhere in the
  * subtree: loop bounds, affine subscripts, Index leaves and opaque

@@ -17,6 +17,7 @@
 #include "ir/printer.hh"
 #include "suite/corpus.hh"
 #include "suite/kernels.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
@@ -307,30 +308,6 @@ benchSuite()
 }
 
 std::string
-jstr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char ch : s) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    out += "\"";
-    return out;
-}
-
-std::string
 jnum(double v)
 {
     if (!std::isfinite(v))
@@ -421,10 +398,10 @@ std::string
 BenchReport::toJson() const
 {
     std::ostringstream os;
-    os << "{\"schema\":" << jstr(schema)
-       << ",\"version\":" << jstr(version)
-       << ",\"git_hash\":" << jstr(gitHash)
-       << ",\"build_type\":" << jstr(buildType)
+    os << "{\"schema\":" << json::quote(schema)
+       << ",\"version\":" << json::quote(version)
+       << ",\"git_hash\":" << json::quote(gitHash)
+       << ",\"build_type\":" << json::quote(buildType)
        << ",\"sanitizers\":" << (sanitizers ? "true" : "false")
        << ",\"reps\":" << reps << ",\"warmup\":" << warmup
        << ",\"benchmarks\":[";
@@ -433,7 +410,7 @@ BenchReport::toJson() const
         if (!first)
             os << ",";
         first = false;
-        os << "{\"name\":" << jstr(r.name) << ",\"reps\":" << r.reps
+        os << "{\"name\":" << json::quote(r.name) << ",\"reps\":" << r.reps
            << ",\"warmup\":" << r.warmup << ",\"wall_ms\":{\"median\":"
            << jnum(r.wall.medianMs) << ",\"p90\":" << jnum(r.wall.p90Ms)
            << ",\"min\":" << jnum(r.wall.minMs)
@@ -444,7 +421,7 @@ BenchReport::toJson() const
             if (!cfirst)
                 os << ",";
             cfirst = false;
-            os << jstr(k) << ":" << v;
+            os << json::quote(k) << ":" << v;
         }
         os << "}";
         // Additive derived block: absent when the benchmark has no

@@ -33,8 +33,10 @@
 #ifndef MEMORIA_SERVE_CACHE_HH
 #define MEMORIA_SERVE_CACHE_HH
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -69,6 +71,19 @@ struct ResultCacheStats
     size_t entries = 0;
     size_t bytes = 0;
 };
+
+/**
+ * The result-cache counters a shard reports under `cache` in its
+ * `health` answer, in wire order. The front reads them off worker
+ * heartbeats and mirrors their sums into `serve.cache.<name>` gauges.
+ */
+inline constexpr const char *kCacheCounterNames[] = {
+    "hits",    "misses", "inflight_joins",    "evictions",
+    "entries", "bytes",  "snapshot_rejected", "snapshot_loaded_entries"};
+
+/** One value per kCacheCounterNames entry, in that order. */
+using CacheCounters =
+    std::array<uint64_t, std::size(kCacheCounterNames)>;
 
 /**
  * Digest of the serve-side configuration a cached result depends on

@@ -53,7 +53,7 @@ MemoryGovernor::evaluate(uint64_t rssBytes)
                   static_cast<int64_t>(opts_.softBytes)},
                  {"cache_evicted", static_cast<int64_t>(evicted)},
                  {"rung_floor",
-                  harness::rungName(opts_.degradeRung)}});
+                  harness::rungName(kSoftPressureRung)}});
         } else if (wasSoft &&
                    rssBytes < opts_.softBytes -
                                   opts_.softBytes / 10) {

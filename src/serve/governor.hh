@@ -43,6 +43,13 @@ namespace serve {
 
 class ResultCache;
 
+/** Sampling cadence of the governor thread. */
+inline constexpr int64_t kGovernorSampleMs = 200;
+
+/** Rung floor applied under soft pressure. */
+inline constexpr harness::Rung kSoftPressureRung =
+    harness::Rung::PermuteOnly;
+
 struct GovernorOptions
 {
     /** Soft watermark in bytes (0 = disabled). */
@@ -50,17 +57,11 @@ struct GovernorOptions
 
     /** Hard watermark in bytes (0 = disabled). */
     uint64_t hardBytes = 0;
-
-    /** Sampling cadence for the governor thread. */
-    int64_t sampleIntervalMs = 200;
-
-    /** Rung floor applied under soft pressure. */
-    harness::Rung degradeRung = harness::Rung::PermuteOnly;
 };
 
 /**
  * Owns no thread itself — the Executor runs `sample()` on its governor
- * thread at `sampleIntervalMs`; all accessors are lock-free reads so
+ * thread every kGovernorSampleMs; all accessors are lock-free reads so
  * the request path can consult the floor per-request.
  */
 class MemoryGovernor
@@ -88,12 +89,12 @@ class MemoryGovernor
 
     /**
      * The ladder start-rung floor the request path must apply:
-     * FullCompound (no constraint) normally, `degradeRung` under soft
-     * pressure.
+     * FullCompound (no constraint) normally, kSoftPressureRung under
+     * soft pressure.
      */
     harness::Rung rungFloor() const
     {
-        return soft_.load() ? opts_.degradeRung
+        return soft_.load() ? kSoftPressureRung
                             : harness::Rung::FullCompound;
     }
 

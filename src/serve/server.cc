@@ -109,8 +109,6 @@ Executor::Executor(ServeOptions opts) : opts_(std::move(opts))
         GovernorOptions gopts;
         gopts.softBytes = opts_.rssSoftBytes;
         gopts.hardBytes = opts_.rssHardBytes;
-        if (opts_.rssSampleMs > 0)
-            gopts.sampleIntervalMs = opts_.rssSampleMs;
         governor_ =
             std::make_unique<MemoryGovernor>(gopts, cache_.get());
     }
@@ -452,8 +450,7 @@ Executor::governorLoop()
     while (!governorStop_) {
         governorCv_.wait_for(
             lock,
-            std::chrono::milliseconds(
-                governor_->options().sampleIntervalMs),
+            std::chrono::milliseconds(kGovernorSampleMs),
             [this] { return governorStop_; });
         if (governorStop_)
             break;
@@ -638,29 +635,16 @@ Executor::describe(json::Value &r) const
     // the supervisor folds the numbers into its own gauges for
     // `memoria top` and the chaos soak's hit-rate gate.
     if (cache_) {
-        ResultCacheStats cs = cache_->stats();
+        const ResultCacheStats cs = cache_->stats();
+        const CacheCounters values = {
+            cs.hits, cs.misses, cs.inflightJoins, cs.evictions,
+            cs.entries, cs.bytes,
+            obs::counter("serve.cache.snapshot_rejected").value(),
+            obs::counter("serve.cache.snapshot_loaded_entries").value()};
         json::Value cj = json::Value::object();
-        cj.set("hits",
-               json::Value::number(static_cast<int64_t>(cs.hits)));
-        cj.set("misses",
-               json::Value::number(static_cast<int64_t>(cs.misses)));
-        cj.set("inflight_joins",
-               json::Value::number(
-                   static_cast<int64_t>(cs.inflightJoins)));
-        cj.set("evictions",
-               json::Value::number(static_cast<int64_t>(cs.evictions)));
-        cj.set("entries",
-               json::Value::number(static_cast<int64_t>(cs.entries)));
-        cj.set("bytes",
-               json::Value::number(static_cast<int64_t>(cs.bytes)));
-        cj.set("snapshot_rejected",
-               json::Value::number(static_cast<int64_t>(
-                   obs::counter("serve.cache.snapshot_rejected")
-                       .value())));
-        cj.set("snapshot_loaded_entries",
-               json::Value::number(static_cast<int64_t>(
-                   obs::counter("serve.cache.snapshot_loaded_entries")
-                       .value())));
+        for (size_t i = 0; i < values.size(); ++i)
+            cj.set(kCacheCounterNames[i],
+                   json::Value::number(static_cast<int64_t>(values[i])));
         r.set("cache", std::move(cj));
     }
 }

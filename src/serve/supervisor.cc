@@ -69,6 +69,48 @@ crashKind(int status)
 
 const char *kHeartbeatLine = "{\"id\":\"hb\",\"kind\":\"health\"}\n";
 
+/** Heartbeats a worker may miss before it counts as hung. */
+constexpr int kHeartbeatMisses = 6;
+
+/** Extra time past a request's deadline before the worker running it
+ *  is declared hung and killed. */
+constexpr int64_t kHangGraceMs = 5000;
+
+/** How long a worker must stay up before its respawn backoff resets. */
+constexpr int64_t kStableMs = 10000;
+
+/** How long a recycling worker gets to drain and exit before the
+ *  supervisor SIGKILLs it (counted as a crash). */
+constexpr int64_t kRecycleGraceMs = 10000;
+
+/** `{"k":v,...}` from keys and pre-rendered values. */
+std::string
+objectText(const std::vector<std::pair<std::string, std::string>> &members)
+{
+    std::string s = "{";
+    for (const auto &[key, value] : members) {
+        if (s.size() > 1)
+            s += ',';
+        s += json::quote(key) + ":" + value;
+    }
+    return s + "}";
+}
+
+/** A worker-lifecycle event from one field list: journaled as `op`
+ *  (fields as text) and traced as `name` (typed fields). */
+void
+lifecycleEvent(Journal *journal, const char *op, const char *name,
+               std::vector<obs::TraceArg> fields)
+{
+    if (journal) {
+        std::vector<std::pair<std::string, std::string>> text;
+        for (const auto &[key, value] : fields)
+            text.emplace_back(key, value.render());
+        journal->appendEvent(op, text);
+    }
+    obs::traceEvent("serve", name, std::move(fields));
+}
+
 void
 setCloexecNonblock(int fd)
 {
@@ -130,7 +172,7 @@ Supervisor::Supervisor(SupervisorOptions opts,
             }
         }
         Result<std::unique_ptr<Journal>> j =
-            Journal::open(opts_.journalPath, opts_.journal);
+            Journal::open(opts_.journalPath);
         if (j.ok())
             journal_ = std::move(j.value());
         else
@@ -378,7 +420,7 @@ Supervisor::pumpWorkerLocked(Worker &w, std::vector<Outgoing> &out)
         }
         const int64_t eff = effectiveDeadlineMs(p.req);
         p.deadlineAtMs =
-            eff > 0 ? steadyMs() + eff + opts_.hangGraceMs : 0;
+            eff > 0 ? steadyMs() + eff + kHangGraceMs : 0;
         w.outbuf += forwardLine(p, seq);
         w.outbuf += "\n";
     }
@@ -429,17 +471,10 @@ Supervisor::beginRecycleLocked(Worker &w, const std::string &reason)
     w.recycleReason = reason;
     w.recycleStartedMs = steadyMs();
     ++obs::counter("serve.worker.recycle_started");
-    if (journal_)
-        journal_->appendEvent(
-            "recycle_begin",
-            {{"shard", std::to_string(w.shard)},
-             {"reason", reason},
-             {"inflight", std::to_string(w.inflight.size())}});
-    obs::traceEvent("serve", "worker_recycle_begin",
-                    {{"shard", int64_t{w.shard}},
-                     {"reason", reason},
-                     {"inflight",
-                      static_cast<int64_t>(w.inflight.size())}});
+    lifecycleEvent(journal_.get(), "recycle_begin", "worker_recycle_begin",
+                   {{"shard", w.shard},
+                    {"reason", reason},
+                    {"inflight", w.inflight.size()}});
     maybeFinishRecycleLocked(w);
 }
 
@@ -461,27 +496,29 @@ Supervisor::maybeFinishRecycleLocked(Worker &w)
 void
 Supervisor::workerRecycledLocked(Worker &w, std::vector<Outgoing> &out)
 {
-    w.up = false;
-    ++w.generation;  // invalidate the reader before retiring it
-    retireReaderLocked(w);
-    w.outbuf.clear();
+    const std::string reason = w.recycleReason;
+    takeDownLocked(w);
     ++w.recycles;
     ++obs::counter("serve.worker.recycled");
-    if (journal_)
-        journal_->appendEvent(
-            "recycle", {{"shard", std::to_string(w.shard)},
-                        {"reason", w.recycleReason}});
-    obs::traceEvent("serve", "worker_recycled",
-                    {{"shard", int64_t{w.shard}},
-                     {"reason", w.recycleReason}});
-    w.recycling = false;
-    w.recycleEofSent = false;
-    w.recycleReason.clear();
-    w.recycleStartedMs = 0;
+    lifecycleEvent(journal_.get(), "recycle", "worker_recycled",
+                   {{"shard", w.shard}, {"reason", reason}});
     w.backoffMs = 0;  // graceful exit: no crash backoff
     w.respawnAtMs = 0;
     if (!draining_.load())
         spawnWorkerLocked(w, out);
+}
+
+void
+Supervisor::takeDownLocked(Worker &w)
+{
+    w.up = false;
+    ++w.generation;  // invalidate the reader before retiring it
+    retireReaderLocked(w);
+    w.outbuf.clear();
+    w.recycling = false;
+    w.recycleEofSent = false;
+    w.recycleReason.clear();
+    w.recycleStartedMs = 0;
 }
 
 void
@@ -553,10 +590,6 @@ Supervisor::spawnWorkerLocked(Worker &w, std::vector<Outgoing> &out)
     ++w.generation;
     w.spawnedAtMs = w.lastBeatMs = w.lastBeatSentMs = steadyMs();
     w.killReason.clear();
-    w.recycling = false;
-    w.recycleEofSent = false;
-    w.recycleReason.clear();
-    w.recycleStartedMs = 0;
     w.served = 0;
     w.rssBytes = 0;
     pidToShard_[pid] = w.shard;
@@ -564,13 +597,9 @@ Supervisor::spawnWorkerLocked(Worker &w, std::vector<Outgoing> &out)
         ++w.respawns;
         ++obs::counter("serve.worker.respawns");
     }
-    if (journal_)
-        journal_->appendEvent(
-            "spawn", {{"shard", std::to_string(w.shard)},
-                      {"pid", std::to_string(pid)}});
-    obs::traceEvent("serve", respawn ? "worker_respawn" : "worker_spawn",
-                    {{"shard", int64_t{w.shard}},
-                     {"pid", int64_t{pid}}});
+    lifecycleEvent(journal_.get(), "spawn",
+                   respawn ? "worker_respawn" : "worker_spawn",
+                   {{"shard", w.shard}, {"pid", pid}});
 
     const int shard = w.shard;
     const int fd = w.fd;
@@ -661,16 +690,8 @@ Supervisor::onWorkerLine(int shard, uint64_t generation,
             // otherwise be invisible to the supervisor's registry.
             if (const json::Value *cj = v.get("cache");
                 cj && cj->isObject()) {
-                w.cache.hits = cj->getInt("hits");
-                w.cache.misses = cj->getInt("misses");
-                w.cache.inflightJoins = cj->getInt("inflight_joins");
-                w.cache.evictions = cj->getInt("evictions");
-                w.cache.entries = cj->getInt("entries");
-                w.cache.bytes = cj->getInt("bytes");
-                w.cache.snapshotRejected =
-                    cj->getInt("snapshot_rejected");
-                w.cache.snapshotLoaded =
-                    cj->getInt("snapshot_loaded_entries");
+                for (size_t i = 0; i < w.cache.size(); ++i)
+                    w.cache[i] = cj->getInt(kCacheCounterNames[i]);
                 publishCacheGaugesLocked();
             }
             // The worker's own memory governor rides the heartbeat: a
@@ -849,34 +870,20 @@ Supervisor::handleWorkerDownLocked(Worker &w, const std::string &why,
 {
     if (!w.up)
         return;
-    w.up = false;
-    ++w.generation;  // invalidate the reader before retiring it
-    retireReaderLocked(w);
-    w.outbuf.clear();
     // A recycle that ends here ended *ungracefully* (crash or timeout
-    // mid-drain); clear the state so the respawn starts clean.
-    w.recycling = false;
-    w.recycleEofSent = false;
-    w.recycleReason.clear();
-    w.recycleStartedMs = 0;
-    // EOF with the process still alive (closed its pipe but didn't
-    // exit) would leave the slot unreapable and the shard down
-    // forever; make the death real so waitpid sees it.
-    if (why == "eof" && w.pid > 0)
+    // mid-drain); the take-down clears it so the respawn starts clean.
+    takeDownLocked(w);
+    // A process still alive (hung, out of recycle grace, or closed its
+    // pipe without exiting) would leave the slot unreapable and the
+    // shard down forever; make the death real so waitpid sees it.
+    if (w.pid > 0)
         ::kill(w.pid, SIGKILL);
     ++w.crashes;
     ++obs::counter("serve.worker.crashes");
-    if (journal_)
-        journal_->appendEvent(
-            "crash", {{"shard", std::to_string(w.shard)},
-                      {"why", why},
-                      {"inflight",
-                       std::to_string(w.inflight.size())}});
-    obs::traceEvent("serve", "worker_down",
-                    {{"shard", int64_t{w.shard}},
-                     {"why", why},
-                     {"inflight",
-                      static_cast<int64_t>(w.inflight.size())}});
+    lifecycleEvent(journal_.get(), "crash", "worker_down",
+                   {{"shard", w.shard},
+                    {"why", why},
+                    {"inflight", w.inflight.size()}});
 
     // Crash fallout: every in-flight request resolves now — either
     // re-enqueued for one retry, or with a structured worker-crashed
@@ -929,11 +936,9 @@ void
 Supervisor::reapLocked(std::vector<Outgoing> &out)
 {
     signals::consumeChildEvent();
-    for (;;) {
-        int status = 0;
-        pid_t pid = ::waitpid(-1, &status, WNOHANG);
-        if (pid <= 0)
-            break;
+    int status = 0;
+    pid_t pid;
+    while ((pid = ::waitpid(-1, &status, WNOHANG)) > 0) {
         auto it = pidToShard_.find(pid);
         if (it == pidToShard_.end())
             continue;
@@ -944,6 +949,8 @@ Supervisor::reapLocked(std::vector<Outgoing> &out)
         std::string kind =
             !w.killReason.empty() ? w.killReason : crashKind(status);
         w.killReason.clear();
+        if (stop_.load())
+            continue;
         // A recycling worker that exits 0 did exactly what it was
         // asked: that is a recycle, never a crash.
         if (w.recycling && kind == "exit_0") {
@@ -972,15 +979,11 @@ Supervisor::monitorLoop()
         const int64_t now = steadyMs();
         // Summed admission-depth gauges (the per-shard controllers do
         // not publish their own).
-        uint64_t qInt = 0, qBatch = 0;
-        for (auto &wp : workers_) {
-            qInt += wp->admission->depth(Priority::Interactive);
-            qBatch += wp->admission->depth(Priority::Batch);
-        }
+        const AdmissionTotals totals = admissionTotalsLocked();
         obs::gauge("serve.admission.queue.interactive")
-            .set(static_cast<double>(qInt));
+            .set(static_cast<double>(totals.interactive));
         obs::gauge("serve.admission.queue.batch")
-            .set(static_cast<double>(qBatch));
+            .set(static_cast<double>(totals.batch));
 
         if (local_) {
             // pop-time drops — expired and CoDel-aged entries — need a
@@ -1021,7 +1024,9 @@ Supervisor::monitorLoop()
             }
         }
 
-        // Per-worker RSS via /proc/<pid>/statm.
+        // Per-worker RSS via /proc/<pid>/statm, for `worker_table`.
+        // The hard watermark is the worker's own governor's to latch;
+        // it rides the heartbeat back as a `memory` recycle.
         if (now - lastRssSampleMs_ >= 500) {
             lastRssSampleMs_ = now;
             for (auto &wp : workers_) {
@@ -1030,10 +1035,6 @@ Supervisor::monitorLoop()
                     const uint64_t rss = procstat::rssBytes(w.pid);
                     if (rss > 0)
                         w.rssBytes = rss;
-                    if (opts_.serve.rssHardBytes > 0 &&
-                        !w.recycling &&
-                        rss > opts_.serve.rssHardBytes)
-                        beginRecycleLocked(w, "rss");
                 }
             }
         }
@@ -1056,20 +1057,17 @@ Supervisor::monitorLoop()
                     // half-close we cannot heartbeat); the recycle
                     // grace is the only clock, and blowing it is a
                     // crash, not a recycle.
-                    if (now - w.recycleStartedMs >
-                        opts_.recycleGraceMs) {
+                    if (now - w.recycleStartedMs > kRecycleGraceMs) {
                         ++obs::counter(
                             "serve.worker.recycle_timeouts");
                         w.killReason = "recycle-timeout";
-                        if (w.pid > 0)
-                            ::kill(w.pid, SIGKILL);
                         handleWorkerDownLocked(w, "recycle-timeout",
                                                out);
                     }
                     continue;
                 }
                 bool hung = now - w.lastBeatMs >
-                            opts_.heartbeatMs * opts_.heartbeatMisses;
+                            opts_.heartbeatMs * kHeartbeatMisses;
                 for (auto seqIt = w.inflight.begin();
                      !hung && seqIt != w.inflight.end(); ++seqIt) {
                     auto p = pending_.find(*seqIt);
@@ -1080,11 +1078,9 @@ Supervisor::monitorLoop()
                 if (hung) {
                     ++obs::counter("serve.worker.hangs");
                     w.killReason = "hang";
-                    if (w.pid > 0)
-                        ::kill(w.pid, SIGKILL);
                     handleWorkerDownLocked(w, "hang", out);
                 } else if (w.backoffMs > 0 &&
-                           now - w.spawnedAtMs > opts_.stableMs) {
+                           now - w.spawnedAtMs > kStableMs) {
                     w.backoffMs = 0;  // survived: backoff resets
                 }
             } else if (w.pid < 0 && !draining_.load() &&
@@ -1094,17 +1090,12 @@ Supervisor::monitorLoop()
             }
         }
 
-        if (journal_ && now - lastJournalSyncMs_ >= 500) {
+        const bool sync = journal_ && now - lastJournalSyncMs_ >= 500;
+        if (sync)
             lastJournalSyncMs_ = now;
-            lock.unlock();
-            journal_->sync();
-            joinRetired();
-            deliver(out);
-            lock.lock();
-            continue;
-        }
-
         lock.unlock();
+        if (sync)
+            journal_->sync();
         joinRetired();
         deliver(out);
         lock.lock();
@@ -1175,11 +1166,8 @@ Supervisor::drain()
         std::lock_guard<std::mutex> lock(mu_);
         for (auto &wp : workers_) {
             Worker &w = *wp;
-            if (w.up) {
-                w.up = false;
-                ++w.generation;
-                retireReaderLocked(w);
-            }
+            if (w.up)
+                takeDownLocked(w);
             if (w.pid > 0)
                 ::kill(w.pid, SIGTERM);
         }
@@ -1191,17 +1179,7 @@ Supervisor::drain()
     for (;;) {
         {
             std::lock_guard<std::mutex> lock(mu_);
-            for (;;) {
-                int status = 0;
-                pid_t pid = ::waitpid(-1, &status, WNOHANG);
-                if (pid <= 0)
-                    break;
-                auto it = pidToShard_.find(pid);
-                if (it != pidToShard_.end()) {
-                    workers_[it->second]->pid = -1;
-                    pidToShard_.erase(it);
-                }
-            }
+            reapLocked(out);
             if (pidToShard_.empty())
                 break;
             if (steadyMs() >= reapDeadline) {
@@ -1277,16 +1255,8 @@ Supervisor::writeMetricsSnapshotNow()
     std::lock_guard<std::mutex> lock(metricsFileMutex_);
     if (!metricsOut_)
         return;
-    std::vector<std::pair<std::string, std::string>> extra;
-    extra.emplace_back("queue_depth", std::to_string(queueDepth()));
-    extra.emplace_back("queue_capacity", std::to_string(queueCapacity()));
-    extra.emplace_back("uptime_ms",
-                       std::to_string(steadyMs() - startedAtMs_));
-    extra.emplace_back("draining",
-                       draining_.load() ? "true" : "false");
-    extra.push_back(shardsBlock());
-    obs::writeMetricsSnapshot(obs::statsRegistry(), *metricsOut_,
-                              wallMs(), extra);
+    obs::writeMetricsSnapshot(obs::statsRegistry(), *metricsOut_, wallMs(),
+                              statusMembers(StatusDoc::Snapshot, ""));
 }
 
 RequestCounters
@@ -1302,14 +1272,18 @@ Supervisor::requestCounters() const
     return c;
 }
 
-size_t
-Supervisor::queueDepth() const
+Supervisor::AdmissionTotals
+Supervisor::admissionTotalsLocked() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t depth = 0;
-    for (const auto &wp : workers_)
-        depth += wp->admission->depth();
-    return depth;
+    AdmissionTotals t;
+    for (const auto &wp : workers_) {
+        t.queued += wp->admission->depth();
+        t.interactive += wp->admission->depth(Priority::Interactive);
+        t.batch += wp->admission->depth(Priority::Batch);
+        t.inflight += wp->inflight.size();
+        t.recycles += wp->recycles;
+    }
+    return t;
 }
 
 size_t
@@ -1353,30 +1327,13 @@ Supervisor::publishCacheGaugesLocked()
     // the front process. Counters in the workers, gauges here: a
     // respawned worker restarts its counters, and a gauge can move
     // backwards without lying.
-    uint64_t hits = 0, misses = 0, joins = 0, evictions = 0;
-    uint64_t entries = 0, bytes = 0, rejected = 0, loaded = 0;
-    for (const auto &wp : workers_) {
-        hits += wp->cache.hits;
-        misses += wp->cache.misses;
-        joins += wp->cache.inflightJoins;
-        evictions += wp->cache.evictions;
-        entries += wp->cache.entries;
-        bytes += wp->cache.bytes;
-        rejected += wp->cache.snapshotRejected;
-        loaded += wp->cache.snapshotLoaded;
+    for (size_t i = 0; i < std::size(kCacheCounterNames); ++i) {
+        uint64_t sum = 0;
+        for (const auto &wp : workers_)
+            sum += wp->cache[i];
+        obs::gauge(std::string("serve.cache.") + kCacheCounterNames[i])
+            .set(static_cast<double>(sum));
     }
-    obs::gauge("serve.cache.hits").set(static_cast<double>(hits));
-    obs::gauge("serve.cache.misses").set(static_cast<double>(misses));
-    obs::gauge("serve.cache.inflight_joins")
-        .set(static_cast<double>(joins));
-    obs::gauge("serve.cache.evictions")
-        .set(static_cast<double>(evictions));
-    obs::gauge("serve.cache.entries").set(static_cast<double>(entries));
-    obs::gauge("serve.cache.bytes").set(static_cast<double>(bytes));
-    obs::gauge("serve.cache.snapshot_rejected")
-        .set(static_cast<double>(rejected));
-    obs::gauge("serve.cache.snapshot_loaded_entries")
-        .set(static_cast<double>(loaded));
 }
 
 std::string
@@ -1417,127 +1374,108 @@ Supervisor::shardsBlock() const
     return {"workers", workersDump()};
 }
 
-std::string
-Supervisor::healthLine(const std::string &id) const
+Supervisor::Members
+Supervisor::statusMembers(StatusDoc doc, const std::string &id) const
 {
-    RequestCounters c = requestCounters();
-    size_t depth = 0;
-    uint64_t qInteractive = 0, qBatch = 0, inflight = 0, recycles = 0;
+    AdmissionTotals t;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &wp : workers_) {
-            depth += wp->admission->depth();
-            qInteractive +=
-                wp->admission->depth(Priority::Interactive);
-            qBatch += wp->admission->depth(Priority::Batch);
-            inflight += wp->inflight.size();
-            recycles += wp->recycles;
-        }
+        t = admissionTotalsLocked();
     }
-    json::Value r = json::Value::object();
-    r.set("id", json::Value::string(id));
-    r.set("type", json::Value::string("health"));
-    r.set("status", json::Value::string(
-                        draining_.load() ? "draining" : "ok"));
-    r.set("version", json::Value::string(versionLine()));
-    r.set("uptime_ms", json::Value::number(steadyMs() - startedAtMs_));
-    if (local_)
-        r.set("jobs", json::Value::number(
-                          int64_t{std::max(1, opts_.serve.jobs)}));
-    else
-        r.set("workers", json::Value::number(int64_t{opts_.workers}));
-    r.set("queue_depth",
-          json::Value::number(static_cast<int64_t>(depth)));
-    r.set("queue_capacity",
-          json::Value::number(static_cast<int64_t>(queueCapacity())));
+    const auto num = [](auto v) { return std::to_string(v); };
+    const std::string uptime = num(steadyMs() - startedAtMs_);
+    const std::string depth = num(t.queued);
+    const std::string capacity = num(queueCapacity());
+    const std::string draining = draining_.load() ? "true" : "false";
 
-    json::Value reqs = json::Value::object();
-    reqs.set("received",
-             json::Value::number(static_cast<int64_t>(c.received)));
-    reqs.set("accepted",
-             json::Value::number(static_cast<int64_t>(c.accepted)));
-    reqs.set("completed",
-             json::Value::number(static_cast<int64_t>(c.completed)));
-    reqs.set("shed", json::Value::number(static_cast<int64_t>(c.shed)));
-    reqs.set("cancelled",
-             json::Value::number(static_cast<int64_t>(c.cancelled)));
-    reqs.set("errors",
-             json::Value::number(static_cast<int64_t>(c.errors)));
-    r.set("requests", std::move(reqs));
+    switch (doc) {
+      case StatusDoc::Snapshot:
+        return {{"queue_depth", depth},
+                {"queue_capacity", capacity},
+                {"uptime_ms", uptime},
+                {"draining", draining},
+                shardsBlock()};
+      case StatusDoc::Stats:
+        return {{"id", json::quote(id)},
+                {"type", "\"stats\""},
+                shardsBlock(),
+                {"registry", registryDumpJson()}};
+      case StatusDoc::Metrics:
+        return {{"id", json::quote(id)},
+                {"type", "\"metrics\""},
+                {"ts_ms", num(wallMs())},
+                {"uptime_ms", uptime},
+                {"queue_depth", depth},
+                {"queue_capacity", capacity},
+                {"draining", draining},
+                shardsBlock(),
+                {"registry", registryDumpJson()},
+                {"exposition", json::quote(obs::prometheusText())}};
+      case StatusDoc::Health:
+        break;
+    }
 
-    // Summed admission state across the per-shard controllers — the
-    // overload-soak's (and `memoria top`'s) one-stop view.
-    json::Value adm = json::Value::object();
-    adm.set("queued_interactive",
-            json::Value::number(static_cast<int64_t>(qInteractive)));
-    adm.set("queued_batch",
-            json::Value::number(static_cast<int64_t>(qBatch)));
-    adm.set("inflight",
-            json::Value::number(static_cast<int64_t>(inflight)));
-    adm.set("recycles",
-            json::Value::number(static_cast<int64_t>(recycles)));
-    r.set("admission", std::move(adm));
+    const RequestCounters c = requestCounters();
+    Members m = {
+        {"id", json::quote(id)},
+        {"type", "\"health\""},
+        {"status", json::quote(draining_.load() ? "draining" : "ok")},
+        {"version", json::quote(versionLine())},
+        {"uptime_ms", uptime},
+        local_ ? Members::value_type{"jobs",
+                                     num(std::max(1, opts_.serve.jobs))}
+               : Members::value_type{"workers", num(opts_.workers)},
+        {"queue_depth", depth},
+        {"queue_capacity", capacity},
+        {"requests", objectText({{"received", num(c.received)},
+                                 {"accepted", num(c.accepted)},
+                                 {"completed", num(c.completed)},
+                                 {"shed", num(c.shed)},
+                                 {"cancelled", num(c.cancelled)},
+                                 {"errors", num(c.errors)}})},
+        // The overload soak's (and `memoria top`'s) one-stop view.
+        {"admission", objectText({{"queued_interactive", num(t.interactive)},
+                                  {"queued_batch", num(t.batch)},
+                                  {"inflight", num(t.inflight)},
+                                  {"recycles", num(t.recycles)}})}};
 
     // The in-process shard's breakers, governor and result cache.
-    if (local_)
-        local_->describe(r);
+    if (local_) {
+        json::Value blocks = json::Value::object();
+        local_->describe(blocks);
+        for (const json::Member &b : blocks.members())
+            m.emplace_back(b.first, b.second.dump());
+    }
 
     // Admitted-but-unanswered requests found by the journal replay at
     // construction: what the previous incarnation owed its clients.
-    if (!recovery_.empty()) {        json::Value rec = json::Value::object();
-        rec.set("journal_replayed", json::Value::boolean(true));
-        rec.set("unanswered",
-                json::Value::number(
-                    static_cast<int64_t>(recovery_.size())));
+    if (!recovery_.empty()) {
         json::Value arr = json::Value::array();
         constexpr size_t kMaxListed = 16;
-        for (size_t i = 0; i < recovery_.size() && i < kMaxListed;
-             ++i) {
+        for (size_t i = 0; i < recovery_.size() && i < kMaxListed; ++i) {
             const JournalEntry &e = recovery_[i];
             json::Value o = json::Value::object();
-            o.set("seq", json::Value::number(
-                             static_cast<int64_t>(e.seq)));
+            o.set("seq",
+                  json::Value::number(static_cast<int64_t>(e.seq)));
             o.set("id", json::Value::string(e.id));
             o.set("kind", json::Value::string(e.kind));
             o.set("shard", json::Value::number(int64_t{e.shard}));
             arr.push(std::move(o));
         }
-        rec.set("entries", std::move(arr));
-        r.set("recovery", std::move(rec));
+        m.emplace_back("recovery",
+                       objectText({{"journal_replayed", "true"},
+                                   {"unanswered", num(recovery_.size())},
+                                   {"entries", arr.dump()}}));
     }
-
-    std::string line = r.dump();
-    if (local_)
-        return line;
-    // Splice the workers array in (it is already dumped JSON).
-    line.pop_back();  // '}'
-    line += ",\"worker_table\":" + workersDump() + "}";
-    return line;
+    if (!local_)
+        m.emplace_back("worker_table", workersDump());
+    return m;
 }
 
 std::string
-Supervisor::statsLine(const std::string &id) const
+Supervisor::statusLine(StatusDoc doc, const std::string &id) const
 {
-    const auto [key, block] = shardsBlock();
-    return "{\"id\":" + json::quote(id) + ",\"type\":\"stats\",\"" +
-           key + "\":" + block + ",\"registry\":" + registryDumpJson() +
-           "}";
-}
-
-std::string
-Supervisor::metricsLine(const std::string &id) const
-{
-    const auto [key, block] = shardsBlock();
-    return "{\"id\":" + json::quote(id) + ",\"type\":\"metrics\"" +
-           ",\"ts_ms\":" + std::to_string(wallMs()) +
-           ",\"uptime_ms\":" + std::to_string(steadyMs() - startedAtMs_) +
-           ",\"queue_depth\":" + std::to_string(queueDepth()) +
-           ",\"queue_capacity\":" + std::to_string(queueCapacity()) +
-           ",\"draining\":" + (draining_.load() ? "true" : "false") +
-           ",\"" + key + "\":" + block +
-           ",\"registry\":" + registryDumpJson() +
-           ",\"exposition\":" + json::quote(obs::prometheusText()) +
-           "}";
+    return objectText(statusMembers(doc, id));
 }
 
 } // namespace serve

@@ -52,7 +52,6 @@ struct ServeOptions
      *  asks the supervisor for a graceful recycle. */
     uint64_t rssSoftBytes = 0;
     uint64_t rssHardBytes = 0;
-    int64_t rssSampleMs = 200;
 
     /** Default per-request budget (requests may lower, never raise
      *  past maxDeadlineMs). */
@@ -177,31 +176,19 @@ struct SupervisorOptions
      *  size; also the source of the metrics snapshot path). */
     ServeOptions serve;
 
-    /** Heartbeat cadence and how many misses mean "hung". */
+    /** Heartbeat cadence; a worker silent for six beats is hung. */
     int64_t heartbeatMs = 500;
-    int heartbeatMisses = 6;
 
-    /** Extra time past a request's deadline before the worker running
-     *  it is declared hung and killed. */
-    int64_t hangGraceMs = 5000;
-
-    /** Respawn backoff: base, doubling cap, and how long a worker
-     *  must stay up before the backoff resets. */
+    /** Respawn backoff: base and doubling cap. */
     int64_t backoffBaseMs = 100;
     int64_t backoffCapMs = 5000;
-    int64_t stableMs = 10000;
 
     /** Gracefully recycle a worker after it has answered this many
      *  work requests (0 = never). Bounds slow leaks by construction. */
     uint64_t maxRequestsPerWorker = 0;
 
-    /** How long a recycling worker gets to drain and exit before the
-     *  supervisor gives up and SIGKILLs it (counted as a crash). */
-    int64_t recycleGraceMs = 10000;
-
     /** Write-ahead journal path ("" = no journal). */
     std::string journalPath;
-    JournalOptions journal;
 };
 
 /** Introspection row for one shard worker (health/metrics/top). */
@@ -252,13 +239,20 @@ class Supervisor : public LineService
     int shardOf(const std::string &program) const;
 
     RequestCounters requestCounters() const;
-    /** Queued (admitted, not yet forwarded) requests, all shards. */
-    size_t queueDepth() const;
     std::vector<WorkerRow> workerRows() const;
 
-    std::string healthLine(const std::string &id) const;
-    std::string statsLine(const std::string &id) const;
-    std::string metricsLine(const std::string &id) const;
+    std::string healthLine(const std::string &id) const
+    {
+        return statusLine(StatusDoc::Health, id);
+    }
+    std::string statsLine(const std::string &id) const
+    {
+        return statusLine(StatusDoc::Stats, id);
+    }
+    std::string metricsLine(const std::string &id) const
+    {
+        return statusLine(StatusDoc::Metrics, id);
+    }
 
     /** The journal, when one is configured (tests inspect depth). */
     Journal *journal() { return journal_.get(); }
@@ -271,6 +265,23 @@ class Supervisor : public LineService
     Executor &local() const { return *local_; }
 
   private:
+    /** The documents the status assembler builds. */
+    enum class StatusDoc { Health, Stats, Metrics, Snapshot };
+
+    /** A JSON object under assembly: keys with pre-rendered values, in
+     *  document order. */
+    using Members = std::vector<std::pair<std::string, std::string>>;
+
+    /** Summed admission state across the per-shard controllers. */
+    struct AdmissionTotals
+    {
+        size_t queued = 0;
+        size_t interactive = 0;
+        size_t batch = 0;
+        size_t inflight = 0;
+        uint64_t recycles = 0;
+    };
+
     /** One admitted work request awaiting its terminal response. */
     struct Pending
     {
@@ -288,19 +299,6 @@ class Supervisor : public LineService
         std::string client;
         Priority priority = Priority::Interactive;
         int64_t admitDeadlineUs = 0;  ///< steady-clock µs, 0 = none
-    };
-
-    /** Last-heartbeat view of one worker's result-cache counters. */
-    struct WorkerCacheStats
-    {
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t inflightJoins = 0;
-        uint64_t evictions = 0;
-        uint64_t entries = 0;
-        uint64_t bytes = 0;
-        uint64_t snapshotRejected = 0;
-        uint64_t snapshotLoaded = 0;
     };
 
     /** One shard worker slot. */
@@ -326,12 +324,12 @@ class Supervisor : public LineService
         int64_t backoffMs = 0;
         int64_t respawnAtMs = 0;
         std::string killReason;    ///< "hang" when we SIGKILLed it
-        WorkerCacheStats cache;    ///< from the last heartbeat answer
+        CacheCounters cache{};     ///< from the last heartbeat answer
 
         // --- Graceful-recycle state ---
         bool recycling = false;    ///< no new work; draining to exit
         bool recycleEofSent = false;  ///< SHUT_WR done; awaiting exit
-        std::string recycleReason;    ///< max-requests | rss | sighup
+        std::string recycleReason;    ///< max-requests | memory | sighup
         int64_t recycleStartedMs = 0;
         uint64_t served = 0;       ///< answered since last (re)spawn
         uint64_t recycles = 0;     ///< graceful recycles completed
@@ -370,6 +368,10 @@ class Supervisor : public LineService
     /** A recycling worker exited 0: count it, journal it, respawn
      *  immediately with no backoff. */
     void workerRecycledLocked(Worker &w, std::vector<Outgoing> &out);
+    /** Take a worker out of service: invalidate and retire its reader,
+     *  drop unsent bytes, end any recycle. The process is left to the
+     *  caller and the reaper. */
+    void takeDownLocked(Worker &w);
     /** Forwarded line for one attempt (id rewritten, fault stripped
      *  on retry). */
     std::string forwardLine(const Pending &p, uint64_t seq) const;
@@ -391,6 +393,8 @@ class Supervisor : public LineService
      *  request of the dead worker, schedule the respawn. */
     void handleWorkerDownLocked(Worker &w, const std::string &why,
                                 std::vector<Outgoing> &out);
+    /** Collect every exited worker; classify the exit unless drain has
+     *  stopped the monitor (then every exit is the shutdown's own). */
     void reapLocked(std::vector<Outgoing> &out);
 
     /** Resolve one pending: respond `line`, count it, journal the
@@ -411,11 +415,17 @@ class Supervisor : public LineService
      *  signal yet, and admission falls back to its EWMA). */
     int64_t estimatedServiceUs(RequestKind kind) const;
     size_t queueCapacity() const;
+    AdmissionTotals admissionTotalsLocked() const;
     /** The `workers` array, dumped ("[{...},...]"). */
     std::string workersDump() const;
     /** The mode-specific block of stats/metrics/snapshots: `breakers`
      *  for the in-process shard, `workers` for process shards. */
     std::pair<std::string, std::string> shardsBlock() const;
+    /** The one status assembler: the members of a health, stats or
+     *  metrics answer, or of a JSONL metrics snapshot (which
+     *  obs::writeMetricsSnapshot frames with `ts_ms` and `stats`). */
+    Members statusMembers(StatusDoc doc, const std::string &id) const;
+    std::string statusLine(StatusDoc doc, const std::string &id) const;
     /** Mirror summed worker cache counters into serve.cache.* gauges. */
     void publishCacheGaugesLocked();
 

@@ -20,12 +20,8 @@ levelFromEnv()
         return LogLevel::Quiet;
     if (s == "warn" || s == "1")
         return LogLevel::Warn;
-    if (s == "info" || s == "2")
-        return LogLevel::Info;
-    if (s == "debug" || s == "3")
-        return LogLevel::Debug;
     std::cerr << "warn: unknown MEMORIA_LOG_LEVEL '" << s
-              << "' (want quiet|warn|info|debug or 0..3)\n";
+              << "' (want quiet|warn or 0|1)\n";
     return LogLevel::Warn;
 }
 
@@ -47,12 +43,6 @@ report(LogLevel level, const char *tag, const std::string &msg)
 }
 
 } // namespace
-
-LogLevel
-logLevel()
-{
-    return currentLevel();
-}
 
 void
 setLogLevel(LogLevel level)

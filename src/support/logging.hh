@@ -4,12 +4,12 @@
  *
  * `fatal` terminates because the *user* asked for something impossible
  * (bad configuration, malformed program); `panic` terminates because the
- * library itself is broken (violated internal invariant). `warn` and
- * `inform` report without terminating.
+ * library itself is broken (violated internal invariant). `warn`
+ * reports without terminating.
  *
- * Output is gated by a process-wide verbosity level, initialized from
- * the MEMORIA_LOG_LEVEL environment variable (`quiet`, `warn`, `info`,
- * `debug`, or 0..3) and adjustable via the CLI's -v/-q flags. When a
+ * Warnings are gated by a process-wide level, initialized from the
+ * MEMORIA_LOG_LEVEL environment variable (`quiet`, `warn`, or 0..1)
+ * and silenced by the CLI's -q flag. When a
  * trace sink is installed (support/trace.hh) every message is also
  * emitted as a `log` trace event, and `fatal`/`panic` flush the sink
  * before terminating so a crashing run still yields a usable trace.
@@ -28,14 +28,9 @@ enum class LogLevel
 {
     Quiet = 0,  ///< only fatal/panic reach stderr
     Warn = 1,   ///< + warnings (the default)
-    Info = 2,   ///< + informational messages
-    Debug = 3,  ///< + debug chatter
 };
 
-/** Current verbosity (lazily initialized from MEMORIA_LOG_LEVEL). */
-LogLevel logLevel();
-
-/** Override the verbosity (CLI -v/-q flags). */
+/** Override the level (CLI -q flag; otherwise MEMORIA_LOG_LEVEL). */
 void setLogLevel(LogLevel level);
 
 /** Terminate with a user-level error message (exit code 1). */

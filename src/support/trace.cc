@@ -7,6 +7,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace memoria {
@@ -40,50 +41,6 @@ std::atomic<uint64_t> nextSpanId{1};
 
 /** Sinks are not required to be thread-safe; emission is serialized. */
 std::mutex emitMutex;
-
-/** JSON string escaping per RFC 8259. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    out.push_back('"');
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\b':
-            out += "\\b";
-            break;
-          case '\f':
-            out += "\\f";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(static_cast<char>(c));
-            }
-        }
-    }
-    out.push_back('"');
-    return out;
-}
 
 /** Render a double without trailing-zero noise, JSON-valid. */
 std::string
@@ -210,7 +167,7 @@ std::string
 TraceValue::renderJson() const
 {
     if (kind_ == Kind::Str)
-        return jsonEscape(str_);
+        return json::quote(str_);
     return render();
 }
 
@@ -252,11 +209,11 @@ std::string
 renderTraceJson(const TraceEvent &e)
 {
     std::ostringstream out;
-    out << "{\"type\":" << jsonEscape(typeName(e.type))
-        << ",\"seq\":" << e.seq << ",\"cat\":" << jsonEscape(e.category)
-        << ",\"name\":" << jsonEscape(e.name) << ",\"depth\":" << e.depth;
+    out << "{\"type\":" << json::quote(typeName(e.type))
+        << ",\"seq\":" << e.seq << ",\"cat\":" << json::quote(e.category)
+        << ",\"name\":" << json::quote(e.name) << ",\"depth\":" << e.depth;
     if (!e.traceId.empty())
-        out << ",\"trace\":" << jsonEscape(e.traceId)
+        out << ",\"trace\":" << json::quote(e.traceId)
             << ",\"span\":" << e.spanId;
     if (e.type == TraceEvent::Type::SpanEnd)
         out << ",\"dur_us\":" << renderDouble(e.durationUs);
@@ -267,7 +224,7 @@ renderTraceJson(const TraceEvent &e)
             if (!first)
                 out << ",";
             first = false;
-            out << jsonEscape(key) << ":" << value.renderJson();
+            out << json::quote(key) << ":" << value.renderJson();
         }
         out << "}";
     }

@@ -92,8 +92,8 @@
  *   --trace                write a human-readable trace to stderr
  *   --stats                dump the stats registry as a table at exit
  *   --stats=json           dump the stats registry as JSON at exit
- *   -v / -q                raise / silence log verbosity
- *                          (also: MEMORIA_LOG_LEVEL=quiet|warn|info|debug)
+ *   -q                     silence warnings
+ *                          (also: MEMORIA_LOG_LEVEL=quiet|warn or 0|1)
  *   --help                 print usage and exit 0
  *
  * Exit codes: 0 = success, 1 = pipeline failure (bad input program,
@@ -329,8 +329,7 @@ struct Options
     bool traceText = false;    ///< bare --trace
     bool statsText = false;    ///< --stats
     bool statsJson = false;    ///< --stats=json
-    int verbosity = 0;         ///< -v count minus -q count
-    bool quiet = false;
+    bool quiet = false;        ///< -q
     uint64_t fuzzSeed = 1;     ///< fuzz: --seed
     int fuzzCount = 100;       ///< fuzz: --count
 
@@ -386,6 +385,9 @@ struct Options
     int workerFd = -1;            ///< --worker-fd (internal)
     int shard = -1;               ///< --shard (internal)
     std::string argv0;            ///< how this binary was invoked
+    /** argv after argv0 minus --trace and --stats: a front's worker
+     *  command line (the trace and stats belong to the front). */
+    std::vector<std::string> workerArgs;
 
     // serve result cache
     int64_t cacheEntries = -1;    ///< --cache-entries (-1 = default)
@@ -495,6 +497,7 @@ parseArgs(int argc, char **argv)
     };
 
     for (int i = 1; i < argc && opts.error.empty(); ++i) {
+        const int first = i;
         std::string arg = argv[i];
         auto eq = arg.find('=');
         std::string head =
@@ -545,8 +548,6 @@ parseArgs(int argc, char **argv)
                 opts.error = arg + " needs a value";
             if (opts.error.empty() && !valuedIt->second(value))
                 opts.error = "bad value '" + value + "' for " + head;
-        } else if (arg == "-v") {
-            ++opts.verbosity;
         } else if (arg == "-q") {
             opts.quiet = true;
         } else if (!arg.empty() && arg[0] == '-' && arg.size() > 1 &&
@@ -555,20 +556,11 @@ parseArgs(int argc, char **argv)
         } else {
             opts.positional.push_back(std::move(arg));
         }
+        if (head != "--trace" && head != "--stats")
+            opts.workerArgs.insert(opts.workerArgs.end(), argv + first,
+                                   argv + i + 1);
     }
     return opts;
-}
-
-void
-applyVerbosity(const Options &opts)
-{
-    if (opts.quiet) {
-        setLogLevel(LogLevel::Quiet);
-        return;
-    }
-    int level = static_cast<int>(logLevel()) + opts.verbosity;
-    level = std::min(level, static_cast<int>(LogLevel::Debug));
-    setLogLevel(static_cast<LogLevel>(level));
 }
 
 const char *
@@ -578,7 +570,7 @@ usageText()
         "usage: memoria "
         "<list|print|analyze|optimize|simulate|reuse|trace> "
         "[program] [N] [--trace[=file.jsonl]] [--stats[=json]] "
-        "[-v] [-q]\n"
+        "[-q]\n"
         "       memoria fuzz [--seed N] [--count K] [--jobs N] "
         "[--no-incidents]\n"
         "       memoria batch [programs...] [--all] [--stdin] "
@@ -1049,54 +1041,12 @@ cmdServe(const Options &opts)
             buf[n] = '\0';
             self = buf;
         }
-        std::vector<std::string> cmd = {self, "serve"};
-        auto flag = [&cmd](const std::string &name, int64_t v) {
-            cmd.push_back(name);
-            cmd.push_back(std::to_string(v));
-        };
-        if (opts.jobs > 0)
-            flag("--jobs", opts.jobs);
-        if (opts.deadlineMs > 0)
-            flag("--deadline-ms", opts.deadlineMs);
-        if (opts.maxIterations > 0)
-            flag("--max-iterations", opts.maxIterations);
-        if (opts.maxIrNodes > 0)
-            flag("--max-ir-nodes", opts.maxIrNodes);
-        if (opts.maxDeadlineMs > 0)
-            flag("--max-deadline-ms", opts.maxDeadlineMs);
-        // The workers run their own memory governors (soft pressure is
-        // handled in-process; hard pressure rides the heartbeat back).
-        if (opts.rssSoftMb > 0)
-            flag("--rss-soft-mb", opts.rssSoftMb);
-        if (opts.rssHardMb > 0)
-            flag("--rss-hard-mb", opts.rssHardMb);
-        if (opts.maxRequestBytes > 0)
-            flag("--max-request-bytes", opts.maxRequestBytes);
-        if (opts.allowFaults)
-            cmd.push_back("--allow-faults");
-        if (opts.noIncidents)
-            cmd.push_back("--no-incidents");
-        if (!opts.incidentsDir.empty()) {
-            cmd.push_back("--incidents-dir");
-            cmd.push_back(opts.incidentsDir);
-        }
-        if (!opts.caches.empty()) {
-            cmd.push_back("--caches");
-            cmd.push_back(opts.caches);
-        }
-        if (opts.noCache)
-            cmd.push_back("--no-cache");
-        if (opts.cacheEntries >= 0)
-            flag("--cache-entries", opts.cacheEntries);
-        if (opts.cacheBytes > 0)
-            flag("--cache-bytes", opts.cacheBytes);
-        if (!opts.cacheSnapshotDir.empty()) {
-            cmd.push_back("--cache-snapshot-dir");
-            cmd.push_back(opts.cacheSnapshotDir);
-            if (opts.cacheSnapshotIntervalMs > 0)
-                flag("--cache-snapshot-interval-ms",
-                     opts.cacheSnapshotIntervalMs);
-        }
+        // A worker takes the front's own flags: the front-only ones are
+        // never read in worker mode, or land in options the executor
+        // ignores. The trace and stats stay the front's.
+        std::vector<std::string> cmd = {self};
+        cmd.insert(cmd.end(), opts.workerArgs.begin(),
+                   opts.workerArgs.end());
         supopts.workerCommand = std::move(cmd);
 
         serve::Supervisor supervisor(std::move(supopts));
@@ -1422,7 +1372,8 @@ run(int argc, char **argv)
         std::cerr << "memoria: " << opts.error << "\n" << usageText();
         return 2;
     }
-    applyVerbosity(opts);
+    if (opts.quiet)
+        setLogLevel(LogLevel::Quiet);
 
     if (opts.help) {
         std::cout << usageText();

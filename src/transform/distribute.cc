@@ -44,17 +44,6 @@ findLoopsAtLevel(Node *n, int level, std::vector<Node *> &path,
     path.pop_back();
 }
 
-void
-collectStmtIdsInto(const Node &n, std::set<int> &out)
-{
-    if (n.isStmt()) {
-        out.insert(n.stmt.id);
-        return;
-    }
-    for (const auto &kid : n.body)
-        collectStmtIdsInto(*kid, out);
-}
-
 } // namespace
 
 std::vector<std::vector<int>>
@@ -68,8 +57,8 @@ distributionPartitions(const DependenceGraph &graph, const Node &loop,
     // Map statement ids to body-item indices.
     std::map<int, int> itemOf;
     for (int i = 0; i < k; ++i) {
-        std::set<int> ids;
-        collectStmtIdsInto(*loop.body[i], ids);
+        std::vector<int> ids;
+        collectStmtIds(*loop.body[i], ids);
         for (int id : ids)
             itemOf[id] = i;
     }

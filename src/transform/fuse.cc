@@ -84,18 +84,6 @@ mergeLoops(Node &a, NodePtr b)
 
 namespace {
 
-/** Collect the statement ids in a subtree. */
-void
-collectStmtIds(const Node &n, std::set<int> &out)
-{
-    if (n.isStmt()) {
-        out.insert(n.stmt.id);
-        return;
-    }
-    for (const auto &kid : n.body)
-        collectStmtIds(*kid, out);
-}
-
 /**
  * Build a detached trial: clones of a and b fused, wrapped in synthetic
  * copies of the enclosing loop headers so dependence levels and
@@ -126,9 +114,11 @@ fusionLegal(const Program &prog, Node &a, Node &b,
     if (!headersCompatible(a, b) || !mergeRenameSafe(a, b))
         return false;
 
-    std::set<int> set1, set2;
-    collectStmtIds(a, set1);
-    collectStmtIds(b, set2);
+    std::vector<int> ids1, ids2;
+    collectStmtIds(a, ids1);
+    collectStmtIds(b, ids2);
+    const std::set<int> set1(ids1.begin(), ids1.end());
+    const std::set<int> set2(ids2.begin(), ids2.end());
 
     NodePtr trial = buildFusedTrial(a, b, enclosing);
     DependenceGraph graph(prog, collectStmts(trial.get()));

@@ -254,7 +254,9 @@ TEST(Serve, FullQueueShedsWithRetryAfter)
     }
     EXPECT_EQ(server.requestCounters().shed, 2u);
     EXPECT_EQ(server.requestCounters().accepted, 2u);
-    EXPECT_EQ(server.queueDepth(), 2u);
+    EXPECT_EQ(json::parse(server.healthLine("h")).value().getInt(
+                  "queue_depth"),
+              2);
 
     // Draining answers the admitted requests: nothing is lost.
     server.start();
@@ -911,6 +913,139 @@ TEST(Serve, DrainRacingSignalUnderSaturationLosesNothing)
 }
 
 // ---------------------------------------------------------------------
+// Status documents: the key sets of health, stats, metrics and a JSONL
+// metrics snapshot, pinned per mode.
+
+/** Every key path of `v` in document order: "a", "a.b", and "a[].c"
+ *  inside arrays (first element only). The registry dumps ("registry",
+ *  "stats") hold whatever stats exist, so they are named, not entered. */
+void
+collectKeyPaths(const json::Value &v, const std::string &prefix,
+                std::vector<std::string> &out)
+{
+    if (v.isArray()) {
+        if (!v.items().empty())
+            collectKeyPaths(v.items().front(), prefix + "[]", out);
+        return;
+    }
+    for (const json::Member &m : v.members()) {
+        const std::string path =
+            prefix.empty() ? m.first : prefix + "." + m.first;
+        out.push_back(path);
+        if (m.first != "registry" && m.first != "stats")
+            collectKeyPaths(m.second, path, out);
+    }
+}
+
+/** The key paths of one JSON document, space-separated. */
+std::string
+keyPaths(const std::string &line)
+{
+    Result<json::Value> v = json::parse(line);
+    EXPECT_TRUE(v.ok()) << line;
+    std::vector<std::string> paths;
+    if (v.ok())
+        collectKeyPaths(v.value(), "", paths);
+    std::string joined;
+    for (const std::string &p : paths)
+        joined += (joined.empty() ? "" : " ") + p;
+    return joined;
+}
+
+/** The last non-empty line of a file ("" when there is none). */
+std::string
+lastLine(const std::string &path)
+{
+    std::ifstream in(path);
+    std::string line, last;
+    while (std::getline(in, line))
+        if (!line.empty())
+            last = line;
+    return last;
+}
+
+std::string
+tempPath(const std::string &stem)
+{
+    return (std::filesystem::temp_directory_path() /
+            (stem + std::to_string(::getpid()) + ".jsonl"))
+        .string();
+}
+
+/** The `breakers` block's key paths (in-process shard). */
+const std::string kBreakerPaths =
+    "breakers breakers.load breakers.load.state "
+    "breakers.load.consecutive_failures breakers.load.failures "
+    "breakers.load.successes breakers.load.trips "
+    "breakers.load.resets breakers.load.rejected "
+    "breakers.optimize breakers.optimize.state "
+    "breakers.optimize.consecutive_failures "
+    "breakers.optimize.failures breakers.optimize.successes "
+    "breakers.optimize.trips breakers.optimize.resets "
+    "breakers.optimize.rejected breakers.simulate "
+    "breakers.simulate.state "
+    "breakers.simulate.consecutive_failures "
+    "breakers.simulate.failures breakers.simulate.successes "
+    "breakers.simulate.trips breakers.simulate.resets "
+    "breakers.simulate.rejected";
+
+/** The key paths of one `worker_table` / `workers` row. */
+std::string
+workerRowPaths(const std::string &array)
+{
+    std::string out;
+    for (const char *f : {"shard", "pid", "state", "inflight", "queued",
+                          "respawns", "crashes", "recycles", "served",
+                          "rss_bytes", "heartbeat_age_ms"})
+        out += std::string(out.empty() ? "" : " ") + array + "[]." + f;
+    return out;
+}
+
+/** The health keys both modes share, up to `admission`. */
+std::string
+healthHeadPaths(const std::string &mode)
+{
+    return "id type status version uptime_ms " + mode +
+           " queue_depth queue_capacity requests requests.received "
+           "requests.accepted requests.completed requests.shed "
+           "requests.cancelled requests.errors admission "
+           "admission.queued_interactive admission.queued_batch "
+           "admission.inflight admission.recycles";
+}
+
+TEST(StatusKeys, InProcessServeMatchesGolden)
+{
+    signals::resetForTest();
+    const std::string snapshots = tempPath("memoria_keys_server");
+    std::remove(snapshots.c_str());
+    ServeOptions opts = quietOptions();
+    opts.rssSoftBytes = uint64_t{1} << 40;  // a governor that never trips
+    opts.metricsPath = snapshots;
+    Server server(opts);
+    server.start();
+
+    EXPECT_EQ(keyPaths(server.healthLine("h")),
+              healthHeadPaths("jobs") + " " + kBreakerPaths +
+                  " governor governor.rss_bytes governor.soft_bytes "
+                  "governor.hard_bytes governor.soft_pressure "
+                  "governor.hard_pressure governor.soft_trips "
+                  "governor.hard_trips cache cache.hits cache.misses "
+                  "cache.inflight_joins cache.evictions cache.entries "
+                  "cache.bytes cache.snapshot_rejected "
+                  "cache.snapshot_loaded_entries");
+    EXPECT_EQ(keyPaths(server.statsLine("s")),
+              "id type " + kBreakerPaths + " registry");
+    EXPECT_EQ(keyPaths(server.metricsLine("m")),
+              "id type ts_ms uptime_ms queue_depth queue_capacity "
+              "draining " + kBreakerPaths + " registry exposition");
+    server.drain();
+    EXPECT_EQ(keyPaths(lastLine(snapshots)),
+              "ts_ms queue_depth queue_capacity uptime_ms draining " +
+                  kBreakerPaths + " stats");
+    std::remove(snapshots.c_str());
+}
+
+// ---------------------------------------------------------------------
 // Supervisor: multi-process shard workers (spawns the real binary)
 
 #ifdef MEMORIA_BIN
@@ -1344,10 +1479,10 @@ TEST(Supervisor, QueueOptionBoundsEachShard)
     EXPECT_EQ(shed.getString("type"), "overloaded");
     EXPECT_EQ(shed.getString("reason"), "queue-full");
     EXPECT_EQ(sup.requestCounters().accepted, 2u);
-    EXPECT_EQ(sup.queueDepth(), 2u);
 
     Result<json::Value> health = json::parse(sup.healthLine("h"));
     ASSERT_TRUE(health.ok());
+    EXPECT_EQ(health.value().getInt("queue_depth"), 2);
     EXPECT_EQ(health.value().getInt("queue_capacity"), 2 * 2)
         << "queue_capacity is the per-shard bound times the shards";
     sup.drain();
@@ -1458,6 +1593,63 @@ TEST(Supervisor, HealthSharesItsKeysWithSingleProcessServe)
     // And each mode keeps its own blocks.
     EXPECT_NE(single.value().get("breakers"), nullptr);
     EXPECT_NE(multi.value().get("worker_table"), nullptr);
+}
+
+TEST(StatusKeys, SupervisorWithOneWorkerMatchesGolden)
+{
+    signals::resetForTest();
+    const std::string snapshots = tempPath("memoria_keys_sup");
+    std::remove(snapshots.c_str());
+    SupervisorOptions opts = supervisedOptions(1);
+    opts.journalPath.clear();
+    opts.serve.metricsPath = snapshots;
+    Supervisor sup(opts);
+    sup.start();
+    ASSERT_TRUE(waitFor([&] { return sup.workerRows()[0].state == "up"; }));
+
+    const std::string rows = workerRowPaths("workers");
+    EXPECT_EQ(keyPaths(sup.healthLine("h")),
+              healthHeadPaths("workers") + " worker_table " +
+                  workerRowPaths("worker_table"));
+    EXPECT_EQ(keyPaths(sup.statsLine("s")),
+              "id type workers " + rows + " registry");
+    EXPECT_EQ(keyPaths(sup.metricsLine("m")),
+              "id type ts_ms uptime_ms queue_depth queue_capacity "
+              "draining workers " + rows + " registry exposition");
+    sup.drain();
+    EXPECT_EQ(keyPaths(lastLine(snapshots)),
+              "ts_ms queue_depth queue_capacity uptime_ms draining "
+              "workers " + rows + " stats");
+    std::remove(snapshots.c_str());
+}
+
+TEST(Supervisor, HardRssWatermarkRecyclesThroughTheWorkersGovernor)
+{
+    signals::resetForTest();
+    SupervisorOptions opts = supervisedOptions(1);
+    opts.journalPath.clear();
+    opts.heartbeatMs = 100;
+    // Any live worker is over 1 MB: its own governor latches hard
+    // pressure at the first sample, and the heartbeat carries it back.
+    opts.workerCommand.push_back("--rss-hard-mb");
+    opts.workerCommand.push_back("1");
+    Supervisor sup(opts);
+    sup.start();
+
+    auto row = [&sup] {
+        Result<json::Value> health = json::parse(sup.healthLine("h"));
+        EXPECT_TRUE(health.ok());
+        const json::Value *table =
+            health.ok() ? health.value().get("worker_table") : nullptr;
+        return table && !table->items().empty() ? table->items().front()
+                                                : json::Value();
+    };
+    ASSERT_TRUE(waitFor([&] { return row().getInt("recycles") >= 1; },
+                        5000))
+        << "a latched hard watermark must recycle the worker";
+    EXPECT_EQ(row().getInt("crashes"), 0)
+        << "a memory recycle is graceful, never a crash";
+    sup.drain();
 }
 
 #endif  // MEMORIA_BIN
