@@ -7,12 +7,9 @@
 #include <map>
 #include <numeric>
 #include <optional>
-#include <string>
-#include <unordered_map>
 
 #include "harness/fault.hh"
 #include "support/logging.hh"
-#include "support/stats.hh"
 
 namespace memoria {
 
@@ -576,98 +573,24 @@ gcdFeasible(const DimForm &d)
     return d.cdiff % g == 0;
 }
 
-/**
- * Structural memo key for one dependenceVectors query. Two queries
- * with equal keys take identical paths through the tests below, so
- * their results are interchangeable. The key therefore captures
- * everything the analysis reads:
- *
- *  - the common-prefix length (node *identity*, not derivable from
- *    structure — two structurally equal loops can be distinct nodes);
- *  - every loop in both chains: variable, step, bound expressions;
- *  - both references: array and per-dimension subscript forms (opaque
- *    subscripts collapse to a marker — any one of them forces the
- *    conservative answer regardless of its shape);
- *  - `sameOccurrence`;
- *  - the kind and bound parameter value of every variable mentioned —
- *    the feasibility engine (SigmaRange::exprRange) reads
- *    varInfo(v).paramValue, so rebinding a parameter must miss.
- */
-std::string
-dependenceMemoKey(const Program &prog, const ArrayRef &refA,
-                  const std::vector<Node *> &loopsA,
-                  const ArrayRef &refB,
-                  const std::vector<Node *> &loopsB,
-                  bool sameOccurrence, size_t nCommon)
-{
-    std::string key;
-    key.reserve(160);
-    std::vector<VarId> mentioned;
-
-    auto addInt = [&key](int64_t v) {
-        key += std::to_string(v);
-        key += ';';
-    };
-    auto addAffine = [&](const AffineExpr &e) {
-        key += 'c';
-        addInt(e.constant());
-        for (const auto &[v, c] : e.terms()) {
-            key += 'v';
-            addInt(v);
-            addInt(c);
-            mentioned.push_back(v);
-        }
-    };
-    auto addLoops = [&](const std::vector<Node *> &loops) {
-        addInt(static_cast<int64_t>(loops.size()));
-        for (const Node *l : loops) {
-            key += 'L';
-            addInt(l->var);
-            addInt(l->step);
-            addAffine(l->lb);
-            addAffine(l->ub);
-            mentioned.push_back(l->var);
-        }
-    };
-    auto addRef = [&](const ArrayRef &r) {
-        key += 'A';
-        addInt(r.array);
-        for (const auto &s : r.subs) {
-            if (s.isAffine()) {
-                addAffine(s.affine);
-            } else {
-                key += 'O';
-            }
-        }
-    };
-
-    addInt(static_cast<int64_t>(nCommon));
-    key += sameOccurrence ? 'S' : 's';
-    addLoops(loopsA);
-    addLoops(loopsB);
-    addRef(refA);
-    addRef(refB);
-
-    std::sort(mentioned.begin(), mentioned.end());
-    mentioned.erase(std::unique(mentioned.begin(), mentioned.end()),
-                    mentioned.end());
-    for (VarId v : mentioned) {
-        const VarInfo &info = prog.varInfo(v);
-        key += 'V';
-        addInt(v);
-        addInt(static_cast<int64_t>(info.kind));
-        addInt(info.paramValue);
-    }
-    return key;
-}
+} // namespace
 
 std::vector<DepVector>
-computeDependenceVectors(const Program &prog, const ArrayRef &refA,
-                         const std::vector<Node *> &loopsA,
-                         const ArrayRef &refB,
-                         const std::vector<Node *> &loopsB,
-                         bool sameOccurrence, size_t nCommon)
+dependenceVectors(const Program &prog, const ArrayRef &refA,
+                  const std::vector<Node *> &loopsA, const ArrayRef &refB,
+                  const std::vector<Node *> &loopsB, bool sameOccurrence)
 {
+    gDepFault.fireNoDiag();
+
+    if (refA.array != refB.array)
+        return {};
+
+    // Common enclosing loops: longest shared prefix by node identity.
+    size_t nCommon = 0;
+    while (nCommon < loopsA.size() && nCommon < loopsB.size() &&
+           loopsA[nCommon] == loopsB[nCommon])
+        ++nCommon;
+
     std::vector<DepVector> out;
     std::vector<CommonLoop> common;
     common.reserve(nCommon);
@@ -799,56 +722,6 @@ computeDependenceVectors(const Program &prog, const ArrayRef &refA,
         }
     };
     enumerate(0);
-    return out;
-}
-
-} // namespace
-
-std::vector<DepVector>
-dependenceVectors(const Program &prog, const ArrayRef &refA,
-                  const std::vector<Node *> &loopsA, const ArrayRef &refB,
-                  const std::vector<Node *> &loopsB, bool sameOccurrence)
-{
-    gDepFault.fireNoDiag();
-
-    if (refA.array != refB.array)
-        return {};
-
-    // Common enclosing loops: longest shared prefix by node identity.
-    size_t nCommon = 0;
-    while (nCommon < loopsA.size() && nCommon < loopsB.size() &&
-           loopsA[nCommon] == loopsB[nCommon])
-        ++nCommon;
-
-    // Memoize per structural query. The dependence graph is rebuilt
-    // for every candidate permutation Compound scores, and nests keep
-    // asking about the same reference pairs under the same loops —
-    // the direction-vector enumeration with its feasibility engine is
-    // by far the hottest part of analysis. thread_local keeps the
-    // batch pool lock-free; the cache is bounded and cleared whole
-    // rather than evicted (queries cluster per program, so a sweep
-    // naturally refills it).
-    constexpr size_t kMaxMemoEntries = 1 << 15;
-    thread_local std::unordered_map<std::string, std::vector<DepVector>>
-        memo;
-    static obs::Counter &cHits = obs::counter("dependence.memo.hits");
-    static obs::Counter &cMisses =
-        obs::counter("dependence.memo.misses");
-
-    std::string key = dependenceMemoKey(prog, refA, loopsA, refB,
-                                        loopsB, sameOccurrence, nCommon);
-    auto it = memo.find(key);
-    if (it != memo.end()) {
-        ++cHits;
-        return it->second;
-    }
-    ++cMisses;
-
-    std::vector<DepVector> out = computeDependenceVectors(
-        prog, refA, loopsA, refB, loopsB, sameOccurrence, nCommon);
-    if (memo.size() >= kMaxMemoEntries)
-        memo.clear();
-    memo.emplace(std::move(key), out);
     return out;
 }
 

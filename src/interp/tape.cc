@@ -62,8 +62,6 @@ struct BufferEmitter
 Tape::Tape(const Program &prog, const Interpreter &interp)
     : prog_(&prog), binding_(&interp)
 {
-    ProgramArena arena(prog);
-
     varIv_.assign(prog.vars.size(), Interval{});
     varKnown_.assign(prog.vars.size(), false);
     for (size_t v = 0; v < prog.vars.size(); ++v) {
@@ -78,18 +76,8 @@ Tape::Tape(const Program &prog, const Interpreter &interp)
     for (const auto &buf : interp.data_)
         data_.push_back(const_cast<double *>(buf.data()));
 
-    // Size the pools from the arena's counts; the estimates err high
-    // by a small constant factor, never reallocate mid-compile.
-    size_t instrGuess = arena.vals().size() + 2 * arena.refs().size() +
-                        2 * arena.nodes().size() + 8;
-    code_.reserve(instrGuess);
-    stmtOfPc_.reserve(instrGuess);
-    affines_.reserve(arena.affines().size() + arena.refs().size());
-    termVar_.reserve(2 * arena.terms().size() + 8);
-    termCoeff_.reserve(2 * arena.terms().size() + 8);
-
-    for (ArenaId root : arena.roots())
-        compileNode(arena, root);
+    for (const NodePtr &n : prog.body)
+        compileNode(*n);
     emit(Instr{}, 0, 0);  // Halt
 
     dstack_.resize(static_cast<size_t>(maxDepth_) + 1);
@@ -128,41 +116,34 @@ Tape::emitFault(std::string code, std::string msg)
 }
 
 int32_t
-Tape::addAffine(const ProgramArena &arena, ArenaId id)
+Tape::addAffine(const AffineExpr &e)
 {
-    const ProgramArena::Affine &src = arena.affines()[id];
-    const ProgramArena::Term *t = arena.terms().data() + src.firstTerm;
     Aff a;
     a.firstTerm = static_cast<int32_t>(termVar_.size());
-    a.termCount = src.termCount;
-    a.constant = src.constant;
-    for (int32_t i = 0; i < src.termCount; ++i) {
-        termVar_.push_back(t[i].var);
-        termCoeff_.push_back(t[i].coeff);
+    a.termCount = static_cast<int32_t>(e.terms().size());
+    a.constant = e.constant();
+    for (const auto &[var, coeff] : e.terms()) {
+        termVar_.push_back(var);
+        termCoeff_.push_back(coeff);
     }
     affines_.push_back(a);
     return static_cast<int32_t>(affines_.size() - 1);
 }
 
 bool
-Tape::affineInterval(const ProgramArena &arena, ArenaId id,
-                     Interval &out) const
+Tape::affineInterval(const AffineExpr &e, Interval &out) const
 {
     // 128-bit accumulation cannot overflow for any realistic term
     // count; the result is clamped back into int64.
-    const ProgramArena::Affine &e = arena.affines()[id];
-    const ProgramArena::Term *terms =
-        arena.terms().data() + e.firstTerm;
-    __int128 lo = e.constant;
+    __int128 lo = e.constant();
     __int128 hi = lo;
-    for (int32_t i = 0; i < e.termCount; ++i) {
-        const ProgramArena::Term &t = terms[i];
-        if (static_cast<size_t>(t.var) >= varKnown_.size() ||
-            !varKnown_[t.var])
+    for (const auto &[var, coeff] : e.terms()) {
+        if (static_cast<size_t>(var) >= varKnown_.size() ||
+            !varKnown_[var])
             return false;
-        const Interval &iv = varIv_[t.var];
-        __int128 a = static_cast<__int128>(t.coeff) * iv.lo;
-        __int128 b = static_cast<__int128>(t.coeff) * iv.hi;
+        const Interval &iv = varIv_[var];
+        __int128 a = static_cast<__int128>(coeff) * iv.lo;
+        __int128 b = static_cast<__int128>(coeff) * iv.hi;
         lo += a < b ? a : b;
         hi += a < b ? b : a;
     }
@@ -174,11 +155,10 @@ Tape::affineInterval(const ProgramArena &arena, ArenaId id,
 }
 
 void
-Tape::compileNode(const ProgramArena &arena, ArenaId nodeId)
+Tape::compileNode(const Node &n)
 {
-    const ProgramArena::Node &n = arena.nodes()[nodeId];
-    if (!n.isLoop) {
-        compileStmt(arena, n.stmt);
+    if (n.isStmt()) {
+        compileStmt(n.stmt);
         return;
     }
     if (n.step == 0) {
@@ -190,8 +170,7 @@ Tape::compileNode(const ProgramArena &arena, ArenaId nodeId)
     }
 
     int32_t loopId = static_cast<int32_t>(loops_.size());
-    loops_.push_back({n.var, addAffine(arena, n.lb),
-                      addAffine(arena, n.ub), n.step, 0});
+    loops_.push_back({n.var, addAffine(n.lb), addAffine(n.ub), n.step, 0});
 
     size_t beginPc = code_.size();
     Instr begin;
@@ -203,8 +182,7 @@ Tape::compileNode(const ProgramArena &arena, ArenaId nodeId)
     // for a positive step the values lie in [min(lb), max(ub)] (the
     // loop only runs when lb <= ub), mirrored for negative steps.
     Interval lbIv, ubIv, vi{};
-    bool known = affineInterval(arena, n.lb, lbIv) &&
-                 affineInterval(arena, n.ub, ubIv);
+    bool known = affineInterval(n.lb, lbIv) && affineInterval(n.ub, ubIv);
     if (known) {
         vi = n.step > 0 ? Interval{lbIv.lo, ubIv.hi}
                         : Interval{ubIv.lo, lbIv.hi};
@@ -216,8 +194,8 @@ Tape::compileNode(const ProgramArena &arena, ArenaId nodeId)
     varIv_[n.var] = vi;
     varKnown_[n.var] = known;
 
-    for (int32_t i = 0; i < n.childCount; ++i)
-        compileNode(arena, arena.childIndex()[n.firstChild + i]);
+    for (const NodePtr &kid : n.body)
+        compileNode(*kid);
 
     varIv_[n.var] = savedIv;
     varKnown_[n.var] = savedKnown;
@@ -232,55 +210,56 @@ Tape::compileNode(const ProgramArena &arena, ArenaId nodeId)
 }
 
 void
-Tape::compileStmt(const ProgramArena &arena, ArenaId stmtId)
+Tape::compileStmt(const Statement &s)
 {
-    const ProgramArena::Stmt &s = arena.stmts()[stmtId];
     compileStmt_ = s.id;
     // Statements begin and end with empty stacks; resetting the model
     // here confines any dead-code imprecision to one statement.
     curDepth_ = 0;
     curIDepth_ = 0;
-    compileValue(arena, s.rhs);
-    compileRef(arena, s.write, /*isStore=*/true);
+    compileValue(s.rhs);
+    compileRef(s.write, /*isStore=*/true);
     compileStmt_ = -1;
 }
 
 void
-Tape::compileValue(const ProgramArena &arena, ArenaId valId)
+Tape::compileValue(const ValuePtr &v)
 {
-    const ProgramArena::Val &v = arena.vals()[valId];
-    switch (v.op) {
+    MEMORIA_ASSERT(v != nullptr, "null value in tape compile");
+    switch (v->op) {
       case ValOp::Const: {
         Instr in;
         in.op = Op::PushConst;
-        static_assert(sizeof(in.imm) == sizeof(v.constant));
-        std::memcpy(&in.imm, &v.constant, sizeof(in.imm));
+        static_assert(sizeof(in.imm) == sizeof(v->constant));
+        std::memcpy(&in.imm, &v->constant, sizeof(in.imm));
         emit(in, +1, 0);
         return;
       }
       case ValOp::Index: {
         Instr in;
         in.op = Op::PushIndex;
-        in.a = addAffine(arena, v.index);
+        in.a = addAffine(v->index);
         emit(in, +1, 0);
         return;
       }
       case ValOp::Load:
-        compileRef(arena, v.ref, /*isStore=*/false);
+        compileRef(v->load, /*isStore=*/false);
         return;
       case ValOp::Neg:
       case ValOp::Sqrt: {
-        compileValue(arena, v.kid0);
+        MEMORIA_ASSERT(!v->kids.empty(), "value arity out of range");
+        compileValue(v->kids[0]);
         Instr in;
-        in.op = v.op == ValOp::Neg ? Op::Neg : Op::Sqrt;
+        in.op = v->op == ValOp::Neg ? Op::Neg : Op::Sqrt;
         emit(in, 0, 0);
         return;
       }
       default: {
-        compileValue(arena, v.kid0);
-        compileValue(arena, v.kid1);
+        MEMORIA_ASSERT(v->kids.size() == 2, "value arity out of range");
+        compileValue(v->kids[0]);
+        compileValue(v->kids[1]);
         Instr in;
-        switch (v.op) {
+        switch (v->op) {
           case ValOp::Add: in.op = Op::Add; break;
           case ValOp::Sub: in.op = Op::Sub; break;
           case ValOp::Mul: in.op = Op::Mul; break;
@@ -297,9 +276,8 @@ Tape::compileValue(const ProgramArena &arena, ArenaId valId)
 }
 
 void
-Tape::compileRef(const ProgramArena &arena, ArenaId refId, bool isStore)
+Tape::compileRef(const ArrayRef &r, bool isStore)
 {
-    const ProgramArena::Ref &r = arena.refs()[refId];
     const Interpreter &I = *binding_;
 
     // Statically detectable faults compile to a FaultOp at the exact
@@ -311,10 +289,10 @@ Tape::compileRef(const ProgramArena &arena, ArenaId refId, bool isStore)
         return;
     }
     const int64_t *ext = I.extentsOf(r.array);
-    if (r.subCount != I.rankOf(r.array)) {
+    int rank = static_cast<int>(r.subs.size());
+    if (rank != I.rankOf(r.array)) {
         emitFault("interp.rank",
-                  "rank " + std::to_string(r.subCount) +
-                      " reference to rank " +
+                  "rank " + std::to_string(rank) + " reference to rank " +
                       std::to_string(I.rankOf(r.array)) + " array " +
                       prog_->arrayDecl(r.array).name);
         return;
@@ -327,30 +305,26 @@ Tape::compileRef(const ProgramArena &arena, ArenaId refId, bool isStore)
     uint16_t elem = static_cast<uint16_t>(decl.elemSize);
     int64_t base = static_cast<int64_t>(I.bases_[r.array]);
 
-    // Per-dimension analysis straight off the arena pools: provable
-    // bounds and overflow-safe magnitudes for the linearized fast
-    // path. Rank is tiny; fixed-size scratch avoids allocation.
+    // Per-dimension analysis: provable bounds and overflow-safe
+    // magnitudes for the linearized fast path. Rank is tiny;
+    // fixed-size scratch avoids allocation.
     constexpr int kMaxRank = 8;
-    int rank = r.subCount;
     bool fastOk = rank <= kMaxRank;
     int64_t stride = 1;
     for (int k = 0; fastOk && k < rank; ++k) {
-        const ProgramArena::Sub &sub = arena.subs()[r.firstSub + k];
-        if (sub.opaque != kNoArena) {
+        const Subscript &sub = r.subs[k];
+        if (!sub.isAffine()) {
             fastOk = false;
             break;
         }
         Interval iv;
-        if (!(affineInterval(arena, sub.affine, iv) && iv.lo >= 1 &&
+        if (!(affineInterval(sub.affine, iv) && iv.lo >= 1 &&
               iv.hi <= ext[k]))
             fastOk = false;
-        const ProgramArena::Affine &A = arena.affines()[sub.affine];
-        if (std::llabs(A.constant) > kLinLimit)
+        if (std::llabs(sub.affine.constant()) > kLinLimit)
             fastOk = false;
-        const ProgramArena::Term *t =
-            arena.terms().data() + A.firstTerm;
-        for (int32_t i = 0; i < A.termCount; ++i)
-            if (std::llabs(t[i].coeff) > kLinLimit)
+        for (const auto &[var, coeff] : sub.affine.terms())
+            if (std::llabs(coeff) > kLinLimit)
                 fastOk = false;
         if (stride > kLinLimit)
             fastOk = false;
@@ -371,24 +345,19 @@ Tape::compileRef(const ProgramArena &arena, ArenaId refId, bool isStore)
         bool overflow = false;
         int64_t st = 1;
         for (int k = 0; k < rank; ++k) {
-            const ProgramArena::Sub &sub =
-                arena.subs()[r.firstSub + k];
-            const ProgramArena::Affine &A =
-                arena.affines()[sub.affine];
-            linConst += (A.constant - 1) * st;
-            const ProgramArena::Term *t =
-                arena.terms().data() + A.firstTerm;
-            for (int32_t i = 0; i < A.termCount; ++i) {
-                int64_t c = t[i].coeff * st;
+            const AffineExpr &A = r.subs[k].affine;
+            linConst += (A.constant() - 1) * st;
+            for (const auto &[var, coeff] : A.terms()) {
+                int64_t c = coeff * st;
                 int j = 0;
-                while (j < linTerms && linVar[j] != t[i].var)
+                while (j < linTerms && linVar[j] != var)
                     ++j;
                 if (j < linTerms) {
                     linCoeff[j] += c;
                 } else if (linTerms <
                            static_cast<int>(sizeof linVar /
                                             sizeof linVar[0])) {
-                    linVar[linTerms] = t[i].var;
+                    linVar[linTerms] = var;
                     linCoeff[linTerms] = c;
                     ++linTerms;
                 } else {
@@ -441,15 +410,15 @@ Tape::compileRef(const ProgramArena &arena, ArenaId refId, bool isStore)
     emit(open, 0, +1);
     stride = 1;
     for (int k = 0; k < rank; ++k) {
-        const ProgramArena::Sub &sub = arena.subs()[r.firstSub + k];
+        const Subscript &sub = r.subs[k];
         Dim d;
         d.extent = ext[k];
         d.stride = stride;
         d.subIndex = k;
         d.array = r.array;
         Instr in;
-        if (sub.opaque != kNoArena) {
-            compileValue(arena, sub.opaque);
+        if (!sub.isAffine()) {
+            compileValue(sub.opaque);
             d.check = true;
             in.op = Op::DimOpaque;
             dims_.push_back(d);
@@ -457,9 +426,9 @@ Tape::compileRef(const ProgramArena &arena, ArenaId refId, bool isStore)
             emit(in, -1, 0);
         } else {
             Interval iv;
-            d.affine = addAffine(arena, sub.affine);
-            d.check = !(affineInterval(arena, sub.affine, iv) &&
-                        iv.lo >= 1 && iv.hi <= ext[k]);
+            d.affine = addAffine(sub.affine);
+            d.check = !(affineInterval(sub.affine, iv) && iv.lo >= 1 &&
+                        iv.hi <= ext[k]);
             in.op = Op::DimAffine;
             dims_.push_back(d);
             in.a = static_cast<int32_t>(dims_.size() - 1);

@@ -7,7 +7,9 @@
  * facts — array rank, extents, strides, bounds — on every single
  * access. The tape compiles one program binding (program + concrete
  * parameter values + array layout) into a flat instruction vector
- * once, hoisting everything compile-time-knowable out of the loop:
+ * once, in one walk of the tree IR (each use of a shared value node is
+ * compiled in full), hoisting everything compile-time-knowable out of
+ * the loop:
  *
  *  - **loop headers** carry their variable, bound expressions and step;
  *    the trip count is computed once per loop entry, so the back edge
@@ -44,7 +46,6 @@
 
 #include "cachesim/cache.hh"
 #include "check/diag.hh"
-#include "interp/arena.hh"
 #include "ir/program.hh"
 
 namespace memoria {
@@ -145,7 +146,7 @@ class Tape
     /** One guarded subscript dimension. */
     struct Dim
     {
-        int32_t affine = kNoArena; ///< kNoArena for opaque subscripts
+        int32_t affine = -1;       ///< -1 for opaque subscripts
         int64_t extent = 0;
         int64_t stride = 1;
         int32_t subIndex = 0;      ///< 0-based dimension (messages)
@@ -168,20 +169,17 @@ class Tape
     };
 
     // --- compilation ---
-    void compileNode(const ProgramArena &arena, ArenaId nodeId);
-    void compileStmt(const ProgramArena &arena, ArenaId stmtId);
-    void compileValue(const ProgramArena &arena, ArenaId valId);
-    void compileRef(const ProgramArena &arena, ArenaId refId,
-                    bool isStore);
+    void compileNode(const Node &n);
+    void compileStmt(const Statement &s);
+    void compileValue(const ValuePtr &v);
+    void compileRef(const ArrayRef &r, bool isStore);
     void emit(Instr in, int dstackEffect, int istackEffect);
     void emitFault(std::string code, std::string msg);
-    /** Copy arena affine `id` into the tape pools (no AffineExpr
-     *  reconstruction — compile cost matters for tiny oracle runs). */
-    int32_t addAffine(const ProgramArena &arena, ArenaId id);
-    /** Interval of arena affine `id` over the current loop-variable
-     *  ranges; false when any variable is unbounded. */
-    bool affineInterval(const ProgramArena &arena, ArenaId id,
-                        Interval &out) const;
+    /** Copy `e` into the tape's affine pools. */
+    int32_t addAffine(const AffineExpr &e);
+    /** Interval of `e` over the current loop-variable ranges; false
+     *  when any variable is unbounded. */
+    bool affineInterval(const AffineExpr &e, Interval &out) const;
 
     // --- execution ---
     template <class Emitter> void execute(Interpreter &interp,

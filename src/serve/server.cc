@@ -397,15 +397,21 @@ Executor::process(const Job &job)
     }
 
     // --- Publish or abandon the led flight. Only deterministic
-    // outcomes are publishable: ok and diag replay bit-identically,
-    // while timeouts, contained panics, degraded runs, and anything
-    // that produced an incident bundle must be recomputed per request.
+    // outcomes are publishable: ok and diag replay bit-identically, and
+    // so does a degraded run whose ladder recorded no failure — it ran
+    // clean at its requested start rung (every analyze does). Timeouts,
+    // contained panics, degraded runs that fell down the ladder, and
+    // anything that produced an incident bundle must be recomputed per
+    // request.
     if (leading) {
         flightGuard.armed = false;
+        bool cleanDegraded = out.status == harness::BatchStatus::Degraded &&
+                             out.failures.empty() &&
+                             out.rung == bopts.startRung;
         bool publishable =
             !failed &&
             (out.status == harness::BatchStatus::Ok ||
-             out.status == harness::BatchStatus::Diag) &&
+             out.status == harness::BatchStatus::Diag || cleanDegraded) &&
             incidentDir.empty();
         if (publishable)
             cache_->publish(ticket,

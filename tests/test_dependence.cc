@@ -1,13 +1,18 @@
 /** Dependence analysis tests: vectors, known SIV cases, oracle sweeps,
- *  legality predicates. */
+ *  legality predicates, and a golden digest of the kernel and corpus
+ *  nest graphs. */
 
 #include <gtest/gtest.h>
 
 #include "dependence/graph.hh"
 #include "dependence/legality.hh"
+#include "harness/batch.hh"
 #include "ir/builder.hh"
+#include "ir/walk.hh"
+#include "model/loopcost.hh"
 #include "oracle.hh"
 #include "suite/kernels.hh"
+#include "support/hash.hh"
 #include "support/rng.hh"
 #include "transform/distribute.hh"
 
@@ -318,6 +323,53 @@ TEST(Scc, IndependentStatementsSplit)
     // Topological order: the producer S1 comes first.
     EXPECT_EQ(comps[0], std::vector<int>{0});
     EXPECT_EQ(comps[1], std::vector<int>{1});
+}
+
+/** FNV-1a over every edge (positions, type, vector, loop independence)
+ *  of the NestAnalysis graph of each depth >= 2 nest of `inputs`. */
+std::string
+nestGraphDigest(const std::vector<harness::BatchInput> &inputs,
+                size_t &edges)
+{
+    uint64_t h = kFnvBasis;
+    for (const harness::BatchInput &in : inputs) {
+        Result<Program> loaded = in.load();
+        EXPECT_TRUE(loaded.ok()) << in.name;
+        if (!loaded.ok())
+            continue;
+        const Program &p = loaded.value();
+        for (size_t k = 0; k < p.body.size(); ++k) {
+            Node *n = p.body[k].get();
+            if (!n->isLoop() || loopDepth(*n) < 2)
+                continue;
+            NestAnalysis na(p, n, ModelParams{});
+            for (const DepEdge &e : na.graph().edges()) {
+                h = fnv1a64(in.name + "#" + std::to_string(k) + " " +
+                                std::to_string(e.srcPos) + "->" +
+                                std::to_string(e.dstPos) + " " +
+                                depTypeName(e.type) + " " + e.vec.str() +
+                                (e.loopIndependent ? " li\n" : "\n"),
+                            h);
+                ++edges;
+            }
+        }
+    }
+    return hex64(h);
+}
+
+TEST(DepGolden, KernelAndCorpusNestGraphs)
+{
+    // Every dependence edge the model sees for the ten kernels at N=16
+    // and the corpus at extent 16. A change here means analysis output
+    // changed; update deliberately.
+    size_t kernelEdges = 0;
+    EXPECT_EQ(nestGraphDigest(harness::kernelInputs(16), kernelEdges),
+              "85033950406c0186");
+    EXPECT_EQ(kernelEdges, 120u);
+    size_t corpusEdges = 0;
+    EXPECT_EQ(nestGraphDigest(harness::corpusInputs(16), corpusEdges),
+              "a973e0917bfeb79d");
+    EXPECT_EQ(corpusEdges, 2048u);
 }
 
 } // namespace

@@ -485,55 +485,80 @@ TEST(Snapshot, CorruptSnapshotFaultSiteDamagesTheWrite)
 // ---------------------------------------------------------------------
 // Server integration
 
+/** `v` without the fields a replay re-stamps per request: id,
+ *  trace_id, timings.queue_us/total_us and the provenance stamps. */
+json::Value
+withoutRestamped(const json::Value &v)
+{
+    json::Value out = json::Value::object();
+    for (const json::Member &m : v.members()) {
+        if (m.first == "id" || m.first == "trace_id" ||
+            m.first == "cache_hit" || m.first == "dedup_follower")
+            continue;
+        if (m.first == "timings" && m.second.isObject()) {
+            json::Value t = json::Value::object();
+            for (const json::Member &tm : m.second.members())
+                if (tm.first != "queue_us" && tm.first != "total_us")
+                    t.set(tm.first, tm.second);
+            out.set(m.first, t);
+            continue;
+        }
+        out.set(m.first, m.second);
+    }
+    return out;
+}
+
 TEST(ServeCache, SecondIdenticalRequestIsACacheHit)
 {
-    Server server(quietOptions());
-    server.start();
-    Collector out;
-    server.handleLine(requestLine("r1", "compound", kProgram), out.fn());
-    // With two jobs r2 could be picked up first and lead; waiting for
-    // r1's answer makes r1 the leader in every run.
-    ASSERT_TRUE(out.waitForLines(1));
-    server.handleLine(requestLine("r2", "compound", kProgram), out.fn());
-    // Formatting variant: canonicalization should hit too.
-    server.handleLine(
-        requestLine("r3", "compound", kProgramReformatted), out.fn());
-    server.drain();
+    // Analyze runs at the identity rung, so its outcome reads
+    // "degraded" although nothing failed; it replays like any clean
+    // outcome.
+    for (const std::string kind : {"compound", "analyze"}) {
+        SCOPED_TRACE(kind);
+        Server server(quietOptions());
+        server.start();
+        Collector out;
+        server.handleLine(requestLine("r1", kind, kProgram), out.fn());
+        // With two jobs r2 could be picked up first and lead; waiting
+        // for r1's answer makes r1 the leader in every run.
+        ASSERT_TRUE(out.waitForLines(1));
+        server.handleLine(requestLine("r2", kind, kProgram), out.fn());
+        // Formatting variant: canonicalization should hit too.
+        server.handleLine(requestLine("r3", kind, kProgramReformatted),
+                          out.fn());
+        server.drain();
 
-    ASSERT_EQ(out.lines.size(), 3u);
-    json::Value fresh, hit, reformatted;
-    for (size_t i = 0; i < 3; ++i) {
-        json::Value v = out.parsed(i);
-        ASSERT_EQ(v.getString("type"), "result") << out.lines[i];
-        if (v.getString("id") == "r1")
-            fresh = v;
-        else if (v.getString("id") == "r2")
-            hit = v;
-        else
-            reformatted = v;
+        ASSERT_EQ(out.lines.size(), 3u);
+        json::Value fresh, hit, reformatted;
+        for (size_t i = 0; i < 3; ++i) {
+            json::Value v = out.parsed(i);
+            ASSERT_EQ(v.getString("type"), "result") << out.lines[i];
+            if (v.getString("id") == "r1")
+                fresh = v;
+            else if (v.getString("id") == "r2")
+                hit = v;
+            else
+                reformatted = v;
+        }
+        if (kind == "analyze") {
+            EXPECT_EQ(fresh.getString("status"), "degraded");
+            EXPECT_EQ(fresh.getString("rung"), "identity");
+        }
+        EXPECT_FALSE(fresh.getBool("cache_hit", false));
+        EXPECT_TRUE(hit.getBool("cache_hit", false))
+            << "identical request must be answered from the cache";
+        EXPECT_TRUE(reformatted.getBool("cache_hit", false) ||
+                    reformatted.getBool("dedup_follower", false));
+
+        // Replayed responses are the leader's result modulo the
+        // volatile fields; the stage timings describe the computation
+        // and replay too.
+        EXPECT_EQ(withoutRestamped(hit).dump(),
+                  withoutRestamped(fresh).dump());
+
+        ResultCacheStats s = server.cacheStats();
+        EXPECT_GE(s.hits + s.inflightJoins, 2u);
     }
-    EXPECT_FALSE(fresh.getBool("cache_hit", false));
-    EXPECT_TRUE(hit.getBool("cache_hit", false) ||
-                hit.getBool("dedup_follower", false))
-        << "identical request must be answered from the cache";
-    EXPECT_TRUE(reformatted.getBool("cache_hit", false) ||
-                reformatted.getBool("dedup_follower", false));
-
-    // Replayed responses are the leader's result modulo the volatile
-    // fields: id, trace_id, queue/total timings, and the provenance
-    // stamp itself.
-    for (json::Value *v : {&fresh, &hit}) {
-        EXPECT_EQ(v->getString("status"), fresh.getString("status"));
-        EXPECT_EQ(v->getInt("rung", -1), fresh.getInt("rung", -1));
-    }
-    const json::Value *ft = fresh.get("timings");
-    const json::Value *ht = hit.get("timings");
-    ASSERT_TRUE(ft && ht);
-    EXPECT_EQ(ft->getInt("optimize_us", -1), ht->getInt("optimize_us", -2))
-        << "stage timings describe the computation and must replay";
-
-    ResultCacheStats s = server.cacheStats();
-    EXPECT_GE(s.hits + s.inflightJoins, 2u);
 }
 
 TEST(ServeCache, HealthCarriesTheCacheBlock)
