@@ -257,11 +257,7 @@ runIsolated(const BatchInput &in, const BatchOptions &opts)
     out.faultHits = drainFaultHits();
     out.timeMs = steadyMsF() - t0;
 
-    const obs::StageTimes &st = obs::stageTimes();
-    out.timings.loadUs = st.loadUs;
-    out.timings.optimizeUs = st.optimizeUs;
-    out.timings.verifyUs = st.verifyUs;
-    out.timings.simulateUs = st.simulateUs;
+    out.timings = obs::stageTimes();
 
     if (span.active()) {
         span.arg("status", batchStatusName(out.status));

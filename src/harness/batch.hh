@@ -38,6 +38,7 @@
 #include "check/diag.hh"
 #include "harness/ladder.hh"
 #include "ir/program.hh"
+#include "support/trace.hh"
 
 namespace memoria {
 namespace harness {
@@ -152,13 +153,7 @@ struct ProgramOutcome
      * program's total wall time; the remainder is ladder/bookkeeping
      * overhead. Serve stamps these into every response as `timings`.
      */
-    struct StageTimings
-    {
-        double loadUs = 0.0;
-        double optimizeUs = 0.0;
-        double verifyUs = 0.0;
-        double simulateUs = 0.0;
-    };
+    using StageTimings = obs::StageTimes;
     StageTimings timings;
 
     /** Fault-site hits attributed to this program. */

@@ -254,8 +254,11 @@ runWorkerFd(Executor &executor, int fd)
         // Every line is the front's: a work request it admitted, or
         // the heartbeat probe, answered here on the reader thread so a
         // saturated pool cannot miss it.
-        Result<Request> parsed =
-            parseRequest(line, executor.options().maxRequestBytes);
+        // The front held the client's line to --max-request-bytes.
+        // Its forward is a re-serialization (a new id, the admission
+        // time), a few bytes longer, so the cap is not applied twice.
+        double enqueuedUs = 0.0;
+        Result<Request> parsed = parseRequest(line, 0, &enqueuedUs);
         if (!parsed.ok()) {
             respond(errorResponse("", parsed.diag().code,
                                   parsed.diag().str()));
@@ -270,7 +273,7 @@ runWorkerFd(Executor &executor, int fd)
             respond(r.dump());
             return;
         }
-        executor.submit(std::move(req), 0.0,
+        executor.submit(std::move(req), enqueuedUs,
                         [respond](const std::string &answer, bool) {
                             respond(answer);
                         });

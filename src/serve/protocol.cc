@@ -53,7 +53,7 @@ isWorkKind(RequestKind k)
 }
 
 Result<Request>
-parseRequest(const std::string &line, size_t maxBytes)
+parseRequest(const std::string &line, size_t maxBytes, double *enqueuedUs)
 {
     // Size is checked before the parser touches the line: an oversized
     // request is rejected for the cost of a length compare, not an
@@ -117,6 +117,8 @@ parseRequest(const std::string &line, size_t maxBytes)
                           "\"batch\"");
     }
     req.clientId = v.getString("client_id");
+    if (enqueuedUs)
+        *enqueuedUs = v.getNumber("enqueued_us", 0.0);
     return req;
 }
 

@@ -99,9 +99,13 @@ struct Request
  * (code "serve.request"), or for input that blows a resource cap —
  * oversized line, excessive JSON nesting or node count — (code
  * "protocol.too-large", rejected before any unbounded allocation).
+ * With `enqueuedUs`, also reads the front's admission time
+ * (`enqueued_us`, steady clock); only a worker reading its front's
+ * forwarded lines asks, so no client can set its own queue start.
  */
 Result<Request> parseRequest(const std::string &line,
-                             size_t maxBytes = 4u << 20);
+                             size_t maxBytes = 4u << 20,
+                             double *enqueuedUs = nullptr);
 
 /** JSON nesting depth `parseRequest` accepts: requests are flat
  *  objects, so anything deep is hostile, not a client mistake. */

@@ -283,6 +283,9 @@ Supervisor::forwardLine(const Pending &p, uint64_t seq) const
     // crash-inducing fault verbatim would kill the fresh worker too.
     if (!p.req.fault.empty() && !p.retried)
         o.set("fault", json::Value::string(p.req.fault));
+    // steady_clock is CLOCK_MONOTONIC, one clock for every process on
+    // the host: the worker's `queue_us` then covers the wait here too.
+    o.set("enqueued_us", json::Value::number(p.enqueuedUs));
     return o.dump();
 }
 

@@ -2,99 +2,13 @@
  * @file
  * memoria — command-line driver.
  *
- * Runs the pipeline on the built-in kernels and corpus programs:
+ *   memoria <command> [arguments] [flags]
  *
- *   memoria list
- *   memoria print <program> [N]
- *   memoria analyze <program> [N]      LoopCost table + memory order
- *   memoria optimize <program> [N]     Compound + before/after source
- *   memoria simulate <program> [N]     hit rates + speedup on both caches
- *   memoria reuse <program> [N]        reuse-distance profile
- *   memoria trace <program> [N]        Compound decision provenance
- *   memoria fuzz [--seed N] [--count K] [--jobs N]
- *                                      differential pipeline fuzzing
- *   memoria batch [programs...]        resilient batch pipeline
- *   memoria serve [--port N] [--socket P]  long-running compile service
- *   memoria reduce <bundle|file>       re-minimize a failure offline
- *   memoria bench [--json]             pipeline microbenchmarks
- *   memoria version                    build identity
- *
- * `memoria batch` runs the whole pipeline over many programs with
- * per-program crash isolation, budgets, and the degradation ladder
- * (docs/ROBUSTNESS.md):
- *
- *   --all                  kernels + corpus + the .mem files in examples/
- *   --stdin                read program names / file paths from stdin
- *   --jobs N               worker threads (default: up to 4)
- *   --deadline-ms N        wall-clock budget per ladder attempt
- *   --max-iterations N     interpreter iteration budget per attempt
- *   --max-ir-nodes N       IR node budget per program version
- *   --json                 print the machine-readable batch report
- *   --fault SPEC           arm one fault site: site[:action[:N]][@prog]
- *   --fault-sweep          arm every site in turn; verify containment
- *   --list-faults          print the registered fault-site catalog
- *   --incidents            minimize contained failures into bundles
- *   --caches NAMES         cache geometries to sweep per survivor:
- *                          i860 (default), rs6000, or both — all fed
- *                          from one interpreter pass per program
- *
- * `memoria bench` times the pipeline's hot paths (parse, validate,
- * Compound, oracle, simulation, the multi-config sweep, an end-to-end
- * corpus batch) with warmup and repetition; see docs/PERFORMANCE.md:
- *
- *   --reps N               timed repetitions per benchmark (default 5)
- *   --warmup N             untimed warmup repetitions (default 1)
- *   --filter S             run benchmarks whose name contains S
- *   --json                 emit the stable BENCH.json schema
- *
- * `memoria serve` reads JSON-lines requests from stdin (or serves TCP /
- * Unix-socket clients with --port / --socket) and answers each with
- * exactly one JSON response; see docs/SERVING.md:
- *
- *   --jobs N --queue N     threads per shard, per-shard queue bound
- *   --deadline-ms N        default per-request budget
- *   --max-deadline-ms N    clamp on client-supplied deadlines
- *   --drain-deadline-ms N  grace for queued work during shutdown
- *   --port N               TCP (0 picks an ephemeral port)
- *   --host H               TCP bind address (default 127.0.0.1)
- *   --socket PATH          Unix-domain socket
- *   --allow-faults         honor per-request fault-injection hooks
- *   --no-incidents         don't write incident bundles
- *   --incidents-dir DIR    bundle root (default artifacts/incidents)
- *   --workers N            fork N shard-worker processes behind a
- *                          crash-respawn supervisor (0 = in-process)
- *   --journal PATH|none    write-ahead admission journal (default
- *                          artifacts/serve/journal.jsonl with --workers)
- *   --heartbeat-ms N       worker liveness probe cadence (default 500)
- *   --max-request-bytes N  reject longer request lines up front
- *   --cache-entries N      result-cache entry bound (default 512)
- *   --cache-bytes N        result-cache byte bound (default 32 MiB)
- *   --no-cache             disable the result cache entirely
- *   --cache-snapshot-dir DIR
- *                          durable cache snapshots (cache-shardK.snap
- *                          per shard; warm restarts load them back)
- *   --cache-snapshot-interval-ms N
- *                          periodic snapshot cadence (also written at
- *                          drain; 0 = drain-only)
- *
- * `memoria reduce` re-minimizes an incident bundle directory (using its
- * recorded failure signature and fault plan) or a bare .mem file (the
- * signature is whatever contained failure the pipeline exhibits),
- * with offline-sized budgets (--deadline-ms, --max-checks).
- *
- * `memoria fuzz` failures are minimized into incident bundles under
- * artifacts/incidents/ (each regenerable from its seed alone); disable
- * with --no-incidents.
- *
- * Global flags (accepted anywhere on the command line):
- *
- *   --trace=<file.jsonl>   write the structured event trace as JSON lines
- *   --trace                write a human-readable trace to stderr
- *   --stats                dump the stats registry as a table at exit
- *   --stats=json           dump the stats registry as JSON at exit
- *   -q                     silence warnings
- *                          (also: MEMORIA_LOG_LEVEL=quiet|warn or 0|1)
- *   --help                 print usage and exit 0
+ * Each command declares its flags once, in a table whose setters store
+ * straight into the options the command runs with; `memoria --help`
+ * renders those tables and is the flag reference. A command accepts
+ * the global flags and its own, before or after the command word; any
+ * other flag is a usage error.
  *
  * Exit codes: 0 = success, 1 = pipeline failure (bad input program,
  * fuzzing or sweep found failures), 2 = usage error. A `batch` run that
@@ -118,9 +32,9 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <iomanip>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -207,10 +121,8 @@ cmdAnalyze(Program prog)
 }
 
 int
-cmdOptimize(Program prog)
+cmdOptimize(const OptimizedProgram &opt)
 {
-    ModelParams params;
-    OptimizedProgram opt = optimizeProgram(prog, params);
     std::cout << "--- original ---\n" << printProgram(opt.original)
               << "\n--- transformed ---\n"
               << printProgram(opt.transformed);
@@ -232,10 +144,8 @@ cmdOptimize(Program prog)
 }
 
 int
-cmdSimulate(Program prog)
+cmdSimulate(const OptimizedProgram &opt)
 {
-    ModelParams params;
-    OptimizedProgram opt = optimizeProgram(prog, params);
     const std::vector<CacheConfig> configs = {CacheConfig::rs6000(),
                                               CacheConfig::i860()};
     std::vector<Performance> perf;
@@ -256,10 +166,8 @@ cmdSimulate(Program prog)
 }
 
 int
-cmdReuse(Program prog)
+cmdReuse(const OptimizedProgram &opt)
 {
-    ModelParams params;
-    OptimizedProgram opt = optimizeProgram(prog, params);
     ReuseDistanceAnalyzer r0(32), r1(32);
     Status st = Interpreter(opt.original).run(&r0);
     if (st.ok())
@@ -281,10 +189,8 @@ cmdReuse(Program prog)
 
 /** Decision provenance: one row per nest with Compound's choice. */
 int
-cmdTrace(Program prog)
+cmdTrace(const OptimizedProgram &opt)
 {
-    ModelParams params;
-    OptimizedProgram opt = optimizeProgram(prog, params);
 
     TextTable t({"nest", "depth", "strategy", "verify", "fail",
                  "orig cost", "final cost", "ideal cost"});
@@ -317,94 +223,10 @@ cmdTrace(Program prog)
     return 0;
 }
 
-
-/** Global flags pulled out of argv before command dispatch. */
-struct Options
-{
-    std::vector<std::string> positional;
-    std::string error;         ///< usage error; non-empty = exit 2
-    bool help = false;         ///< --help
-    bool version = false;      ///< --version
-    std::string traceFile;     ///< --trace=<file.jsonl>
-    bool traceText = false;    ///< bare --trace
-    bool statsText = false;    ///< --stats
-    bool statsJson = false;    ///< --stats=json
-    bool quiet = false;        ///< -q
-    uint64_t fuzzSeed = 1;     ///< fuzz: --seed
-    int fuzzCount = 100;       ///< fuzz: --count
-
-    // batch
-    bool batchAll = false;        ///< --all
-    bool batchStdin = false;      ///< --stdin
-    int jobs = 0;                 ///< --jobs (0 = auto)
-    int64_t deadlineMs = 0;       ///< --deadline-ms
-    int64_t maxIterations = 0;    ///< --max-iterations
-    int64_t maxIrNodes = 0;       ///< --max-ir-nodes
-    bool jsonOut = false;         ///< --json
-    std::string faultSpec;        ///< --fault SPEC
-    bool faultSweep = false;      ///< --fault-sweep
-    bool listFaults = false;      ///< --list-faults
-    std::string caches;           ///< --caches i860|rs6000|both
-
-    // bench
-    int benchReps = 5;            ///< --reps
-    int benchWarmup = 1;          ///< --warmup
-    std::string benchFilter;      ///< --filter
-
-    // incidents (batch/fuzz/serve/reduce)
-    bool incidents = false;       ///< batch: --incidents
-    bool noIncidents = false;     ///< fuzz/serve: --no-incidents
-    std::string incidentsDir;     ///< --incidents-dir DIR
-    int maxChecks = 0;            ///< reduce: --max-checks
-
-    // serve
-    int queueCapacity = 0;        ///< --queue
-    int64_t clientCap = 0;        ///< --client-cap (0 = off)
-    int64_t ageMs = 0;            ///< --age-ms CoDel target (0 = off)
-    int64_t rssSoftMb = 0;        ///< --rss-soft-mb (0 = off)
-    int64_t rssHardMb = 0;        ///< --rss-hard-mb (0 = off)
-    int64_t maxDeadlineMs = 0;    ///< --max-deadline-ms
-    int64_t drainDeadlineMs = 0;  ///< --drain-deadline-ms
-    int64_t retryAfterMs = 0;     ///< --retry-after-ms
-    int port = -1;                ///< --port (-1 off, 0 ephemeral)
-    std::string host = "127.0.0.1";  ///< --host
-    std::string socketPath;       ///< --socket PATH
-    bool allowFaults = false;     ///< --allow-faults
-
-    // serve metrics export
-    int metricsPort = -1;         ///< --metrics-port (-1 off)
-    int64_t metricsIntervalMs = 0;///< --metrics-interval-ms
-    std::string metricsFile;      ///< --metrics-file PATH
-
-    // serve supervision (multi-process shard workers)
-    int workers = 0;              ///< --workers (0 = single-process)
-    int64_t maxRequestsPerWorker = 0;  ///< --max-requests-per-worker
-    std::string journalPath;      ///< --journal PATH|none
-    int64_t heartbeatMs = 0;      ///< --heartbeat-ms
-    int64_t maxRequestBytes = 0;  ///< --max-request-bytes
-    int workerFd = -1;            ///< --worker-fd (internal)
-    int shard = -1;               ///< --shard (internal)
-    std::string argv0;            ///< how this binary was invoked
-    /** argv after argv0 minus --trace and --stats: a front's worker
-     *  command line (the trace and stats belong to the front). */
-    std::vector<std::string> workerArgs;
-
-    // serve result cache
-    int64_t cacheEntries = -1;    ///< --cache-entries (-1 = default)
-    int64_t cacheBytes = 0;       ///< --cache-bytes (0 = default)
-    bool noCache = false;         ///< --no-cache
-    std::string cacheSnapshotDir; ///< --cache-snapshot-dir DIR
-    int64_t cacheSnapshotIntervalMs = 0;  ///< --cache-snapshot-interval-ms
-
-    // top
-    std::string topFile;          ///< top: --file (tail snapshots)
-    int64_t topIntervalMs = 1000; ///< top: --interval-ms
-    bool topOnce = false;         ///< top: --once
-};
-
-const int64_t kMax64 = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
 /** Upper bound of --jobs and --workers. */
-const int64_t kMaxJobs = 1024;
+constexpr int64_t kMaxJobs = 1024;
 
 /** A whole decimal integer in [lo, hi]; nullopt for anything else. */
 std::optional<int64_t>
@@ -418,239 +240,156 @@ parseInteger(const std::string &s, int64_t lo, int64_t hi)
     return v;
 }
 
-Options
-parseArgs(int argc, char **argv)
+/** Stores one flag's value ("" for a switch); false rejects it. */
+using Setter = std::function<bool(const std::string &)>;
+
+/**
+ * One flag of one command: its name, the value hint and the help line
+ * that `--help` prints, and the setter. A switch has no hint; a hint
+ * "[=V]" marks a value that is optional and given inline only
+ * (`--stats`, `--stats=json`).
+ */
+struct Flag
 {
-    Options opts;
-    if (argc > 0)
-        opts.argv0 = argv[0];
+    const char *name;
+    const char *value;
+    const char *help;
+    Setter set;
+};
+using Flags = std::vector<Flag>;
 
-    // Flags taking a value, as "--flag V" or "--flag=V". Numbers must
-    // be whole decimal integers in the flag's range; a setter returns
-    // false on anything else (a usage error).
-    using Setter = std::function<bool(const std::string &)>;
-    auto text = [](std::string &field) -> Setter {
-        return [&field](const std::string &v) {
-            field = v;
-            return true;
-        };
-    };
-    auto integer = [](auto &field, int64_t lo, int64_t hi) -> Setter {
-        return [&field, lo, hi](const std::string &v) {
-            std::optional<int64_t> x = parseInteger(v, lo, hi);
-            if (x)
-                field = static_cast<std::decay_t<decltype(field)>>(*x);
-            return x.has_value();
-        };
-    };
-    const int64_t kMaxInt = std::numeric_limits<int>::max();
-    const std::map<std::string, Setter> valued = {
-        {"--seed",
-         [&](const std::string &v) {
-             const char *end = v.data() + v.size();
-             auto [p, ec] = std::from_chars(v.data(), end, opts.fuzzSeed);
-             return ec == std::errc() && p == end && !v.empty();
-         }},
-        {"--count", integer(opts.fuzzCount, 1, kMaxInt)},
-        {"--jobs", integer(opts.jobs, 0, kMaxJobs)},
-        {"--deadline-ms", integer(opts.deadlineMs, 0, kMax64)},
-        {"--max-iterations", integer(opts.maxIterations, 0, kMax64)},
-        {"--max-ir-nodes", integer(opts.maxIrNodes, 0, kMax64)},
-        {"--fault", text(opts.faultSpec)},
-        {"--caches", text(opts.caches)},
-        {"--reps", integer(opts.benchReps, 1, kMaxInt)},
-        {"--warmup", integer(opts.benchWarmup, 0, kMaxInt)},
-        {"--filter", text(opts.benchFilter)},
-        {"--incidents-dir", text(opts.incidentsDir)},
-        {"--max-checks", integer(opts.maxChecks, 0, kMaxInt)},
-        {"--queue", integer(opts.queueCapacity, 0, kMaxInt)},
-        {"--client-cap", integer(opts.clientCap, 0, kMax64)},
-        {"--age-ms", integer(opts.ageMs, 0, kMax64)},
-        // Megabytes are shifted into bytes.
-        {"--rss-soft-mb", integer(opts.rssSoftMb, 0, kMax64 >> 20)},
-        {"--rss-hard-mb", integer(opts.rssHardMb, 0, kMax64 >> 20)},
-        {"--max-requests-per-worker",
-         integer(opts.maxRequestsPerWorker, 0, kMax64)},
-        {"--max-deadline-ms", integer(opts.maxDeadlineMs, 0, kMax64)},
-        {"--drain-deadline-ms", integer(opts.drainDeadlineMs, 0, kMax64)},
-        {"--retry-after-ms", integer(opts.retryAfterMs, 0, kMax64)},
-        {"--port", integer(opts.port, 0, 65535)},
-        {"--host", text(opts.host)},
-        {"--socket", text(opts.socketPath)},
-        {"--metrics-port", integer(opts.metricsPort, 0, 65535)},
-        {"--metrics-interval-ms",
-         integer(opts.metricsIntervalMs, 0, kMax64)},
-        {"--metrics-file", text(opts.metricsFile)},
-        {"--workers", integer(opts.workers, 0, kMaxJobs)},
-        {"--journal", text(opts.journalPath)},
-        {"--heartbeat-ms", integer(opts.heartbeatMs, 0, kMax64)},
-        {"--max-request-bytes", integer(opts.maxRequestBytes, 0, kMax64)},
-        {"--cache-entries", integer(opts.cacheEntries, 0, kMax64)},
-        {"--cache-bytes", integer(opts.cacheBytes, 0, kMax64)},
-        {"--cache-snapshot-dir", text(opts.cacheSnapshotDir)},
-        {"--cache-snapshot-interval-ms",
-         integer(opts.cacheSnapshotIntervalMs, 0, kMax64)},
-        {"--worker-fd", integer(opts.workerFd, 0, kMaxInt)},
-        {"--shard", integer(opts.shard, 0, kMaxInt)},
-        {"--file", text(opts.topFile)},
-        {"--interval-ms", integer(opts.topIntervalMs, 0, kMax64)},
-    };
+struct Command;
 
-    for (int i = 1; i < argc && opts.error.empty(); ++i) {
-        const int first = i;
-        std::string arg = argv[i];
-        auto eq = arg.find('=');
-        std::string head =
-            eq == std::string::npos ? arg : arg.substr(0, eq);
-        auto valuedIt = valued.find(head);
+/** The command line, once its flags are stored. */
+struct Args
+{
+    const Command *command = nullptr;  ///< named by the first word
+    std::string argv0;
+    std::vector<std::string> words;  ///< non-flag arguments; [0] = command
+    /** argv after argv0 minus --trace and --stats: a serve front's
+     *  worker command line (the trace and stats belong to the front). */
+    std::vector<std::string> workerArgs;
+    std::string error;  ///< usage error; non-empty = exit 2
+};
 
-        if (arg == "--help" || arg == "-h") {
-            opts.help = true;
-        } else if (arg == "--version") {
-            opts.version = true;
-        } else if (arg == "--incidents") {
-            opts.incidents = true;
-        } else if (arg == "--no-incidents") {
-            opts.noIncidents = true;
-        } else if (arg == "--allow-faults") {
-            opts.allowFaults = true;
-        } else if (arg == "--trace") {
-            opts.traceText = true;
-        } else if (head == "--trace") {
-            opts.traceFile = arg.substr(8);
-            if (opts.traceFile.empty())
-                opts.error = "--trace= needs a file name";
-        } else if (arg == "--stats") {
-            opts.statsText = true;
-        } else if (arg == "--stats=json") {
-            opts.statsJson = true;
-        } else if (arg == "--all") {
-            opts.batchAll = true;
-        } else if (arg == "--stdin") {
-            opts.batchStdin = true;
-        } else if (arg == "--json") {
-            opts.jsonOut = true;
-        } else if (arg == "--fault-sweep") {
-            opts.faultSweep = true;
-        } else if (arg == "--list-faults") {
-            opts.listFaults = true;
-        } else if (arg == "--once") {
-            opts.topOnce = true;
-        } else if (arg == "--no-cache") {
-            opts.noCache = true;
-        } else if (valuedIt != valued.end()) {
-            std::string value;
-            if (eq != std::string::npos)
-                value = arg.substr(eq + 1);
-            else if (i + 1 < argc)
-                value = argv[++i];
-            else
-                opts.error = arg + " needs a value";
-            if (opts.error.empty() && !valuedIt->second(value))
-                opts.error = "bad value '" + value + "' for " + head;
-        } else if (arg == "-q") {
-            opts.quiet = true;
-        } else if (!arg.empty() && arg[0] == '-' && arg.size() > 1 &&
-                   !isdigit(static_cast<unsigned char>(arg[1]))) {
-            opts.error = "unknown flag '" + arg + "'";
-        } else {
-            opts.positional.push_back(std::move(arg));
-        }
-        if (head != "--trace" && head != "--stats")
-            opts.workerArgs.insert(opts.workerArgs.end(), argv + first,
-                                   argv + i + 1);
-    }
-    return opts;
+/** A switch: stores `to` when given. */
+Setter
+store(bool &field, bool to = true)
+{
+    return [&field, to](const std::string &) {
+        field = to;
+        return true;
+    };
 }
 
-const char *
-usageText()
+Setter
+text(std::string &field)
 {
-    return
-        "usage: memoria "
-        "<list|print|analyze|optimize|simulate|reuse|trace> "
-        "[program] [N] [--trace[=file.jsonl]] [--stats[=json]] "
-        "[-q]\n"
-        "       memoria fuzz [--seed N] [--count K] [--jobs N] "
-        "[--no-incidents]\n"
-        "       memoria batch [programs...] [--all] [--stdin] "
-        "[--jobs N]\n"
-        "               [--deadline-ms N] [--max-iterations N] "
-        "[--max-ir-nodes N]\n"
-        "               [--json] [--fault SPEC] [--fault-sweep] "
-        "[--list-faults]\n"
-        "               [--incidents] [--incidents-dir DIR] "
-        "[--caches i860|rs6000|both]\n"
-        "       memoria serve [--jobs N] [--queue N] [--deadline-ms N]"
-        " [--port N]\n"
-        "               [--host H] [--socket PATH] [--allow-faults]"
-        " [--no-incidents]\n"
-        "               [--metrics-port N] [--metrics-file PATH] "
-        "[--metrics-interval-ms N]\n"
-        "               [--workers N] [--journal PATH|none] "
-        "[--heartbeat-ms N]\n"
-        "               [--max-request-bytes N] [--cache-entries N] "
-        "[--cache-bytes N]\n"
-        "               [--no-cache] [--cache-snapshot-dir DIR]\n"
-        "               [--cache-snapshot-interval-ms N]\n"
-        "               [--client-cap N] [--age-ms N] "
-        "[--rss-soft-mb N] [--rss-hard-mb N]\n"
-        "               [--max-requests-per-worker N]\n"
-        "       memoria top [host:port] [--file SNAPSHOTS.jsonl] "
-        "[--interval-ms N] [--once]\n"
-        "       memoria reduce <bundle-dir|file.mem> [--deadline-ms N]"
-        " [--max-checks N]\n"
-        "       memoria bench [--reps N] [--warmup N] [--filter S] "
-        "[--json]\n"
-        "       memoria version | --version\n"
-        "       memoria --help\n"
-        "exit codes: 0 ok, 1 pipeline failure, 2 usage error\n";
+    return [&field](const std::string &v) {
+        field = v;
+        return true;
+    };
+}
+
+/** Whole numbers in [lo, hi], stored shifted left by `shift` bits
+ *  (20 turns megabytes into bytes). */
+template <typename T>
+Setter
+number(T &field, int64_t lo = 0, int64_t hi = kMax64, int shift = 0)
+{
+    return [&field, lo, hi, shift](const std::string &v) {
+        std::optional<int64_t> x = parseInteger(v, lo, hi);
+        if (x)
+            field = static_cast<T>(*x) << shift;
+        return x.has_value();
+    };
+}
+
+/** Whole numbers in [0, hi]; 0 keeps the field's default. */
+template <typename T>
+Setter
+orDefault(T &field, int64_t hi = kMax64)
+{
+    return [&field, hi](const std::string &v) {
+        std::optional<int64_t> x = parseInteger(v, 0, hi);
+        if (x && *x > 0)
+            field = static_cast<T>(*x);
+        return x.has_value();
+    };
 }
 
 /**
- * Parse --caches: "i860", "rs6000", "both", or a comma-separated list
- * of those names. Empty result means "unrecognized".
+ * --caches: i860, rs6000, both, or a comma-separated list of those.
+ * An empty value keeps the default.
  */
-std::vector<CacheConfig>
-parseCacheConfigs(const std::string &spec)
+Setter
+caches(std::vector<CacheConfig> &field)
 {
-    std::vector<CacheConfig> configs;
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item == "i860") {
-            configs.push_back(CacheConfig::i860());
-        } else if (item == "rs6000") {
-            configs.push_back(CacheConfig::rs6000());
-        } else if (item == "both") {
-            configs.push_back(CacheConfig::rs6000());
-            configs.push_back(CacheConfig::i860());
-        } else {
-            return {};
+    return [&field](const std::string &spec) {
+        std::vector<CacheConfig> configs;
+        std::stringstream ss(spec);
+        for (std::string item; std::getline(ss, item, ',');) {
+            if (item == "i860")
+                configs.push_back(CacheConfig::i860());
+            else if (item == "rs6000")
+                configs.push_back(CacheConfig::rs6000());
+            else if (item == "both")
+                configs.insert(configs.end(), {CacheConfig::rs6000(),
+                                               CacheConfig::i860()});
+            else
+                return false;
         }
-    }
-    return configs;
+        if (!spec.empty())
+            field = std::move(configs);
+        return true;
+    };
 }
 
-int
-cmdBench(const Options &opts)
+/** --incidents-dir, for each command that writes bundles; an empty
+ *  value keeps the default. */
+Flag
+incidentsDir(incident::IncidentPolicy &policy)
 {
-    perf::BenchOptions bopts;
-    bopts.reps = opts.benchReps;
-    bopts.warmup = opts.benchWarmup;
-    bopts.filter = opts.benchFilter;
-    perf::BenchReport report = perf::runBenchSuite(bopts);
-    if (report.results.empty()) {
-        std::cerr << "memoria bench: no benchmark matches filter '"
-                  << opts.benchFilter << "'\n";
-        return 1;
-    }
-    if (opts.jsonOut)
-        std::cout << report.toJson() << "\n";
-    else
-        std::cout << report.toText();
-    return 0;
+    return {"--incidents-dir", "DIR",
+            "bundle root (default artifacts/incidents)",
+            [&policy](const std::string &v) {
+                policy.dir = v.empty() ? policy.dir : v;
+                return true;
+            }};
 }
+
+/** `memoria bench`: times the pipeline's hot paths with warmup and
+ *  repetition; see docs/PERFORMANCE.md. */
+struct BenchCommand
+{
+    perf::BenchOptions options;
+    bool json = false;
+    const Flags flags = {
+        {"--reps", "N", "timed repetitions per benchmark (default 5)",
+         number(options.reps, 1, kMaxInt)},
+        {"--warmup", "N", "untimed warmup repetitions (default 1)",
+         number(options.warmup, 0, kMaxInt)},
+        {"--filter", "S", "run the benchmarks whose name contains S",
+         text(options.filter)},
+        {"--json", "", "emit the stable BENCH.json schema", store(json)},
+    };
+
+    int
+    run(const Args &)
+    {
+        perf::BenchReport report = perf::runBenchSuite(options);
+        if (report.results.empty()) {
+            std::cerr << "memoria bench: no benchmark matches filter '"
+                      << options.filter << "'\n";
+            return 1;
+        }
+        if (json)
+            std::cout << report.toJson() << "\n";
+        else
+            std::cout << report.toText();
+        return 0;
+    }
+};
 
 void
 printBatchSummary(const harness::BatchReport &rep)
@@ -760,34 +499,52 @@ runFaultSweep(const std::vector<harness::BatchInput> &inputs,
     return failed == 0 ? 0 : 1;
 }
 
-/** Differential fuzzing over the whole pipeline; see
+/** `memoria fuzz`: differential fuzzing over the whole pipeline; see
  *  driver/fuzzcheck.hh for the per-round protocol. Failures are
  *  minimized into incident bundles unless --no-incidents. */
-int
-cmdFuzz(const Options &opts)
+struct FuzzCommand
 {
-    uint64_t seed = opts.fuzzSeed;
-    FuzzReport rep = runFuzzCampaign(seed, opts.fuzzCount, {},
-                                     std::max(opts.jobs, 1));
-    std::cout << "fuzz: " << rep.programs << " programs (seed " << seed
-              << ")  validate failures: " << rep.validateFailures
-              << "  round-trip failures: " << rep.roundTripFailures
-              << "  equivalence failures: " << rep.equivFailures
-              << "  guard rollbacks: " << rep.rollbacks << "\n";
-    for (const std::string &msg : rep.messages)
-        std::cout << "  " << msg << "\n";
-    if (rep.ok()) {
-        std::cout << "all checks passed\n";
-        return 0;
-    }
+    uint64_t seed = 1;
+    int count = 100;
+    int jobs = 1;
+    bool noIncidents = false;
+    incident::IncidentPolicy policy;
 
-    if (!opts.noIncidents) {
-        incident::IncidentPolicy policy;
-        if (!opts.incidentsDir.empty())
-            policy.dir = opts.incidentsDir;
+    const Flags flags = {
+        {"--seed", "N", "seed of the first program (default 1)",
+         [this](const std::string &v) {
+             const char *end = v.data() + v.size();
+             auto [p, ec] = std::from_chars(v.data(), end, seed);
+             return ec == std::errc() && p == end && !v.empty();
+         }},
+        {"--count", "N", "programs to generate (default 100)",
+         number(count, 1, kMaxInt)},
+        {"--jobs", "N", "worker threads (default 1)",
+         orDefault(jobs, kMaxJobs)},
+        {"--no-incidents", "", "don't minimize failures into bundles",
+         store(noIncidents)},
+        incidentsDir(policy),
+    };
+
+    int
+    run(const Args &)
+    {
+        FuzzReport rep = runFuzzCampaign(seed, count, {}, jobs);
+        std::cout << "fuzz: " << rep.programs << " programs (seed " << seed
+                  << ")  validate failures: " << rep.validateFailures
+                  << "  round-trip failures: " << rep.roundTripFailures
+                  << "  equivalence failures: " << rep.equivFailures
+                  << "  guard rollbacks: " << rep.rollbacks << "\n";
+        for (const std::string &msg : rep.messages)
+            std::cout << "  " << msg << "\n";
+        if (rep.ok()) {
+            std::cout << "all checks passed\n";
+            return 0;
+        }
+
         int written = 0;
         for (const FuzzReport::Failure &f : rep.failures) {
-            if (written >= policy.maxIncidents)
+            if (noIncidents || written >= policy.maxIncidents)
                 break;
             // Generation is pure in the seed, so this is the exact
             // failing program the campaign saw.
@@ -808,256 +565,284 @@ cmdFuzz(const Options &opts)
                 warn("fuzz: " + bundle.diag().str());
             }
         }
+
+        std::cout << "FUZZING FOUND FAILURES\n";
+        return 1;
+    }
+};
+
+/** `memoria batch`: the whole pipeline over many programs, with
+ *  per-program crash isolation, budgets and the degradation ladder
+ *  (docs/ROBUSTNESS.md). */
+struct BatchCommand
+{
+    harness::BatchOptions options;
+    incident::IncidentPolicy policy;
+    bool all = false;
+    bool fromStdin = false;
+    bool json = false;
+    bool sweep = false;
+    bool listFaults = false;
+    std::string fault;
+
+    const Flags flags = {
+        {"--all", "", "kernels, corpus and examples/*.mem", store(all)},
+        {"--stdin", "", "read program names or paths from stdin",
+         store(fromStdin)},
+        {"--jobs", "N", "worker threads (default: cores, at most 4)",
+         orDefault(options.jobs, kMaxJobs)},
+        {"--deadline-ms", "N", "wall-clock budget per ladder attempt",
+         number(options.budget.deadlineMs)},
+        {"--max-iterations", "N", "interpreter iterations per attempt",
+         number(options.budget.maxInterpIterations)},
+        {"--max-ir-nodes", "N", "IR nodes per program version",
+         number(options.budget.maxIrNodes)},
+        {"--json", "", "print the machine-readable report", store(json)},
+        {"--fault", "SPEC", "arm one fault: site[:action[:N]][@prog]",
+         text(fault)},
+        {"--fault-sweep", "", "arm each site in turn; check containment",
+         store(sweep)},
+        {"--list-faults", "", "print the fault-site catalog",
+         store(listFaults)},
+        // Bundling re-runs failures against their captured source.
+        {"--incidents", "", "minimize contained failures into bundles",
+         store(options.captureSource)},
+        incidentsDir(policy),
+        {"--caches", "i860|rs6000|both",
+         "cache geometries to simulate (default i860)",
+         caches(options.cacheConfigs)},
+    };
+
+    BatchCommand()
+    {
+        // --jobs 0, the default: one thread per core, 1 to 4.
+        options.jobs = std::clamp<int>(
+            static_cast<int>(std::thread::hardware_concurrency()), 1, 4);
     }
 
-    std::cout << "FUZZING FOUND FAILURES\n";
-    return 1;
-}
+    int
+    run(const Args &args)
+    {
+        if (listFaults) {
+            for (const std::string &site : harness::faultSites())
+                std::cout << site
+                          << (harness::faultSiteSupportsDiag(site)
+                                  ? " (diag)"
+                                  : "")
+                          << "\n";
+            return 0;
+        }
 
-int
-cmdBatch(const Options &opts)
-{
-    if (opts.listFaults) {
-        for (const std::string &site : harness::faultSites())
-            std::cout << site
-                      << (harness::faultSiteSupportsDiag(site)
-                              ? " (diag)"
-                              : "")
-                      << "\n";
+        std::vector<harness::BatchInput> inputs;
+        if (all) {
+            inputs = harness::kernelInputs();
+            for (harness::BatchInput &in : harness::corpusInputs())
+                inputs.push_back(std::move(in));
+            for (harness::BatchInput &in :
+                 harness::directoryInputs("examples"))
+                inputs.push_back(std::move(in));
+        }
+        if (fromStdin) {
+            std::string line;
+            while (std::getline(std::cin, line)) {
+                while (!line.empty() &&
+                       isspace(static_cast<unsigned char>(line.back())))
+                    line.pop_back();
+                if (!line.empty() && line[0] != '#')
+                    inputs.push_back(harness::programInput(line));
+            }
+        }
+        for (size_t i = 1; i < args.words.size(); ++i)
+            inputs.push_back(harness::programInput(args.words[i]));
+
+        if (inputs.empty()) {
+            std::cerr << "memoria batch: no inputs; use --all, --stdin, "
+                         "or program names\n";
+            return 2;
+        }
+
+        if (sweep)
+            return runFaultSweep(inputs, options);
+
+        if (!fault.empty()) {
+            Result<harness::FaultSpec> spec = harness::parseFaultSpec(fault);
+            if (!spec.ok()) {
+                std::cerr << "memoria batch: " << spec.diag().str() << "\n";
+                return 2;
+            }
+            harness::armFault(spec.value());
+        }
+
+        harness::BatchReport rep = harness::runBatch(inputs, options);
+
+        // --incidents. Runs before clearFault(): bundling re-arms the
+        // still-armed plan around each reduction so fault-induced
+        // failures reproduce.
+        std::vector<std::string> bundles;
+        if (options.captureSource)
+            bundles = incident::processBatchIncidents(rep, options, policy);
+        harness::clearFault();
+
+        if (json)
+            std::cout << rep.toJson() << "\n";
+        else
+            printBatchSummary(rep);
+        for (const std::string &b : bundles)
+            std::cout << "incident: " << b << "\n";
+
+        // Containment is the contract: per-program failures are
+        // reported, not escalated to the exit code.
         return 0;
     }
+};
 
-    harness::BatchOptions bopts;
-    bopts.budget.deadlineMs = std::max<int64_t>(opts.deadlineMs, 0);
-    bopts.budget.maxInterpIterations =
-        opts.maxIterations > 0
-            ? static_cast<uint64_t>(opts.maxIterations)
-            : 0;
-    bopts.budget.maxIrNodes =
-        opts.maxIrNodes > 0 ? static_cast<uint64_t>(opts.maxIrNodes)
-                            : 0;
-    bopts.jobs =
-        opts.jobs > 0
-            ? opts.jobs
-            : std::clamp<int>(
-                  static_cast<int>(std::thread::hardware_concurrency()),
-                  1, 4);
-    // Incident bundling re-runs failures against their original text.
-    bopts.captureSource = opts.incidents;
-    if (!opts.caches.empty()) {
-        bopts.cacheConfigs = parseCacheConfigs(opts.caches);
-        if (bopts.cacheConfigs.empty()) {
-            std::cerr << "memoria batch: --caches wants i860, rs6000, "
-                         "or both\n";
-            return 2;
-        }
-    }
-
-    std::vector<harness::BatchInput> inputs;
-    if (opts.batchAll) {
-        inputs = harness::kernelInputs();
-        for (harness::BatchInput &in : harness::corpusInputs())
-            inputs.push_back(std::move(in));
-        for (harness::BatchInput &in :
-             harness::directoryInputs("examples"))
-            inputs.push_back(std::move(in));
-    }
-    if (opts.batchStdin) {
-        std::string line;
-        while (std::getline(std::cin, line)) {
-            while (!line.empty() &&
-                   isspace(static_cast<unsigned char>(line.back())))
-                line.pop_back();
-            if (!line.empty() && line[0] != '#')
-                inputs.push_back(harness::programInput(line));
-        }
-    }
-    for (size_t i = 1; i < opts.positional.size(); ++i)
-        inputs.push_back(harness::programInput(opts.positional[i]));
-
-    if (inputs.empty()) {
-        std::cerr << "memoria batch: no inputs; use --all, --stdin, "
-                     "or program names\n";
-        return 2;
-    }
-
-    if (opts.faultSweep)
-        return runFaultSweep(inputs, bopts);
-
-    if (!opts.faultSpec.empty()) {
-        Result<harness::FaultSpec> spec =
-            harness::parseFaultSpec(opts.faultSpec);
-        if (!spec.ok()) {
-            std::cerr << "memoria batch: " << spec.diag().str() << "\n";
-            return 2;
-        }
-        harness::armFault(spec.value());
-    }
-
-    harness::BatchReport rep = harness::runBatch(inputs, bopts);
-
-    std::vector<std::string> bundles;
-    if (opts.incidents) {
-        incident::IncidentPolicy policy;
-        if (!opts.incidentsDir.empty())
-            policy.dir = opts.incidentsDir;
-        // Runs before clearFault(): bundling re-arms the still-armed
-        // plan around each reduction so fault-induced failures
-        // reproduce.
-        bundles = incident::processBatchIncidents(rep, bopts, policy);
-    }
-    harness::clearFault();
-
-    if (opts.jsonOut)
-        std::cout << rep.toJson() << "\n";
-    else
-        printBatchSummary(rep);
-    for (const std::string &b : bundles)
-        std::cout << "incident: " << b << "\n";
-
-    // Containment is the contract: per-program failures are reported,
-    // not escalated to the exit code.
-    return 0;
-}
-
-/** `memoria serve`: block until EOF or a drain signal; exit 0 on a
- *  clean drain. */
-int
-cmdServe(const Options &opts)
+/** `memoria serve`: answer JSON-lines requests from stdin, or from TCP
+ *  or Unix-socket clients, until EOF or a drain signal; exit 0 on a
+ *  clean drain. See docs/SERVING.md. */
+struct ServeCommand
 {
-    // Cooperative drain: SIGTERM/SIGINT set a flag the transport
-    // loops poll; a second signal escalates to flush-and-exit.
-    signals::installDrainHandler();
+    serve::ServeOptions opts;  ///< every shard's
+    serve::SupervisorOptions front;
+    serve::TransportOptions net;
+    bool noCache = false;
+    std::string snapshotDir;
+    int workerFd = -1;
+    const Flags flags = {
+        {"--jobs", "N", "executor threads per shard (default 2)",
+         orDefault(opts.jobs, kMaxJobs)},
+        {"--queue", "N", "admission queue per shard (default 16)",
+         orDefault(opts.queueCapacity, kMaxInt)},
+        {"--deadline-ms", "N", "default request budget (default 2000)",
+         orDefault(opts.budget.deadlineMs)},
+        {"--max-deadline-ms", "N", "clamp on client deadlines (default 30000)",
+         orDefault(opts.maxDeadlineMs)},
+        {"--drain-deadline-ms", "N",
+         "grace for queued work at drain (default 5000)",
+         orDefault(opts.drainDeadlineMs)},
+        {"--max-iterations", "N",
+         "interpreter steps per request (default 50 Mi)",
+         orDefault(opts.budget.maxInterpIterations)},
+        {"--max-ir-nodes", "N", "IR nodes per program version (default 1 Mi)",
+         orDefault(opts.budget.maxIrNodes)},
+        {"--max-request-bytes", "N", "longest request line (default 4 MiB)",
+         orDefault(opts.maxRequestBytes)},
+        {"--retry-after-ms", "N", "backoff hint when shedding (default 50)",
+         orDefault(opts.retryAfterMs)},
+        {"--client-cap", "N", "queued + running cap per client (0 = off)",
+         number(opts.perClientCap)},
+        {"--age-ms", "N", "CoDel target age of the queue head (0 = off)",
+         number(opts.ageTargetMs)},
+        {"--rss-soft-mb", "N", "soft memory watermark (0 = off)",
+         number(opts.rssSoftBytes, 0, kMax64 >> 20, 20)},
+        {"--rss-hard-mb", "N", "hard memory watermark (0 = off)",
+         number(opts.rssHardBytes, 0, kMax64 >> 20, 20)},
+        {"--caches", "i860|rs6000|both",
+         "cache geometries to simulate (default i860)",
+         caches(opts.cacheConfigs)},
+        {"--allow-faults", "", "honor per-request fault injection",
+         store(opts.allowFaultRequests)},
+        {"--no-incidents", "", "write no incident bundles",
+         store(opts.writeIncidents, false)},
+        incidentsDir(opts.incidents),
+        {"--cache-entries", "N", "result-cache entries (default 512; 0 = off)",
+         number(opts.resultCache.maxEntries)},
+        {"--cache-bytes", "N", "result-cache bytes (default 32 MiB)",
+         orDefault(opts.resultCache.maxBytes)},
+        {"--no-cache", "", "turn the result cache off", store(noCache)},
+        {"--cache-snapshot-dir", "DIR", "keep cache-shard<K>.snap here",
+         text(snapshotDir)},
+        {"--cache-snapshot-interval-ms", "N",
+         "snapshot period (default 0: only at drain)",
+         number(opts.cacheSnapshotIntervalMs)},
+        {"--port", "N", "serve TCP (0 = an ephemeral port)",
+         number(net.port, 0, 65535)},
+        {"--host", "H", "TCP bind address (default 127.0.0.1)",
+         text(net.host)},
+        {"--socket", "PATH", "serve a Unix-domain socket", text(net.unixPath)},
+        {"--metrics-port", "N", "Prometheus scrape port (0 = ephemeral)",
+         number(net.metricsPort, 0, 65535)},
+        {"--metrics-file", "PATH", "append JSONL metrics snapshots",
+         text(opts.metricsPath)},
+        {"--metrics-interval-ms", "N",
+         "snapshot period (default 0: only at drain)",
+         number(opts.metricsIntervalMs)},
+        {"--workers", "N", "shard-worker processes (0 = in-process)",
+         number(front.workers, 0, kMaxJobs)},
+        {"--heartbeat-ms", "N", "worker liveness probe period (default 500)",
+         orDefault(front.heartbeatMs)},
+        {"--max-requests-per-worker", "N",
+         "recycle a worker after N requests (0 = never)",
+         number(front.maxRequestsPerWorker)},
+        {"--journal", "PATH|none",
+         "write-ahead admission journal ('none': off)",
+         [this](const std::string &v) {
+             if (!v.empty())
+                 front.journalPath = v == "none" ? "" : v;
+             return true;
+         }},
+        {"--worker-fd", "N", "internal: serve the front on this fd",
+         number(workerFd, 0, kMaxInt)},
+        {"--shard", "N", "internal: this worker's shard index",
+         number(opts.shard, 0, kMaxInt)},
+    };
 
-    serve::ServeOptions sopts;
-    if (opts.jobs > 0)
-        sopts.jobs = opts.jobs;
-    if (opts.queueCapacity > 0)
-        sopts.queueCapacity =
-            static_cast<size_t>(opts.queueCapacity);
-    if (opts.deadlineMs > 0)
-        sopts.budget.deadlineMs = opts.deadlineMs;
-    if (opts.maxIterations > 0)
-        sopts.budget.maxInterpIterations =
-            static_cast<uint64_t>(opts.maxIterations);
-    if (opts.maxIrNodes > 0)
-        sopts.budget.maxIrNodes =
-            static_cast<uint64_t>(opts.maxIrNodes);
-    if (opts.maxDeadlineMs > 0)
-        sopts.maxDeadlineMs = opts.maxDeadlineMs;
-    if (opts.drainDeadlineMs > 0)
-        sopts.drainDeadlineMs = opts.drainDeadlineMs;
-    if (opts.retryAfterMs > 0)
-        sopts.retryAfterMs = opts.retryAfterMs;
-    if (opts.clientCap > 0)
-        sopts.perClientCap = static_cast<size_t>(opts.clientCap);
-    if (opts.ageMs > 0)
-        sopts.ageTargetMs = opts.ageMs;
-    if (opts.rssSoftMb > 0)
-        sopts.rssSoftBytes =
-            static_cast<uint64_t>(opts.rssSoftMb) << 20;
-    if (opts.rssHardMb > 0)
-        sopts.rssHardBytes =
-            static_cast<uint64_t>(opts.rssHardMb) << 20;
-    sopts.allowFaultRequests = opts.allowFaults;
-    sopts.writeIncidents = !opts.noIncidents;
-    if (!opts.caches.empty()) {
-        sopts.cacheConfigs = parseCacheConfigs(opts.caches);
-        if (sopts.cacheConfigs.empty()) {
-            std::cerr << "memoria serve: --caches wants i860, rs6000, "
-                         "or both\n";
-            return 2;
+    ServeCommand()
+    {
+        front.workers = 0;  // in-process unless --workers
+        front.journalPath = "artifacts/serve/journal.jsonl";
+    }
+
+    int
+    run(const Args &args)
+    {
+        // Cooperative drain: SIGTERM/SIGINT set a flag the transport
+        // loops poll; a second signal escalates to flush-and-exit.
+        signals::installDrainHandler();
+        if (noCache)
+            opts.resultCache.maxEntries = 0;
+        // One durable snapshot per shard (shard -1, plain
+        // single-process serve, uses shard 0's file).
+        if (!snapshotDir.empty())
+            opts.cacheSnapshotPath =
+                snapshotDir + "/cache-shard" +
+                std::to_string(std::max(0, opts.shard)) + ".snap";
+
+        // Shard-worker mode (spawned by the supervisor, never by hand):
+        // a bare executor running what the front forwards over the
+        // inherited socketpair fd. Admission and metrics export stay
+        // with the parent.
+        if (workerFd >= 0) {
+            serve::Executor executor(opts);
+            return serve::runWorkerFd(executor, workerFd);
         }
-    }
-    if (!opts.incidentsDir.empty())
-        sopts.incidents.dir = opts.incidentsDir;
 
-    if (opts.maxRequestBytes > 0)
-        sopts.maxRequestBytes =
-            static_cast<size_t>(opts.maxRequestBytes);
-
-    // Result cache: bounds, and the per-shard durable snapshot path
-    // (shard -1 — plain single-process serve — uses shard 0's file).
-    if (opts.noCache)
-        sopts.resultCache.maxEntries = 0;
-    else if (opts.cacheEntries >= 0)
-        sopts.resultCache.maxEntries =
-            static_cast<size_t>(opts.cacheEntries);
-    if (opts.cacheBytes > 0)
-        sopts.resultCache.maxBytes =
-            static_cast<size_t>(opts.cacheBytes);
-    sopts.shard = opts.shard;
-    if (!opts.cacheSnapshotDir.empty()) {
-        sopts.cacheSnapshotPath =
-            opts.cacheSnapshotDir + "/cache-shard" +
-            std::to_string(std::max(0, opts.shard)) + ".snap";
-        if (opts.cacheSnapshotIntervalMs > 0)
-            sopts.cacheSnapshotIntervalMs = opts.cacheSnapshotIntervalMs;
-    }
-
-    // Shard-worker mode (spawned by the supervisor, never by hand):
-    // a bare executor running what the front forwards over the
-    // inherited socketpair fd. Admission and metrics export stay with
-    // the parent.
-    if (opts.workerFd >= 0) {
-        serve::Executor executor(sopts);
-        return serve::runWorkerFd(executor, opts.workerFd);
-    }
-
-    sopts.metricsPath = opts.metricsFile;
-    if (opts.metricsIntervalMs > 0)
-        sopts.metricsIntervalMs = opts.metricsIntervalMs;
-
-    serve::TransportOptions topts;
-    const bool sockets = opts.port >= 0 || !opts.socketPath.empty();
-    topts.stdio = !sockets;
-    topts.host = opts.host;
-    topts.port = opts.port;
-    topts.unixPath = opts.socketPath;
-    topts.metricsPort = opts.metricsPort;
-
-    if (opts.workers > 0) {
-        serve::SupervisorOptions supopts;
-        supopts.workers = opts.workers;
-        supopts.serve = sopts;
-        if (opts.heartbeatMs > 0)
-            supopts.heartbeatMs = opts.heartbeatMs;
-        if (opts.maxRequestsPerWorker > 0)
-            supopts.maxRequestsPerWorker =
-                static_cast<uint64_t>(opts.maxRequestsPerWorker);
-        if (opts.journalPath != "none") {
-            supopts.journalPath =
-                opts.journalPath.empty()
-                    ? "artifacts/serve/journal.jsonl"
-                    : opts.journalPath;
+        net.stdio = net.port < 0 && net.unixPath.empty();
+        if (front.workers == 0) {
+            serve::Server server(opts);
+            return net.stdio ? serve::runStdio(server)
+                             : serve::runListener(server, net);
         }
 
         // Workers re-exec this binary; /proc/self/exe survives PATH
         // lookups and cwd changes, argv[0] is the fallback.
-        std::string self = opts.argv0;
+        std::string self = args.argv0;
         char buf[4096];
         ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-        if (n > 0) {
-            buf[n] = '\0';
-            self = buf;
-        }
+        if (n > 0)
+            self.assign(buf, static_cast<size_t>(n));
         // A worker takes the front's own flags: the front-only ones are
         // never read in worker mode, or land in options the executor
         // ignores. The trace and stats stay the front's.
-        std::vector<std::string> cmd = {self};
-        cmd.insert(cmd.end(), opts.workerArgs.begin(),
-                   opts.workerArgs.end());
-        supopts.workerCommand = std::move(cmd);
-
-        serve::Supervisor supervisor(std::move(supopts));
-        return sockets ? serve::runListener(supervisor, topts)
-                       : serve::runStdio(supervisor);
+        front.workerCommand = {self};
+        front.workerCommand.insert(front.workerCommand.end(),
+                                   args.workerArgs.begin(),
+                                   args.workerArgs.end());
+        front.serve = opts;
+        serve::Supervisor supervisor(std::move(front));
+        return net.stdio ? serve::runStdio(supervisor)
+                         : serve::runListener(supervisor, net);
     }
-
-    serve::Server server(sopts);
-    return sockets ? serve::runListener(server, topts)
-                   : serve::runStdio(server);
-}
+};
 
 /**
  * One `metrics` request/response round trip against a running server.
@@ -1131,26 +916,29 @@ tailSnapshotFile(const std::string &path, std::string &line)
  * with `metrics` requests over TCP) or of a `--metrics-file` snapshot
  * stream, refreshing in place until interrupted.
  */
-int
-cmdTop(const Options &opts)
+struct TopCommand
 {
-    const int64_t intervalMs =
-        opts.topIntervalMs > 0 ? opts.topIntervalMs : 1000;
+    std::string file;
+    std::string host = "127.0.0.1";
+    int port = -1;
+    int64_t intervalMs = 1000;
+    bool once = false;
 
-    std::function<bool(std::string &)> fetch;
-    std::string target;
-    if (!opts.topFile.empty()) {
-        const std::string path = opts.topFile;
-        target = path;
-        fetch = [path](std::string &line) {
-            return tailSnapshotFile(path, line);
-        };
-    } else {
+    const Flags flags = {
+        {"--file", "PATH", "tail a serve --metrics-file stream", text(file)},
+        {"--host", "H", "server address (default 127.0.0.1)", text(host)},
+        {"--port", "N", "server TCP port", number(port, 0, 65535)},
+        {"--interval-ms", "N", "refresh period (default 1000)",
+         orDefault(intervalMs)},
+        {"--once", "", "print one frame and exit", store(once)},
+    };
+
+    int
+    run(const Args &args)
+    {
         // `memoria top host:port`, `memoria top PORT`, or --host/--port.
-        std::string host = opts.host;
-        int port = opts.port;
-        if (opts.positional.size() > 1) {
-            const std::string &hp = opts.positional[1];
+        if (file.empty() && args.words.size() > 1) {
+            const std::string &hp = args.words[1];
             size_t colon = hp.rfind(':');
             std::string portText = hp;
             if (colon != std::string::npos) {
@@ -1161,49 +949,47 @@ cmdTop(const Options &opts)
             port = static_cast<int>(
                 parseInteger(portText, 1, 65535).value_or(0));
         }
-        if (port <= 0) {
+        if (file.empty() && port <= 0) {
             std::cerr << "memoria top: wants host:port (or --file "
                          "snapshots.jsonl)\n";
             return 2;
         }
-        target = host + ":" + std::to_string(port);
-        fetch = [host, port](std::string &line) {
-            return fetchMetricsTcp(host, port, line);
-        };
-    }
+        const std::string target =
+            file.empty() ? host + ":" + std::to_string(port) : file;
 
-    serve::TopSample prev;
-    bool havePrev = false;
-    for (;;) {
-        std::string line;
-        if (!fetch(line)) {
-            std::cerr << "memoria top: cannot fetch a metrics sample "
-                         "from "
-                      << target << "\n";
-            return 1;
+        serve::TopSample prev;
+        bool havePrev = false;
+        for (;;) {
+            std::string line;
+            if (!(file.empty() ? fetchMetricsTcp(host, port, line)
+                               : tailSnapshotFile(file, line))) {
+                std::cerr << "memoria top: cannot fetch a metrics sample "
+                             "from "
+                          << target << "\n";
+                return 1;
+            }
+            Result<json::Value> parsed = json::parse(line);
+            if (!parsed.ok()) {
+                std::cerr << "memoria top: bad metrics sample: "
+                          << parsed.diag().str() << "\n";
+                return 1;
+            }
+            serve::TopSample cur = serve::parseTopSample(parsed.value());
+            std::string frame =
+                serve::renderTopFrame(cur, havePrev ? &prev : nullptr);
+            if (!once)
+                std::cout << "\033[H\033[2J";
+            std::cout << frame;
+            std::cout.flush();
+            if (once)
+                return cur.valid ? 0 : 1;
+            prev = cur;
+            havePrev = true;
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(intervalMs));
         }
-        Result<json::Value> parsed = json::parse(line);
-        if (!parsed.ok()) {
-            std::cerr << "memoria top: bad metrics sample: "
-                      << parsed.diag().str() << "\n";
-            return 1;
-        }
-        serve::TopSample cur =
-            serve::parseTopSample(parsed.value());
-        std::string frame =
-            serve::renderTopFrame(cur, havePrev ? &prev : nullptr);
-        if (!opts.topOnce)
-            std::cout << "\033[H\033[2J";
-        std::cout << frame;
-        std::cout.flush();
-        if (opts.topOnce)
-            return cur.valid ? 0 : 1;
-        prev = cur;
-        havePrev = true;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(intervalMs));
     }
-}
+};
 
 /**
  * `memoria reduce <bundle-dir>`: re-minimize a recorded incident with
@@ -1212,188 +998,379 @@ cmdTop(const Options &opts)
  * program fails, then minimize against that signature. Either way a
  * fresh bundle is written and its path printed.
  */
-int
-cmdReduce(const Options &opts)
+struct ReduceCommand
 {
-    namespace fs = std::filesystem;
-    const std::string &path = opts.positional[1];
-
     incident::IncidentPolicy policy;
-    if (!opts.incidentsDir.empty())
-        policy.dir = opts.incidentsDir;
-    // Offline reduction affords bigger budgets than in-band capture.
-    policy.reduce.deadlineMs =
-        opts.deadlineMs > 0 ? opts.deadlineMs : 60000;
-    policy.reduce.maxChecks =
-        opts.maxChecks > 0 ? opts.maxChecks : 10000;
-
-    harness::BatchOptions bopts;
-    if (opts.maxIterations > 0)
-        bopts.budget.maxInterpIterations =
-            static_cast<uint64_t>(opts.maxIterations);
-    if (opts.maxIrNodes > 0)
-        bopts.budget.maxIrNodes =
-            static_cast<uint64_t>(opts.maxIrNodes);
-
-    auto readAll = [](const fs::path &p) -> std::optional<std::string> {
-        std::ifstream in(p);
-        if (!in)
-            return std::nullopt;
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        return buf.str();
+    harness::BatchOptions options;
+    const Flags flags = {
+        {"--deadline-ms", "N", "reduction time budget (default 60000)",
+         orDefault(policy.reduce.deadlineMs)},
+        {"--max-checks", "N", "predicate runs budget (default 10000)",
+         orDefault(policy.reduce.maxChecks, kMaxInt)},
+        {"--max-iterations", "N", "interpreter iterations per run",
+         number(options.budget.maxInterpIterations)},
+        {"--max-ir-nodes", "N", "IR nodes per program version",
+         number(options.budget.maxIrNodes)},
+        incidentsDir(policy),
     };
 
-    std::error_code ec;
-    if (fs::is_directory(path, ec)) {
-        auto metaText = readAll(fs::path(path) / "incident.json");
-        if (!metaText) {
-            std::cerr << "memoria reduce: no incident.json in '"
-                      << path << "'\n";
+    ReduceCommand()
+    {
+        // Offline reduction affords bigger budgets than in-band capture.
+        policy.reduce.deadlineMs = 60000;
+        policy.reduce.maxChecks = 10000;
+    }
+
+    int
+    run(const Args &args)
+    {
+        namespace fs = std::filesystem;
+        auto fail = [](const std::string &why) {
+            std::cerr << "memoria reduce: " << why << "\n";
             return 1;
+        };
+        auto report = [&fail](const Result<std::string> &bundle) {
+            if (!bundle.ok())
+                return fail(bundle.diag().str());
+            std::cout << "incident: " << bundle.value() << "\n";
+            return 0;
+        };
+        auto readAll = [](const fs::path &p) -> std::optional<std::string> {
+            std::ifstream in(p);
+            if (!in)
+                return std::nullopt;
+            std::ostringstream buf;
+            buf << in.rdbuf();
+            return buf.str();
+        };
+        if (args.words.size() < 2) {
+            fail("need a bundle directory or source file");
+            return 2;
         }
-        Result<json::Value> meta = json::parse(*metaText);
-        if (!meta.ok()) {
-            std::cerr << "memoria reduce: " << meta.diag().str()
-                      << "\n";
-            return 1;
-        }
-        std::string name = meta.value().getString("name", "anon");
-        std::string kind = meta.value().getString("kind", "");
-        std::string detail = meta.value().getString("detail", "");
-        std::string faultSpec =
-            meta.value().getString("fault_spec", "");
-        auto originalText = readAll(fs::path(path) / "original.mem");
-        if (!originalText) {
-            std::cerr << "memoria reduce: no original.mem in '"
-                      << path << "'\n";
-            return 1;
-        }
-        ParseError perr;
-        auto prog = parseProgram(*originalText, &perr);
-        if (!prog) {
-            std::cerr << "memoria reduce: original.mem does not "
-                         "parse: " << perr.str() << "\n";
-            return 1;
+        const std::string &path = args.words[1];
+
+        std::error_code ec;
+        if (!fs::is_directory(path, ec)) {
+            // Bare source file: learn the failure signature by running
+            // the isolated pipeline once, then minimize against it.
+            auto text = readAll(path);
+            if (!text)
+                return fail("cannot read '" + path + "'");
+            options.captureSource = true;
+            harness::ProgramOutcome out = harness::runIsolated(
+                harness::namedInput(fs::path(path).stem().string(), *text),
+                options);
+            if (out.status == harness::BatchStatus::Ok) {
+                std::cout << "reduce: '" << path
+                          << "' passes the pipeline; nothing to reduce\n";
+                return 1;
+            }
+            return report(incident::captureOutcome(out, options, policy));
         }
 
+        auto metaText = readAll(fs::path(path) / "incident.json");
+        if (!metaText)
+            return fail("no incident.json in '" + path + "'");
+        Result<json::Value> meta = json::parse(*metaText);
+        if (!meta.ok())
+            return fail(meta.diag().str());
+        auto originalText = readAll(fs::path(path) / "original.mem");
+        if (!originalText)
+            return fail("no original.mem in '" + path + "'");
+        ParseError perr;
+        auto prog = parseProgram(*originalText, &perr);
+        if (!prog)
+            return fail("original.mem does not parse: " + perr.str());
+
+        incident::Incident inc;
+        inc.name = meta.value().getString("name", "anon");
+        inc.kind = meta.value().getString("kind", "");
+        inc.detail = meta.value().getString("detail", "");
+        inc.source = *originalText;
         incident::FailureSignature sig;
-        auto status = harness::batchStatusFromName(kind);
+        auto status = harness::batchStatusFromName(inc.kind);
         if (status && *status != harness::BatchStatus::Ok) {
             sig.status = *status;
             if (*status == harness::BatchStatus::Diag)
-                sig.diagCode = incident::diagCodeOf(detail);
-        } else if (kind == "degraded") {
+                sig.diagCode = incident::diagCodeOf(inc.detail);
+        } else if (inc.kind == "degraded") {
             sig.status = harness::BatchStatus::Degraded;
         } else {
             // Fuzz bundles record the broken property, not a batch
             // status; re-check that property directly.
-            incident::Incident inc;
-            inc.name = name;
-            inc.kind = kind;
-            inc.detail = detail;
-            inc.source = *originalText;
-            Result<std::string> bundle = incident::captureIncident(
-                std::move(inc), *prog, fuzzFailurePredicate(kind),
-                policy);
-            if (!bundle.ok()) {
-                std::cerr << "memoria reduce: "
-                          << bundle.diag().str() << "\n";
-                return 1;
-            }
-            std::cout << "incident: " << bundle.value() << "\n";
-            return 0;
+            const std::string kind = inc.kind;
+            return report(incident::captureIncident(
+                std::move(inc), *prog, fuzzFailurePredicate(kind), policy));
         }
 
+        inc.faultSpec = meta.value().getString("fault_spec", "");
         std::optional<harness::FaultSpec> fault;
-        if (!faultSpec.empty()) {
+        if (!inc.faultSpec.empty()) {
             Result<harness::FaultSpec> spec =
-                harness::parseFaultSpec(faultSpec);
+                harness::parseFaultSpec(inc.faultSpec);
             if (spec.ok())
                 fault = spec.value();
             else
                 warn("reduce: ignoring unparsable fault_spec '" +
-                     faultSpec + "'");
+                     inc.faultSpec + "'");
         }
-
-        incident::Incident inc;
-        inc.name = name;
-        inc.kind = kind;
-        inc.detail = detail;
-        inc.source = *originalText;
-        inc.faultSpec = faultSpec;
         harness::setFaultAccounting(true);
+        const std::string name = inc.name;
         Result<std::string> bundle = incident::captureIncident(
             std::move(inc), *prog,
-            incident::pipelineFailurePredicate(name, bopts, sig,
-                                               fault),
+            incident::pipelineFailurePredicate(name, options, sig, fault),
             policy);
         harness::clearFault();
-        if (!bundle.ok()) {
-            std::cerr << "memoria reduce: " << bundle.diag().str()
-                      << "\n";
-            return 1;
+        return report(bundle);
+    }
+};
+
+/** The flags every command accepts. */
+struct Globals
+{
+    bool help = false;
+    bool version = false;
+    std::string traceFile;
+    bool traceText = false;
+    bool statsText = false;
+    bool statsJson = false;
+
+    const Flags flags = {
+        {"--help", "", "print this help and exit 0", store(help)},
+        {"-h", "", "same as --help", store(help)},
+        {"--version", "", "print the build identity and exit 0",
+         store(version)},
+        {"--trace", "[=FILE]", "trace to stderr, or as JSON lines to FILE",
+         [this](const std::string &v) {
+             if (v.empty())
+                 traceText = true;
+             else
+                 traceFile = v;
+             return true;
+         }},
+        {"--stats", "[=json]", "print the stats registry at exit",
+         [this](const std::string &v) {
+             (v.empty() ? statsText : statsJson) = true;
+             return v.empty() || v == "json";
+         }},
+        {"-q", "", "silence warnings (or MEMORIA_LOG_LEVEL=quiet)",
+         [](const std::string &) {
+             setLogLevel(LogLevel::Quiet);
+             return true;
+         }},
+    };
+};
+
+/** A command: its --help synopsis, whose first word lists the names it
+ *  answers to ('|'-separated), its flags, and its body. */
+struct Command
+{
+    std::string synopsis;
+    Flags flags;
+    std::function<int(const Args &)> run;
+};
+
+const Flag *
+findFlag(const Flags &flags, const std::string &name)
+{
+    for (const Flag &f : flags)
+        if (name == f.name)
+            return &f;
+    return nullptr;
+}
+
+bool
+isFlag(const std::string &arg)
+{
+    return arg.size() > 1 && arg[0] == '-' &&
+           !isdigit(static_cast<unsigned char>(arg[1]));
+}
+
+/** True when the flag takes the next argument (or "=V") as its value. */
+bool
+takesValue(const Flag &f)
+{
+    return *f.value && *f.value != '[';
+}
+
+/**
+ * Store argv's flags through the global table and the command's own.
+ * The command word is the first argument that is neither a flag nor a
+ * flag's value, so flags may come before it; no flag takes a value in
+ * one table and none in another, so any table can tell.
+ */
+Args
+parseArgs(int argc, char **argv, const Flags &globals,
+          const std::vector<Command> &commands)
+{
+    Args args;
+    args.argv0 = argc > 0 ? argv[0] : "";
+    std::string word;
+    for (int i = 1; i < argc; ++i) {
+        if (!isFlag(argv[i])) {
+            word = argv[i];
+            break;
         }
-        std::cout << "incident: " << bundle.value() << "\n";
+        const Flag *f = nullptr;
+        for (const Command &c : commands)
+            f = f ? f : findFlag(c.flags, argv[i]);
+        i += f && takesValue(*f);
+    }
+    for (const Command &c : commands) {
+        const std::string names =
+            "|" + c.synopsis.substr(0, c.synopsis.find(' ')) + "|";
+        if (!word.empty() && names.find("|" + word + "|") != names.npos)
+            args.command = &c;
+    }
+    if (!word.empty() && !args.command)
+        args.error = "unknown command '" + word + "'";
+
+    for (int i = 1; i < argc && args.error.empty(); ++i) {
+        const int first = i;
+        const std::string arg = argv[i];
+        const std::string name = arg.substr(0, arg.find('='));
+        const Flag *flag = findFlag(globals, name);
+        if (!flag && args.command)
+            flag = findFlag(args.command->flags, name);
+        if (!isFlag(arg)) {
+            args.words.push_back(arg);
+        } else if (!flag) {
+            args.error = "unknown flag '" + arg + "'" +
+                         (word.empty() ? "" : " for " + word);
+        } else {
+            const bool inlined = name.size() < arg.size();
+            std::string value = inlined ? arg.substr(name.size() + 1) : "";
+            if (takesValue(*flag) && !inlined && i + 1 == argc)
+                args.error = arg + " needs a value";
+            else if (takesValue(*flag) && !inlined)
+                value = argv[++i];
+            // A switch takes no value; an optional value is not empty.
+            const bool fits = takesValue(*flag) || !inlined ||
+                              (*flag->value && !value.empty());
+            if (args.error.empty() && !(fits && flag->set(value)))
+                args.error = "bad value '" + value + "' for " + name;
+        }
+        if (name != "--trace" && name != "--stats")
+            args.workerArgs.insert(args.workerArgs.end(), argv + first,
+                                   argv + i + 1);
+    }
+    return args;
+}
+
+std::string
+usageText(const Flags &globals, const std::vector<Command> &commands)
+{
+    std::ostringstream out;
+    auto list = [&out](const Flags &flags) {
+        for (const Flag &f : flags) {
+            const std::string lhs = std::string(f.name) +
+                                    (takesValue(f) ? " " : "") + f.value;
+            out << "  " << std::left << std::setw(30) << lhs << "  "
+                << f.help << "\n";
+        }
+    };
+    out << "usage: memoria <command> [arguments] [flags]\n"
+           "\nflags of every command:\n";
+    list(globals);
+    for (const Command &c : commands) {
+        out << "\nmemoria " << c.synopsis << "\n";
+        list(c.flags);
+    }
+    out << "\nexit codes: 0 ok, 1 pipeline failure, 2 usage error\n";
+    return out.str();
+}
+
+/** The one-shot commands: load <program> at size N, then run one. */
+int
+runProgram(const Args &args)
+{
+    if (args.words.size() < 2) {
+        std::cerr << "missing program name; try `memoria list`\n";
+        return 2;
+    }
+    std::optional<int64_t> n =
+        args.words.size() > 2 ? parseInteger(args.words[2], 1, kMax64)
+                              : 48;
+    if (!n) {
+        std::cerr << "memoria: size N wants a whole number > 0, not '"
+                  << args.words[2] << "'\n";
+        return 2;
+    }
+    Result<Program> resolved =
+        harness::programInput(args.words[1], *n, *n).load();
+    if (!resolved.ok())
+        return failed(resolved.diag());
+    Program prog = std::move(resolved.value());
+    const std::string &cmd = args.words[0];
+    if (cmd == "print") {
+        std::cout << printProgram(prog);
         return 0;
     }
+    if (cmd == "analyze")
+        return cmdAnalyze(std::move(prog));
+    const OptimizedProgram opt = optimizeProgram(prog, ModelParams{});
+    if (cmd == "optimize")
+        return cmdOptimize(opt);
+    if (cmd == "simulate")
+        return cmdSimulate(opt);
+    return cmd == "reuse" ? cmdReuse(opt) : cmdTrace(opt);
+}
 
-    // Bare source file: learn the failure signature by running the
-    // isolated pipeline once, then minimize against it.
-    auto text = readAll(path);
-    if (!text) {
-        std::cerr << "memoria reduce: cannot read '" << path << "'\n";
-        return 1;
-    }
-    bopts.captureSource = true;
-    std::string name = fs::path(path).stem().string();
-    harness::ProgramOutcome out = harness::runIsolated(
-        harness::namedInput(name, *text), bopts);
-    if (out.status == harness::BatchStatus::Ok) {
-        std::cout << "reduce: '" << path
-                  << "' passes the pipeline; nothing to reduce\n";
-        return 1;
-    }
-    Result<std::string> bundle =
-        incident::captureOutcome(out, bopts, policy);
-    if (!bundle.ok()) {
-        std::cerr << "memoria reduce: " << bundle.diag().str() << "\n";
-        return 1;
-    }
-    std::cout << "incident: " << bundle.value() << "\n";
+int
+version()
+{
+    std::cout << versionLine() << "\n";
     return 0;
 }
 
 int
 run(int argc, char **argv)
 {
-    Options opts = parseArgs(argc, argv);
-    if (!opts.error.empty()) {
-        std::cerr << "memoria: " << opts.error << "\n" << usageText();
+    Globals globals;
+    FuzzCommand fuzz;
+    BatchCommand batch;
+    ServeCommand serve;
+    TopCommand top;
+    ReduceCommand reduce;
+    BenchCommand bench;
+    const std::vector<Command> commands = {
+        {"list", {}, [](const Args &) { return cmdList(); }},
+        {"version", {}, [](const Args &) { return version(); }},
+        {"print|analyze|optimize|simulate|reuse|trace <program> [N]", {},
+         runProgram},
+        {"fuzz", fuzz.flags, [&](const Args &a) { return fuzz.run(a); }},
+        {"batch [program...]", batch.flags,
+         [&](const Args &a) { return batch.run(a); }},
+        {"serve", serve.flags, [&](const Args &a) { return serve.run(a); }},
+        {"top [[host:]port]", top.flags,
+         [&](const Args &a) { return top.run(a); }},
+        {"reduce <bundle-dir|file.mem>", reduce.flags,
+         [&](const Args &a) { return reduce.run(a); }},
+        {"bench", bench.flags, [&](const Args &a) { return bench.run(a); }},
+    };
+
+    const Args args = parseArgs(argc, argv, globals.flags, commands);
+    if (!args.error.empty()) {
+        std::cerr << "memoria: " << args.error
+                  << "\n(see `memoria --help`)\n";
         return 2;
     }
-    if (opts.quiet)
-        setLogLevel(LogLevel::Quiet);
-
-    if (opts.help) {
-        std::cout << usageText();
+    if (globals.help) {
+        std::cout << usageText(globals.flags, commands);
         return 0;
     }
-    if (opts.version) {
-        std::cout << versionLine() << "\n";
-        return 0;
-    }
-    if (opts.positional.empty()) {
-        std::cerr << usageText();
+    if (globals.version)
+        return version();
+    if (!args.command) {
+        std::cerr << usageText(globals.flags, commands);
         return 2;
     }
-
-    const std::string &cmd = opts.positional[0];
+    const std::string &cmd = args.words[0];
 
     std::unique_ptr<obs::TraceSink> sink;
-    if (!opts.traceFile.empty())
-        sink = std::make_unique<obs::JsonLinesSink>(opts.traceFile);
-    else if (opts.traceText)
+    if (!globals.traceFile.empty())
+        sink = std::make_unique<obs::JsonLinesSink>(globals.traceFile);
+    else if (globals.traceText)
         sink = std::make_unique<obs::TextSink>(std::cerr);
     // Commands that can write incident bundles keep a flight recorder
     // so the bundles carry a trace tail (tee'd into any requested
@@ -1415,8 +1392,8 @@ run(int argc, char **argv)
     // `serve` installs the cooperative drain handler instead.
     if (cmd != "serve") {
         signals::installFlushOnSignal();
-        if (opts.statsText || opts.statsJson)
-            signals::addFlushCallback([json = opts.statsJson] {
+        if (globals.statsText || globals.statsJson)
+            signals::addFlushCallback([json = globals.statsJson] {
                 if (json)
                     obs::statsRegistry().dumpJson(std::cerr);
                 else
@@ -1424,67 +1401,11 @@ run(int argc, char **argv)
             });
     }
 
-    int rc = 2;
-    if (cmd == "list") {
-        rc = cmdList();
-    } else if (cmd == "version") {
-        std::cout << versionLine() << "\n";
-        rc = 0;
-    } else if (cmd == "serve") {
-        rc = cmdServe(opts);
-    } else if (cmd == "top") {
-        rc = cmdTop(opts);
-    } else if (cmd == "reduce") {
-        if (opts.positional.size() < 2) {
-            std::cerr << "memoria reduce: need a bundle directory or "
-                         "source file\n";
-            rc = 2;
-        } else {
-            rc = cmdReduce(opts);
-        }
-    } else if (cmd == "batch") {
-        rc = cmdBatch(opts);
-    } else if (cmd == "bench") {
-        rc = cmdBench(opts);
-    } else if (cmd == "fuzz") {
-        rc = cmdFuzz(opts);
-    } else if (opts.positional.size() < 2) {
-        std::cerr << "missing program name; try `memoria list`\n";
-    } else if (auto n = opts.positional.size() > 2
-                            ? parseInteger(opts.positional[2], 1, kMax64)
-                            : 48;
-               !n) {
-        std::cerr << "memoria: size N wants a whole number > 0, not '"
-                  << opts.positional[2] << "'\n";
-    } else {
-        Result<Program> resolved =
-            harness::programInput(opts.positional[1], *n, *n).load();
-        if (!resolved.ok()) {
-            rc = failed(resolved.diag());
-        } else {
-            Program prog = std::move(resolved.value());
-            if (cmd == "print") {
-                std::cout << printProgram(prog);
-                rc = 0;
-            } else if (cmd == "analyze") {
-                rc = cmdAnalyze(std::move(prog));
-            } else if (cmd == "optimize") {
-                rc = cmdOptimize(std::move(prog));
-            } else if (cmd == "simulate") {
-                rc = cmdSimulate(std::move(prog));
-            } else if (cmd == "reuse") {
-                rc = cmdReuse(std::move(prog));
-            } else if (cmd == "trace") {
-                rc = cmdTrace(std::move(prog));
-            } else {
-                std::cerr << "unknown command '" << cmd << "'\n";
-            }
-        }
-    }
+    const int rc = args.command->run(args);
 
-    if (opts.statsJson)
+    if (globals.statsJson)
         obs::statsRegistry().dumpJson(std::cout);
-    else if (opts.statsText)
+    else if (globals.statsText)
         obs::statsRegistry().dumpText(std::cout);
 
     obs::setTraceSink(nullptr);  // flush and close any trace file

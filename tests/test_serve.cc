@@ -1652,6 +1652,75 @@ TEST(Supervisor, HardRssWatermarkRecyclesThroughTheWorkersGovernor)
     sup.drain();
 }
 
+TEST(Supervisor, WorkerQueueTimeCoversTheWaitAtTheFront)
+{
+    signals::resetForTest();
+    SupervisorOptions opts = supervisedOptions(1);
+    opts.journalPath.clear();
+    opts.serve.jobs = 1;  // the front forwards one request at a time
+    opts.workerCommand = {MEMORIA_BIN, "serve", "--jobs", "1",
+                          "--no-incidents", "--allow-faults"};
+    Supervisor sup(opts);
+    sup.start();
+    ASSERT_TRUE(waitFor([&] { return sup.workerRows()[0].state == "up"; }));
+
+    // The first request stalls 100 ms in the parser and holds the only
+    // executor, so the second waits that long in the front's queue.
+    Collector out;
+    std::string stalled =
+        requestLine("stalled", "analyze", shardProgram(0));
+    stalled.insert(stalled.size() - 1,
+                   ",\"fault\":\"parser.parse:stall\"");
+    sup.handleLine(stalled, out.fn());
+    sup.handleLine(requestLine("waiting", "analyze", shardProgram(1)),
+                   out.fn());
+    ASSERT_TRUE(waitFor([&] {
+        std::lock_guard<std::mutex> lock(out.mutex);
+        return out.lines.size() >= 2;
+    }));
+    sup.drain();
+
+    bool seen = false;
+    for (size_t i = 0; i < 2; ++i) {
+        json::Value v = out.parsed(i);
+        if (v.getString("id") != "waiting")
+            continue;
+        seen = true;
+        ASSERT_EQ(v.getString("type"), "result") << out.lines[i];
+        const json::Value *t = v.get("timings");
+        ASSERT_NE(t, nullptr) << out.lines[i];
+        EXPECT_GE(t->getNumber("queue_us"), 50000.0)
+            << "queue_us must count the wait at the front: "
+            << out.lines[i];
+        EXPECT_GE(t->getNumber("total_us"), t->getNumber("queue_us"));
+    }
+    EXPECT_TRUE(seen);
+}
+
+TEST(Supervisor, RequestAtTheSizeLimitIsAnsweredByItsWorker)
+{
+    signals::resetForTest();
+    SupervisorOptions opts = supervisedOptions(1);
+    opts.journalPath.clear();
+    // The front forwards the line re-serialized, under a longer id
+    // ("s1") and with its admission time: longer than the client's.
+    const std::string line = requestLine("e", "analyze", shardProgram(0));
+    opts.serve.maxRequestBytes = line.size();
+    opts.workerCommand.push_back("--max-request-bytes");
+    opts.workerCommand.push_back(std::to_string(line.size()));
+    Supervisor sup(opts);
+    sup.start();
+
+    Collector out;
+    sup.handleLine(line, out.fn());
+    ASSERT_TRUE(waitFor([&] {
+        std::lock_guard<std::mutex> lock(out.mutex);
+        return !out.lines.empty();
+    })) << "a request the front admitted must be answered";
+    sup.drain();
+    EXPECT_EQ(out.parsed(0).getString("type"), "result") << out.lines[0];
+}
+
 #endif  // MEMORIA_BIN
 
 } // namespace
