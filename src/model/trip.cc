@@ -2,6 +2,7 @@
 
 #include "model/checked.hh"
 #include "support/logging.hh"
+#include "support/stats.hh"
 
 namespace memoria {
 
@@ -15,6 +16,7 @@ TripModel::addLoop(const Node *loop)
 {
     MEMORIA_ASSERT(loop->isLoop(), "TripModel::addLoop needs a loop");
     loopOf_[loop->var] = loop;
+    tripCache_.clear();
 }
 
 PolyRange
@@ -66,6 +68,12 @@ TripModel::rangeOf(const AffineExpr &e) const
 Poly
 TripModel::trip(const Node *loop) const
 {
+    auto it = tripCache_.find(loop);
+    if (it != tripCache_.end())
+        return it->second;
+    static obs::Counter &cComputed = obs::counter("model.trip.computations");
+    ++cComputed;
+
     PolyRange lbR = rangeOf(loop->lb);
     PolyRange ubR = rangeOf(loop->ub);
     double step = static_cast<double>(loop->step);
@@ -82,7 +90,9 @@ TripModel::trip(const Node *loop) const
         lb = lbR.hi;
         ub = ubR.lo;
     }
-    return saturatePoly((ub - lb + Poly(step)) / step);
+    return tripCache_
+        .emplace(loop, saturatePoly((ub - lb + Poly(step)) / step))
+        .first->second;
 }
 
 } // namespace memoria

@@ -33,14 +33,17 @@ class TripModel
   public:
     TripModel(const Program &prog, ModelParams params);
 
-    /** Register the defining loop of a variable (outer context). */
+    /** Register the defining loop of a variable (outer context).
+     *  Forgets every memoized trip count. */
     void addLoop(const Node *loop);
 
     /** Symbolic range of an affine expression. */
     PolyRange rangeOf(const AffineExpr &e) const;
 
     /** Symbolic trip count of a loop: (ub - lb + step) / step, folded
-     *  per the triangular policy. */
+     *  per the triangular policy. Computed once per loop and memoized
+     *  until the next addLoop; a caller that rewrites loop headers
+     *  builds a new model. */
     Poly trip(const Node *loop) const;
 
   private:
@@ -49,6 +52,7 @@ class TripModel
     const Program &prog_;
     ModelParams params_;
     std::map<VarId, const Node *> loopOf_;
+    mutable std::map<const Node *, Poly> tripCache_;
 };
 
 } // namespace memoria

@@ -80,6 +80,39 @@ addCacheCounters(Counters &c, const std::string &config,
     c[config + ".evictions"] = s.evictions;
 }
 
+/** Growth of registry counters over one repetition: construct it
+ *  before the work, then `report` stores each counter's growth under
+ *  its benchmark name. */
+class CounterDeltas
+{
+  public:
+    /** {benchmark counter name, registry counter name} pairs. */
+    explicit CounterDeltas(
+        std::initializer_list<std::pair<const char *, const char *>> names)
+    {
+        for (const auto &[key, name] : names) {
+            obs::Counter &c = obs::counter(name);
+            entries_.push_back({key, &c, c.value()});
+        }
+    }
+
+    void
+    report(Counters &out) const
+    {
+        for (const Entry &e : entries_)
+            out[e.key] = e.counter->value() - e.before;
+    }
+
+  private:
+    struct Entry
+    {
+        const char *key;
+        const obs::Counter *counter;
+        uint64_t before;
+    };
+    std::vector<Entry> entries_;
+};
+
 /** Records a program's access stream for replay without the
  *  interpreter. */
 class StreamRecorder final : public MemoryListener
@@ -149,17 +182,16 @@ benchSuite()
             v.push_back(makeJacobiBadOrder(24));
             return v;
         }();
-        static obs::Counter &cAnalyses = obs::counter("model.nest_analyses");
-        static obs::Counter &cGraphs =
-            obs::counter("dependence.graph_builds");
-        static obs::Counter &cCompiles =
-            obs::counter("interp.tape_compiles");
         ModelParams params;
         PipelineOptions popts;
         uint64_t nests = 0, changed = 0;
-        uint64_t analysesBefore = cAnalyses.value();
-        uint64_t graphsBefore = cGraphs.value();
-        uint64_t compilesBefore = cCompiles.value();
+        CounterDeltas deltas({{"nest_analyses", "model.nest_analyses"},
+                              {"graph_builds", "dependence.graph_builds"},
+                              {"tape_compiles", "interp.tape_compiles"},
+                              {"trip_computations",
+                               "model.trip.computations"},
+                              {"poly_heap_spills",
+                               "support.poly.heap_spills"}});
         for (const Program &p : progs) {
             OptimizedProgram opt = optimizeProgram(p, params, popts);
             nests += static_cast<uint64_t>(opt.report.nests);
@@ -168,9 +200,7 @@ benchSuite()
         c["programs"] = progs.size();
         c["nests"] = nests;
         c["changed"] = changed;
-        c["nest_analyses"] = cAnalyses.value() - analysesBefore;
-        c["graph_builds"] = cGraphs.value() - graphsBefore;
-        c["tape_compiles"] = cCompiles.value() - compilesBefore;
+        deltas.report(c);
     }});
 
     suite.push_back({"oracle", [](Counters &c) {
@@ -191,9 +221,7 @@ benchSuite()
                 }
                 return v;
             }();
-        static obs::Counter &cCompiles =
-            obs::counter("interp.tape_compiles");
-        uint64_t compilesBefore = cCompiles.value();
+        CounterDeltas deltas({{"tape_compiles", "interp.tape_compiles"}});
         uint64_t compared = 0, equivalent = 0;
         for (const auto &[ref, cand] : pairs) {
             EquivResult r = checkEquivalence(ref, cand);
@@ -203,7 +231,7 @@ benchSuite()
         c["pairs"] = pairs.size();
         c["compared_runs"] = compared;
         c["equivalent"] = equivalent;
-        c["tape_compiles"] = cCompiles.value() - compilesBefore;
+        deltas.report(c);
     }});
 
     suite.push_back({"simulate", [](Counters &c) {
@@ -217,17 +245,16 @@ benchSuite()
 
     suite.push_back({"simulate_sweep", [](Counters &c) {
         static const Program prog = makeMatmul("IKJ", 32);
-        static obs::Counter &cRuns = obs::counter("interp.runs");
         // The sweep's whole point: N configs, ONE interpreter pass.
         // Report the pass count straight from the obs registry so a
         // regression to per-config execution trips the CI gate.
-        uint64_t runsBefore = cRuns.value();
+        CounterDeltas deltas({{"interp_passes", "interp.runs"}});
         SweepResult r = runWithCaches(
             prog, {CacheConfig::rs6000(), CacheConfig::i860()});
         c["configs"] = r.cache.size();
         c["accesses"] = r.cache.front().accesses;
         c["iterations"] = r.exec.loopIterations;
-        c["interp_passes"] = cRuns.value() - runsBefore;
+        deltas.report(c);
         addCacheCounters(c, "rs6000", r.cache[0]);
         addCacheCounters(c, "i860", r.cache[1]);
     }});
@@ -268,22 +295,19 @@ benchSuite()
     }});
 
     suite.push_back({"batch_corpus", [](Counters &c) {
-        static obs::Counter &cRuns = obs::counter("interp.runs");
-        static obs::Counter &cChecks = obs::counter("check.equiv.checks");
-        static obs::Counter &cAnalyses = obs::counter("model.nest_analyses");
-        static obs::Counter &cGraphs =
-            obs::counter("dependence.graph_builds");
-        static obs::Counter &cCompiles =
-            obs::counter("interp.tape_compiles");
         harness::BatchOptions bopts;
         bopts.jobs = 2;
         bopts.cacheConfigs = {CacheConfig::rs6000(),
                               CacheConfig::i860()};
-        uint64_t runsBefore = cRuns.value();
-        uint64_t checksBefore = cChecks.value();
-        uint64_t analysesBefore = cAnalyses.value();
-        uint64_t graphsBefore = cGraphs.value();
-        uint64_t compilesBefore = cCompiles.value();
+        CounterDeltas deltas({{"interp_passes", "interp.runs"},
+                              {"equiv_checks", "check.equiv.checks"},
+                              {"nest_analyses", "model.nest_analyses"},
+                              {"graph_builds", "dependence.graph_builds"},
+                              {"tape_compiles", "interp.tape_compiles"},
+                              {"trip_computations",
+                               "model.trip.computations"},
+                              {"poly_heap_spills",
+                               "support.poly.heap_spills"}});
         harness::BatchReport rep =
             harness::runBatch(harness::corpusInputs(10), bopts);
         uint64_t accesses = 0, iterations = 0;
@@ -297,11 +321,7 @@ benchSuite()
                 harness::BatchStatus::Ok));
         c["accesses"] = accesses;
         c["iterations"] = iterations;
-        c["interp_passes"] = cRuns.value() - runsBefore;
-        c["equiv_checks"] = cChecks.value() - checksBefore;
-        c["nest_analyses"] = cAnalyses.value() - analysesBefore;
-        c["graph_builds"] = cGraphs.value() - graphsBefore;
-        c["tape_compiles"] = cCompiles.value() - compilesBefore;
+        deltas.report(c);
     }});
 
     return suite;

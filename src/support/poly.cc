@@ -1,9 +1,11 @@
 #include "support/poly.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "support/logging.hh"
+#include "support/stats.hh"
 
 namespace memoria {
 
@@ -12,19 +14,32 @@ namespace {
 /** Coefficients closer to zero than this are treated as zero. */
 constexpr double kEps = 1e-12;
 
+obs::Counter &
+heapSpills()
+{
+    static obs::Counter &c = obs::counter("support.poly.heap_spills");
+    return c;
+}
+
+/** Registered at startup, so a run without a spill reports 0. */
+[[maybe_unused]] const bool kHeapSpillsRegistered = (heapSpills(), true);
+
 } // namespace
 
 Poly::Poly(double c)
 {
-    if (std::abs(c) > kEps)
-        coeffs_.push_back(c);
+    if (std::abs(c) > kEps) {
+        inline_[0] = c;
+        inlineSize_ = 1;
+    }
 }
 
 Poly
 Poly::fromCoeffs(std::vector<double> coeffs)
 {
     Poly p;
-    p.coeffs_ = std::move(coeffs);
+    p.resize(static_cast<int>(coeffs.size()));
+    std::copy(coeffs.begin(), coeffs.end(), p.data());
     p.trim();
     return p;
 }
@@ -35,8 +50,8 @@ Poly::term(double c, int power)
     MEMORIA_ASSERT(power >= 0, "monomial power must be non-negative");
     Poly p;
     if (std::abs(c) > kEps) {
-        p.coeffs_.assign(power + 1, 0.0);
-        p.coeffs_[power] = c;
+        p.resize(power + 1);
+        p.data()[power] = c;
     }
     return p;
 }
@@ -50,21 +65,21 @@ Poly::sym()
 int
 Poly::degree() const
 {
-    return static_cast<int>(coeffs_.size()) - 1;
+    return size() - 1;
 }
 
 double
 Poly::coeff(int power) const
 {
-    if (power < 0 || power >= static_cast<int>(coeffs_.size()))
+    if (power < 0 || power >= size())
         return 0.0;
-    return coeffs_[power];
+    return data()[power];
 }
 
 bool
 Poly::isZero() const
 {
-    return coeffs_.empty();
+    return size() == 0;
 }
 
 bool
@@ -76,21 +91,28 @@ Poly::isConstant() const
 double
 Poly::eval(double n) const
 {
+    const double *c = data();
     double acc = 0.0;
-    for (auto it = coeffs_.rbegin(); it != coeffs_.rend(); ++it)
-        acc = acc * n + *it;
+    for (int k = size() - 1; k >= 0; --k)
+        acc = acc * n + c[k];
     return acc;
 }
 
 Poly
 Poly::operator+(const Poly &o) const
 {
-    std::vector<double> out(std::max(coeffs_.size(), o.coeffs_.size()), 0.0);
-    for (size_t i = 0; i < coeffs_.size(); ++i)
-        out[i] += coeffs_[i];
-    for (size_t i = 0; i < o.coeffs_.size(); ++i)
-        out[i] += o.coeffs_[i];
-    return fromCoeffs(std::move(out));
+    const int na = size(), nb = o.size();
+    Poly r;
+    r.resize(std::max(na, nb));
+    double *out = r.data();
+    const double *a = data();
+    const double *b = o.data();
+    for (int i = 0; i < na; ++i)
+        out[i] += a[i];
+    for (int i = 0; i < nb; ++i)
+        out[i] += b[i];
+    r.trim();
+    return r;
 }
 
 Poly
@@ -104,20 +126,29 @@ Poly::operator*(const Poly &o) const
 {
     if (isZero() || o.isZero())
         return Poly();
-    std::vector<double> out(coeffs_.size() + o.coeffs_.size() - 1, 0.0);
-    for (size_t i = 0; i < coeffs_.size(); ++i)
-        for (size_t j = 0; j < o.coeffs_.size(); ++j)
-            out[i + j] += coeffs_[i] * o.coeffs_[j];
-    return fromCoeffs(std::move(out));
+    const int na = size(), nb = o.size();
+    Poly r;
+    r.resize(na + nb - 1);
+    double *out = r.data();
+    const double *a = data();
+    const double *b = o.data();
+    for (int i = 0; i < na; ++i)
+        for (int j = 0; j < nb; ++j)
+            out[i + j] += a[i] * b[j];
+    r.trim();
+    return r;
 }
 
 Poly
 Poly::operator*(double s) const
 {
-    std::vector<double> out = coeffs_;
-    for (auto &c : out)
-        c *= s;
-    return fromCoeffs(std::move(out));
+    Poly r = *this;
+    const int nr = r.size();
+    double *out = r.data();
+    for (int i = 0; i < nr; ++i)
+        out[i] *= s;
+    r.trim();
+    return r;
 }
 
 Poly
@@ -175,7 +206,7 @@ Poly::str() const
     std::ostringstream os;
     bool first = true;
     for (int k = degree(); k >= 0; --k) {
-        double c = coeffs_[k];
+        double c = data()[k];
         if (std::abs(c) <= kEps)
             continue;
         if (!first)
@@ -197,10 +228,35 @@ Poly::str() const
 }
 
 void
+Poly::resize(int size)
+{
+    if (size > kInlineCoeffs) {
+        ++heapSpills();
+        heap_.assign(size, 0.0);
+        inlineSize_ = 0;
+    } else {
+        std::fill(inline_.begin(), inline_.begin() + size, 0.0);
+        inlineSize_ = size;
+    }
+}
+
+void
 Poly::trim()
 {
-    while (!coeffs_.empty() && std::abs(coeffs_.back()) <= kEps)
-        coeffs_.pop_back();
+    const double *c = data();
+    int n = size();
+    while (n > 0 && std::abs(c[n - 1]) <= kEps)
+        --n;
+    if (heap_.empty()) {
+        inlineSize_ = n;
+    } else if (n > kInlineCoeffs) {
+        heap_.resize(n);
+    } else {
+        // Back under the capacity: return to the inline form.
+        std::copy(c, c + n, inline_.begin());
+        inlineSize_ = n;
+        heap_ = std::vector<double>();
+    }
 }
 
 } // namespace memoria

@@ -14,6 +14,7 @@
 #ifndef MEMORIA_SUPPORT_POLY_HH
 #define MEMORIA_SUPPORT_POLY_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -23,8 +24,14 @@ namespace memoria {
  * Univariate polynomial in the abstract size symbol `n`.
  *
  * Coefficients are doubles because the cost model produces fractional
- * terms (e.g. trip/(cls/stride) = n/4). The zero polynomial has an empty
- * coefficient vector and degree -1.
+ * terms (e.g. trip/(cls/stride) = n/4). The zero polynomial has no
+ * coefficients and degree -1.
+ *
+ * Up to kInlineCoeffs coefficients live inside the object, so the cost
+ * model's arithmetic does not allocate; a polynomial of higher degree
+ * (a LoopCost of a nest deeper than the kernels and the corpus reach)
+ * moves its coefficients to the heap and counts the move in
+ * `support.poly.heap_spills`.
  */
 class Poly
 {
@@ -87,11 +94,41 @@ class Poly
     /** Render like "2n^3 + 0.25n^2 + 1". */
     std::string str() const;
 
+    /** Coefficients held without a heap allocation: degree 11. The
+     *  kernels' and the corpus's costs stay below degree 12. */
+    static constexpr int kInlineCoeffs = 12;
+
   private:
+    /** Give a zero polynomial `size` zero coefficients, inline or on
+     *  the heap. */
+    void resize(int size);
     void trim();
 
-    /** coeffs_[k] is the coefficient of n^k. */
-    std::vector<double> coeffs_;
+    int
+    size() const
+    {
+        return heap_.empty() ? inlineSize_ : static_cast<int>(heap_.size());
+    }
+
+    const double *
+    data() const
+    {
+        return heap_.empty() ? inline_.data() : heap_.data();
+    }
+
+    double *
+    data()
+    {
+        return heap_.empty() ? inline_.data() : heap_.data();
+    }
+
+    /** data()[k] is the coefficient of n^k. The coefficients live in
+     *  inline_ while heap_ is empty, and all of them in heap_ once
+     *  there are more than kInlineCoeffs. Moving a polynomial out of
+     *  the heap form leaves heap_ empty, so the source reads as zero. */
+    int inlineSize_ = 0;
+    std::array<double, kInlineCoeffs> inline_{};
+    std::vector<double> heap_;
 };
 
 } // namespace memoria

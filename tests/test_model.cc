@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.hh"
+#include "ir/walk.hh"
 #include "model/access.hh"
 #include "model/loopcost.hh"
 #include "suite/kernels.hh"
+#include "support/stats.hh"
+#include "transform/compound.hh"
+#include "transform/permute.hh"
 
 namespace memoria {
 namespace {
@@ -253,6 +257,151 @@ TEST(TripModel, TriangularPolicies)
     NestAnalysis naAvg(p, k, avg);
     // Average: E[I] - E[K] ~ n/4.
     EXPECT_NEAR(naAvg.trip(jLoop).coeff(1), 0.25, 1e-9);
+}
+
+/** DO K = 1, N; DO J = K+1, N: A(K, J) = A(K, J) + 1. K is the
+ *  consecutive loop, so memory order puts J outermost and permutation
+ *  rewrites the pair into DO J = 2, N; DO K = 1, J-1. */
+Program
+triangularKJ(bool jOuter)
+{
+    ProgramBuilder b(jOuter ? "tri_jk" : "tri_kj");
+    Var n = b.param("N", 16);
+    Arr a = b.array("A", {n, n});
+    Var k = b.loopVar("K");
+    Var j = b.loopVar("J");
+    NodePtr body = b.assign(a(k, j), a(k, j) + 1.0);
+    if (jOuter)
+        b.add(b.loop(j, 2, n, b.loop(k, 1, Ix(j) - 1, std::move(body))));
+    else
+        b.add(b.loop(k, 1, n, b.loop(j, Ix(k) + 1, n, std::move(body))));
+    return b.finish();
+}
+
+TEST(TripModel, FreshAnalysisAfterPermutationSeesNewHeaders)
+{
+    Program p = triangularKJ(false);
+    Node *outer = p.body[0].get();
+    Node *inner = outer->body[0].get();
+    NestAnalysis before(p, outer, cls4());
+    EXPECT_EQ(before.trip(outer).str(), "n");
+    EXPECT_EQ(before.trip(inner).str(), "n - 1");
+
+    PermuteResult pr = permuteToMemoryOrder(before, outer);
+    ASSERT_TRUE(pr.changed);
+    ASSERT_EQ(p.varName(outer->var), "J");
+
+    // The same nodes now carry J = 2..N outside K = 1..J-1; a fresh
+    // analysis prices them like the nest written that way.
+    Program direct = triangularKJ(true);
+    Node *dOuter = direct.body[0].get();
+    NestAnalysis want(direct, dOuter, cls4());
+    NestAnalysis after(p, outer, cls4());
+    EXPECT_EQ(after.trip(outer).str(), "n - 1");
+    EXPECT_EQ(after.trip(outer).str(), want.trip(dOuter).str());
+    EXPECT_EQ(after.trip(inner).str(),
+              want.trip(dOuter->body[0].get()).str());
+    EXPECT_EQ(nestCost(after).str(), nestCost(want).str());
+
+    // Compound reports the permuted nest's cost, not the original's.
+    Program q = triangularKJ(false);
+    const std::string origCost =
+        nestCost(NestAnalysis(q, q.body[0].get(), cls4())).str();
+    CompoundOptions opts;
+    opts.verify = false;
+    CompoundResult res = compoundTransform(q, cls4(), opts);
+    ASSERT_EQ(res.nests.size(), 1u);
+    EXPECT_TRUE(res.nests[0].usedPermutation);
+    EXPECT_EQ(res.nests[0].origCost.str(), origCost);
+    EXPECT_EQ(res.nests[0].finalCost.str(), nestCost(want).str());
+    EXPECT_NE(origCost, nestCost(want).str());
+}
+
+TEST(TripModel, AddLoopForgetsMemoizedTrips)
+{
+    Program p = triangularKJ(false);
+    Node *kLoop = p.body[0].get();
+    Node *jLoop = kLoop->body[0].get();
+    ModelParams avg = cls4();
+    avg.policy = TriangularPolicy::Average;
+    TripModel tm(p, avg);
+    tm.addLoop(kLoop);
+    tm.addLoop(jLoop);
+
+    obs::Counter &computed = obs::counter("model.trip.computations");
+    const uint64_t c0 = computed.value();
+    // E[K] = (N + 1) / 2, so J = K+1..N runs N/2 - 1/2 times.
+    EXPECT_EQ(tm.trip(jLoop).str(), "0.5n - 0.5");
+    EXPECT_EQ(tm.trip(jLoop).str(), "0.5n - 0.5");
+    EXPECT_EQ(computed.value() - c0, 1u);
+
+    // Redefine K as 1..10: E[K] = 5.5 and the memo must not answer.
+    NodePtr shortK = cloneNode(*kLoop);
+    shortK->ub = AffineExpr(10);
+    tm.addLoop(shortK.get());
+    EXPECT_EQ(tm.trip(jLoop).str(), "n - 5.5");
+    EXPECT_EQ(computed.value() - c0, 2u);
+}
+
+/** A 13-deep nest, past Poly's inline capacity: its LoopCosts are
+ *  degree-13 polynomials. */
+Program
+deepNest()
+{
+    constexpr int kDepth = 13;
+    ProgramBuilder b("deep");
+    Var n = b.param("N", 2);
+    Arr a = b.array("A", {n, n});
+    Arr bb = b.array("B", {n, n});
+    Arr c = b.array("C", {n, n});
+    std::vector<Var> v;
+    for (int d = 1; d <= kDepth; ++d)
+        v.push_back(b.loopVar("I" + std::to_string(d)));
+    // A(I1,I2) = A(I1,I2) + B(I3,I4) + C(I13,I1), with I6 = I5+1..N.
+    NodePtr body = b.assign(a(v[0], v[1]), a(v[0], v[1]) +
+                                               bb(v[2], v[3]) +
+                                               c(v[kDepth - 1], v[0]));
+    for (int d = kDepth - 1; d >= 0; --d) {
+        Ix lb = d == 5 ? Ix(v[4]) + 1 : Ix(1);
+        body = b.loop(v[d], lb, n, std::move(body));
+    }
+    b.add(std::move(body));
+    return b.finish();
+}
+
+TEST(LoopCost, NestDeeperThanPolyInlineCapacity)
+{
+    Program p = deepNest();
+    NestAnalysis na(p, p.body[0].get(), cls4());
+    ASSERT_EQ(na.loops().size(), 13u);
+    static_assert(13 > Poly::kInlineCoeffs, "the nest must spill");
+
+    std::vector<std::string> costs;
+    for (const Node *l : na.loops())
+        costs.push_back(p.varName(l->var) + ": " + na.loopCost(l).str());
+    const std::vector<std::string> wantCosts = {
+        "I1: 1.25n^13 - 0.25n^12 - n^11",
+        "I2: n^13 + n^12 - 2n^11",
+        "I3: 0.25n^13 + 1.75n^12 - 2n^11",
+        "I4: n^13 + n^12 - 2n^11",
+        "I5: 3n^12 - 3n^11",
+        "I6: 3n^12",
+        "I7: 3n^12 - 3n^11",
+        "I8: 3n^12 - 3n^11",
+        "I9: 3n^12 - 3n^11",
+        "I10: 3n^12 - 3n^11",
+        "I11: 3n^12 - 3n^11",
+        "I12: 3n^12 - 3n^11",
+        "I13: 0.25n^13 + 1.75n^12 - 2n^11",
+    };
+    EXPECT_EQ(costs, wantCosts);
+
+    std::string order;
+    for (const Node *l : na.memoryOrder())
+        order += p.varName(l->var) + " ";
+    EXPECT_EQ(order, "I1 I2 I4 I3 I13 I6 I5 I7 I8 I9 I10 I11 I12 ");
+    EXPECT_EQ(nestCost(na).str(), "0.25n^13 + 1.75n^12 - 2n^11");
+    EXPECT_EQ(idealNestCost(na).str(), "3n^12 - 3n^11");
 }
 
 TEST(NestCost, MatmulCurrentAndIdeal)

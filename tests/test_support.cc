@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "support/poly.hh"
 #include "support/rng.hh"
+#include "support/stats.hh"
 #include "support/table.hh"
 
 namespace memoria {
@@ -81,6 +85,152 @@ TEST(Poly, FromCoeffs)
     EXPECT_DOUBLE_EQ(p.coeff(1), 0.0);
     EXPECT_DOUBLE_EQ(p.coeff(0), 1.0);
     EXPECT_DOUBLE_EQ(p.coeff(7), 0.0);
+}
+
+/** Plain dense coefficients (index = power), the reference the
+ *  inline-capacity tests compare Poly against. */
+using Dense = std::vector<double>;
+
+Dense
+denseAdd(const Dense &a, const Dense &b)
+{
+    Dense out(std::max(a.size(), b.size()), 0.0);
+    for (size_t i = 0; i < a.size(); ++i)
+        out[i] += a[i];
+    for (size_t i = 0; i < b.size(); ++i)
+        out[i] += b[i];
+    return out;
+}
+
+Dense
+denseMul(const Dense &a, const Dense &b)
+{
+    if (a.empty() || b.empty())
+        return {};
+    Dense out(a.size() + b.size() - 1, 0.0);
+    for (size_t i = 0; i < a.size(); ++i)
+        for (size_t j = 0; j < b.size(); ++j)
+            out[i + j] += a[i] * b[j];
+    return out;
+}
+
+Dense
+denseTerm(double c, int power)
+{
+    Dense out(power + 1, 0.0);
+    out[power] = c;
+    return out;
+}
+
+void
+expectEqualsDense(const Poly &p, Dense ref)
+{
+    while (!ref.empty() && std::abs(ref.back()) <= 1e-12)
+        ref.pop_back();
+    ASSERT_EQ(p.degree(), static_cast<int>(ref.size()) - 1);
+    for (size_t k = 0; k < ref.size(); ++k)
+        EXPECT_EQ(p.coeff(static_cast<int>(k)), ref[k]) << "n^" << k;
+}
+
+uint64_t
+heapSpills()
+{
+    return obs::counter("support.poly.heap_spills").value();
+}
+
+TEST(PolyInline, SumsAndProductsCrossTheCapacity)
+{
+    const int cap = Poly::kInlineCoeffs;
+    // (n + 2)^k for k up to twice the capacity, with a sum alongside.
+    Poly lin = Poly::sym() + Poly(2.0);
+    Dense linD = {2.0, 1.0};
+    Poly p(1.0), sum;
+    Dense pD = {1.0}, sumD;
+    const uint64_t before = heapSpills();
+    for (int k = 1; k <= 2 * cap; ++k) {
+        p = p * lin;
+        pD = denseMul(pD, linD);
+        sum += p * 0.5;
+        sumD = denseAdd(sumD, denseMul(pD, {0.5}));
+        expectEqualsDense(p, pD);
+        expectEqualsDense(sum, sumD);
+        EXPECT_EQ(p.eval(1.0), std::pow(3.0, k));
+    }
+    EXPECT_EQ(p.degree(), 2 * cap);
+    EXPECT_GT(heapSpills(), before);
+
+    // Arithmetic that stays within the capacity never spills.
+    const uint64_t mid = heapSpills();
+    Poly top = Poly::term(3.0, cap - 2) * Poly::sym() + Poly(1.0);
+    expectEqualsDense(top, denseAdd(denseTerm(3.0, cap - 1), {1.0}));
+    EXPECT_EQ(heapSpills(), mid);
+}
+
+TEST(PolyInline, TrimsBackUnderTheCapacity)
+{
+    const int cap = Poly::kInlineCoeffs;
+    Poly high = Poly::term(5.0, cap + 4) + Poly::term(-1.0, cap + 1);
+    Poly low = Poly::term(2.0, 3) + Poly(7.0);
+    Poly mixed = high + low;
+    EXPECT_EQ(mixed.degree(), cap + 4);
+
+    // The heap terms cancel: the result is inline again and keeps
+    // working as an ordinary polynomial.
+    Poly back = mixed - high;
+    expectEqualsDense(back, {7.0, 0.0, 0.0, 2.0});
+    EXPECT_TRUE(back == low);
+    Dense lowD = {7.0, 0.0, 0.0, 2.0};
+    expectEqualsDense(back * back, denseMul(lowD, lowD));
+    expectEqualsDense(back * Poly::term(1.0, cap - 4),
+                      denseMul(lowD, denseTerm(1.0, cap - 4)));
+
+    // A heap product scaled to zero trims to the zero polynomial.
+    Poly zero = mixed * 0.0;
+    EXPECT_TRUE(zero.isZero());
+    EXPECT_EQ(zero.degree(), -1);
+    EXPECT_EQ(zero.str(), "0");
+}
+
+TEST(PolyInline, CopyAndAssignBetweenForms)
+{
+    const int cap = Poly::kInlineCoeffs;
+    Poly heap = Poly::term(1.5, 2 * cap) + Poly::sym();
+    Poly inl = Poly::term(2.0, 2) + Poly(1.0);
+    const std::string heapStr = heap.str();
+    const std::string inlStr = inl.str();
+    EXPECT_EQ(heapStr, "1.5n^" + std::to_string(2 * cap) + " + n");
+
+    Poly a = heap;  // heap -> new
+    EXPECT_EQ(a.str(), heapStr);
+    a = inl;  // heap -> inline
+    EXPECT_EQ(a.str(), inlStr);
+    EXPECT_EQ(a.degree(), 2);
+    a = heap;  // inline -> heap
+    EXPECT_EQ(a.str(), heapStr);
+    a += Poly::term(-1.5, 2 * cap);  // heap -> inline in place
+    EXPECT_EQ(a.str(), "n");
+
+    Poly b = inl;
+    b *= heap;  // inline * heap -> heap
+    expectEqualsDense(b, denseMul({1.0, 0.0, 2.0},
+                                  denseAdd(denseTerm(1.5, 2 * cap),
+                                           {0.0, 1.0})));
+
+    // Moves leave the source a valid polynomial in either form.
+    Poly movedHeap = heap;
+    Poly c = std::move(movedHeap);
+    EXPECT_EQ(c.str(), heapStr);
+    movedHeap = inl;
+    EXPECT_EQ(movedHeap.str(), inlStr);
+    Poly d;
+    d = std::move(c);
+    EXPECT_EQ(d.str(), heapStr);
+    c = Poly(4.0);
+    EXPECT_EQ(c.str(), "4");
+
+    // The originals are untouched by all of the above.
+    EXPECT_EQ(heap.str(), heapStr);
+    EXPECT_EQ(inl.str(), inlStr);
 }
 
 TEST(Rng, DeterministicAndBounded)
