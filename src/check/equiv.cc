@@ -98,7 +98,9 @@ checkEquivalence(const Program &reference, const Program &candidate,
     static obs::Counter &cChecks = obs::counter("check.equiv.checks");
     static obs::Counter &cRuns = obs::counter("check.equiv.runs");
     static obs::Counter &cFail = obs::counter("check.equiv.failures");
+    static obs::Counter &cBound = obs::counter("check.equiv.bound_arrays");
     ++cChecks;
+    cBound += reference.arrays.size() + candidate.arrays.size();
 
     EquivResult result;
     if (std::optional<Diag> injected = gEquivFault.fire()) {

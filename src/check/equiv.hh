@@ -26,8 +26,12 @@
  * Each side is bound once per trial size — one Interpreter, its
  * parameters set and its tape compiled once — and rerun under every
  * seed through Interpreter::setInitSeed, which refills only the data.
- * Binding is O(declarations) and corpus programs declare hundreds of
- * arrays, so per-round rebinding cost more than the runs themselves.
+ * Binding, validation and the comparison are O(declarations). A corpus
+ * program declares about a hundred arrays while one of its nests
+ * touches a handful, so Compound's per-nest checks hand this oracle
+ * nest-local programs that declare only the arrays either version of
+ * the nest references (transform/compound.cc); `check.equiv.bound_arrays`
+ * counts the declarations of both programs of every check.
  */
 
 #ifndef MEMORIA_CHECK_EQUIV_HH

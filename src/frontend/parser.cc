@@ -2,7 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <map>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "harness/budget.hh"
@@ -22,8 +23,8 @@ harness::FaultSite gParseFault("parser.parse", /*supportsDiag=*/true);
 struct Token
 {
     enum class Kind { Ident, Number, Sym, End } kind = Kind::End;
-    std::string text;   ///< Ident
-    double number = 0;  ///< Number
+    std::string_view text;  ///< Ident: a view into the source
+    double number = 0;      ///< Number
     bool isInt = false;
     char sym = 0;  ///< Sym
     int line = 1;
@@ -33,6 +34,7 @@ struct Token
 class Lexer
 {
   public:
+    /** `src` must outlive the lexer; tokens view into it. */
     explicit Lexer(const std::string &src) : src_(src) { advance(); }
 
     const Token &peek() const { return tok_; }
@@ -45,20 +47,32 @@ class Lexer
         return t;
     }
 
-    int line() const { return line_; }
+    /** Everything the lexer's future output depends on. */
+    struct Mark
+    {
+        size_t pos;
+        size_t lineStart;
+        int line;
+        Token tok;
+    };
+
+    Mark mark() const { return {pos_, lineStart_, line_, tok_}; }
+
+    void
+    rewind(const Mark &m)
+    {
+        pos_ = m.pos;
+        lineStart_ = m.lineStart;
+        line_ = m.line;
+        tok_ = m.tok;
+    }
 
   private:
-    /** Consume one character, tracking line and column. */
-    void
-    bump()
+    bool
+    isDigitAt(size_t p) const
     {
-        if (src_[pos_] == '\n') {
-            ++line_;
-            col_ = 1;
-        } else {
-            ++col_;
-        }
-        ++pos_;
+        return p < src_.size() &&
+               std::isdigit(static_cast<unsigned char>(src_[p]));
     }
 
     void
@@ -66,18 +80,21 @@ class Lexer
     {
         while (pos_ < src_.size()) {
             char c = src_[pos_];
-            if (std::isspace(static_cast<unsigned char>(c))) {
-                bump();
+            if (c == '\n') {
+                ++line_;
+                lineStart_ = ++pos_;
+            } else if (std::isspace(static_cast<unsigned char>(c))) {
+                ++pos_;
             } else if (c == '!') {  // comment to end of line
                 while (pos_ < src_.size() && src_[pos_] != '\n')
-                    bump();
+                    ++pos_;
             } else {
                 break;
             }
         }
         tok_ = Token{};
         tok_.line = line_;
-        tok_.col = col_;
+        tok_.col = static_cast<int>(pos_ - lineStart_) + 1;
         if (pos_ >= src_.size()) {
             tok_.kind = Token::Kind::End;
             return;
@@ -89,27 +106,25 @@ class Lexer
                    (std::isalnum(
                         static_cast<unsigned char>(src_[pos_])) ||
                     src_[pos_] == '_'))
-                bump();
+                ++pos_;
             tok_.kind = Token::Kind::Ident;
-            tok_.text = src_.substr(start, pos_ - start);
+            tok_.text = std::string_view(src_).substr(start, pos_ - start);
             return;
         }
-        if (std::isdigit(static_cast<unsigned char>(c)) ||
-            (c == '.' && pos_ + 1 < src_.size() &&
-             std::isdigit(static_cast<unsigned char>(src_[pos_ + 1])))) {
+        if (isDigitAt(pos_) || (c == '.' && isDigitAt(pos_ + 1))) {
             size_t start = pos_;
             bool isInt = true;
             while (pos_ < src_.size()) {
                 char d = src_[pos_];
                 if (std::isdigit(static_cast<unsigned char>(d))) {
-                    bump();
+                    ++pos_;
                 } else if (d == '.' || d == 'e' || d == 'E') {
                     isInt = false;
-                    bump();
+                    ++pos_;
                     if (pos_ < src_.size() &&
                         (src_[pos_] == '+' || src_[pos_] == '-') &&
                         (d == 'e' || d == 'E'))
-                        bump();
+                        ++pos_;
                 } else {
                     break;
                 }
@@ -121,26 +136,53 @@ class Lexer
         }
         tok_.kind = Token::Kind::Sym;
         tok_.sym = c;
-        bump();
+        ++pos_;
     }
 
     const std::string &src_;
     size_t pos_ = 0;
+    size_t lineStart_ = 0;  ///< offset of the current line's first char
     int line_ = 1;
-    int col_ = 1;
     Token tok_;
 };
 
 // ------------------------------------------------------------ parser
 
-std::string
-upper(std::string s)
+/** Case-insensitive match of `text` against upper-case `kw`. */
+bool
+isKeyword(std::string_view text, std::string_view kw)
 {
-    for (char &c : s)
-        c = static_cast<char>(
-            std::toupper(static_cast<unsigned char>(c)));
-    return s;
+    if (text.size() != kw.size())
+        return false;
+    for (size_t i = 0; i < kw.size(); ++i)
+        if (std::toupper(static_cast<unsigned char>(text[i])) != kw[i])
+            return false;
+    return true;
 }
+
+/** The intrinsic `name` spells (SQRT, MIN, MAX, MOD), or null. */
+const char *
+intrinsicName(std::string_view name)
+{
+    for (const char *kw : {"SQRT", "MIN", "MAX", "MOD"})
+        if (isKeyword(name, kw))
+            return kw;
+    return nullptr;
+}
+
+/** Hashes std::string keys and std::string_view probes alike. */
+struct NameHash
+{
+    using is_transparent = void;
+    size_t
+    operator()(std::string_view s) const noexcept
+    {
+        return std::hash<std::string_view>{}(s);
+    }
+};
+
+template <class Id>
+using NameMap = std::unordered_map<std::string, Id, NameHash, std::equal_to<>>;
 
 struct Bail
 {
@@ -158,7 +200,7 @@ class Parser
         expectKeyword("PROGRAM");
         prog_.name = expectIdent();
         parseDeclarations();
-        parseStmtList(prog_.body, {"END"});
+        parseStmtList(prog_.body, "END");
         expectKeyword("END");
         int next = 0;
         for (auto &n : prog_.body)
@@ -190,21 +232,21 @@ class Parser
     }
 
     bool
-    peekKeyword(const std::string &kw)
+    peekKeyword(std::string_view kw) const
     {
         return lex_.peek().kind == Token::Kind::Ident &&
-               upper(lex_.peek().text) == kw;
+               isKeyword(lex_.peek().text, kw);
     }
 
     void
-    expectKeyword(const std::string &kw)
+    expectKeyword(std::string_view kw)
     {
         if (!peekKeyword(kw))
-            fail("expected " + kw);
+            fail("expected " + std::string(kw));
         lex_.next();
     }
 
-    std::string
+    std::string_view
     expectIdent()
     {
         if (lex_.peek().kind != Token::Kind::Ident)
@@ -212,11 +254,16 @@ class Parser
         return lex_.next().text;
     }
 
+    bool
+    peekSym(char c) const
+    {
+        return lex_.peek().kind == Token::Kind::Sym && lex_.peek().sym == c;
+    }
+
     void
     expectSym(char c)
     {
-        if (lex_.peek().kind != Token::Kind::Sym ||
-            lex_.peek().sym != c)
+        if (!peekSym(c))
             fail(std::string("expected '") + c + "'");
         lex_.next();
     }
@@ -224,12 +271,10 @@ class Parser
     bool
     acceptSym(char c)
     {
-        if (lex_.peek().kind == Token::Kind::Sym &&
-            lex_.peek().sym == c) {
-            lex_.next();
-            return true;
-        }
-        return false;
+        if (!peekSym(c))
+            return false;
+        lex_.next();
+        return true;
     }
 
     int64_t
@@ -251,7 +296,7 @@ class Parser
         for (;;) {
             if (peekKeyword("PARAMETER")) {
                 lex_.next();
-                std::string name = expectIdent();
+                std::string_view name = expectIdent();
                 expectSym('=');
                 int64_t value = expectInt();
                 VarInfo info;
@@ -282,7 +327,7 @@ class Parser
     void
     parseArrayDecl(int elemSize, bool isRegister)
     {
-        std::string name = expectIdent();
+        std::string_view name = expectIdent();
         ArrayDecl decl;
         decl.name = name;
         decl.elemSize = elemSize;
@@ -295,48 +340,47 @@ class Parser
                 expectSym(')');
             }
         }
-        if (arrays_.count(name))
-            fail("array '" + name + "' redeclared");
-        arrays_[name] = static_cast<ArrayId>(prog_.arrays.size());
+        if (arrays_.find(name) != arrays_.end())
+            fail("array '" + std::string(name) + "' redeclared");
+        arrays_.emplace(name, static_cast<ArrayId>(prog_.arrays.size()));
         prog_.arrays.push_back(std::move(decl));
     }
 
-    void
-    declareVar(const std::string &name, VarInfo info)
+    VarId
+    declareVar(std::string_view name, VarInfo info)
     {
-        if (vars_.count(name))
-            fail("variable '" + name + "' redeclared");
-        vars_[name] = static_cast<VarId>(prog_.vars.size());
+        if (vars_.find(name) != vars_.end())
+            fail("variable '" + std::string(name) + "' redeclared");
+        VarId id = static_cast<VarId>(prog_.vars.size());
+        vars_.emplace(name, id);
         prog_.vars.push_back(std::move(info));
+        return id;
     }
 
     VarId
-    loopVarFor(const std::string &name)
+    loopVarFor(std::string_view name)
     {
         auto it = vars_.find(name);
         if (it != vars_.end()) {
             if (prog_.vars[it->second].kind != VarKind::LoopVar)
-                fail("'" + name + "' is not a loop variable");
+                fail("'" + std::string(name) + "' is not a loop variable");
             return it->second;
         }
         VarInfo info;
         info.name = name;
         info.kind = VarKind::LoopVar;
-        declareVar(name, std::move(info));
-        return vars_.at(name);
+        return declareVar(name, std::move(info));
     }
 
     // ---- statements --------------------------------------------
 
     void
-    parseStmtList(std::vector<NodePtr> &out,
-                  const std::vector<std::string> &terminators)
+    parseStmtList(std::vector<NodePtr> &out, std::string_view terminator)
     {
         for (;;) {
             harness::poll("parser.stmt");
-            for (const auto &term : terminators)
-                if (peekKeyword(term))
-                    return;
+            if (peekKeyword(terminator))
+                return;
             if (lex_.peek().kind == Token::Kind::End)
                 fail("unexpected end of input");
             if (peekKeyword("DO")) {
@@ -364,7 +408,7 @@ class Parser
         if (acceptSym(','))
             step = expectInt();
         std::vector<NodePtr> body;
-        parseStmtList(body, {"ENDDO"});
+        parseStmtList(body, "ENDDO");
         expectKeyword("ENDDO");
         --loopDepth_;
         return Node::makeLoop(var, std::move(lb), std::move(ub), step,
@@ -374,7 +418,7 @@ class Parser
     NodePtr
     parseAssign()
     {
-        std::string name = expectIdent();
+        std::string_view name = expectIdent();
         ArrayRef lhs = parseRefAfterName(name);
         expectSym('=');
         Statement s;
@@ -386,11 +430,11 @@ class Parser
     // ---- references and subscripts -----------------------------
 
     ArrayRef
-    parseRefAfterName(const std::string &name)
+    parseRefAfterName(std::string_view name)
     {
         auto it = arrays_.find(name);
         if (it == arrays_.end())
-            fail("unknown array '" + name + "'");
+            fail("unknown array '" + std::string(name) + "'");
         ArrayRef ref;
         ref.array = it->second;
         size_t rank = prog_.arrays[it->second].extents.size();
@@ -403,7 +447,7 @@ class Parser
             }
         }
         if (ref.subs.size() != rank)
-            fail("array '" + name + "' used with wrong rank");
+            fail("array '" + std::string(name) + "' used with wrong rank");
         return ref;
     }
 
@@ -415,21 +459,129 @@ class Parser
             expectSym(']');
             return Subscript::makeOpaque(std::move(v));
         }
+        if (std::optional<AffineExpr> direct = parseAffineDirect())
+            return Subscript(std::move(*direct));
         ValuePtr v = parseExpr();
         auto aff = tryAffine(v);
         if (!aff)
             fail("subscript is not affine (use [expr] for opaque)");
-        return Subscript(*aff);
+        return Subscript(std::move(*aff));
     }
 
     AffineExpr
     parseAffine()
     {
+        if (std::optional<AffineExpr> direct = parseAffineDirect())
+            return std::move(*direct);
         ValuePtr v = parseExpr();
         auto aff = tryAffine(v);
         if (!aff)
             fail("expected an affine expression");
-        return *aff;
+        return std::move(*aff);
+    }
+
+    // ---- direct affine path ------------------------------------
+
+    /**
+     * Parse an expression straight into an AffineExpr, skipping the
+     * Value tree. The grammar and the depth accounting are parseExpr's,
+     * and the arithmetic is tryAffine's, so an accepted expression
+     * consumes the same tokens and yields the same AffineExpr. On
+     * anything else (a division, a call, an array, an unknown name, a
+     * non-integral constant, the depth limit, a syntax error) the lexer
+     * is rewound to the expression's first token and nullopt returned:
+     * the caller's Value path then reparses it and reports every error
+     * exactly as it always has.
+     */
+    std::optional<AffineExpr>
+    parseAffineDirect()
+    {
+        const Lexer::Mark start = lex_.mark();
+        const int depth = exprDepth_;
+        AffineExpr out;
+        if (affineExpr(out))
+            return out;
+        lex_.rewind(start);
+        exprDepth_ = depth;
+        return std::nullopt;
+    }
+
+    bool
+    affineExpr(AffineExpr &out)
+    {
+        if (exprDepth_ >= kMaxExprDepth)
+            return false;
+        ++exprDepth_;
+        if (!affineTerm(out))
+            return false;
+        for (;;) {
+            AffineExpr rhs;
+            if (acceptSym('+')) {
+                if (!affineTerm(rhs))
+                    return false;
+                out = out + rhs;
+            } else if (acceptSym('-')) {
+                if (!affineTerm(rhs))
+                    return false;
+                out = out - rhs;
+            } else {
+                break;
+            }
+        }
+        --exprDepth_;
+        return true;
+    }
+
+    bool
+    affineTerm(AffineExpr &out)
+    {
+        if (!affineFactor(out))
+            return false;
+        for (;;) {
+            if (peekSym('/'))
+                return false;
+            if (!acceptSym('*'))
+                return true;
+            AffineExpr rhs;
+            if (!affineFactor(rhs))
+                return false;
+            if (out.isConstant())
+                out = rhs * out.constant();
+            else if (rhs.isConstant())
+                out = out * rhs.constant();
+            else
+                return false;
+        }
+    }
+
+    bool
+    affineFactor(AffineExpr &out)
+    {
+        if (acceptSym('-')) {
+            if (!affineFactor(out))
+                return false;
+            out = -out;
+            return true;
+        }
+        if (acceptSym('('))
+            return affineExpr(out) && acceptSym(')');
+        const Token &t = lex_.peek();
+        if (t.kind == Token::Kind::Number) {
+            double c = t.number;
+            if (c != static_cast<double>(static_cast<int64_t>(c)))
+                return false;
+            lex_.next();
+            out = AffineExpr(static_cast<int64_t>(c));
+            return true;
+        }
+        if (t.kind != Token::Kind::Ident || intrinsicName(t.text))
+            return false;
+        auto it = vars_.find(t.text);
+        if (it == vars_.end())
+            return false;  // an array, or an unknown name
+        lex_.next();
+        out = AffineExpr::makeVar(it->second);
+        return true;
     }
 
     // ---- expressions -------------------------------------------
@@ -483,34 +635,34 @@ class Parser
         if (lex_.peek().kind != Token::Kind::Ident)
             fail("expected expression");
 
-        std::string name = lex_.next().text;
-        std::string kw = upper(name);
-        if (kw == "SQRT" || kw == "MIN" || kw == "MAX" || kw == "MOD") {
+        std::string_view name = lex_.next().text;
+        if (const char *kw = intrinsicName(name)) {
             expectSym('(');
             std::vector<ValuePtr> args;
             args.push_back(parseExpr());
             while (acceptSym(','))
                 args.push_back(parseExpr());
             expectSym(')');
-            if (kw == "SQRT") {
+            std::string_view op = kw;
+            if (op == "SQRT") {
                 if (args.size() != 1)
                     fail("SQRT takes one argument");
                 return Value::make(ValOp::Sqrt, std::move(args));
             }
             if (args.size() != 2)
-                fail(kw + " takes two arguments");
-            ValOp op = kw == "MIN" ? ValOp::Min
-                                   : (kw == "MAX" ? ValOp::Max
-                                                  : ValOp::IMod);
-            return Value::make(op, std::move(args));
+                fail(std::string(op) + " takes two arguments");
+            ValOp vop = op == "MIN" ? ValOp::Min
+                                    : (op == "MAX" ? ValOp::Max
+                                                   : ValOp::IMod);
+            return Value::make(vop, std::move(args));
         }
 
-        if (arrays_.count(name))
+        if (arrays_.find(name) != arrays_.end())
             return Value::makeLoad(parseRefAfterName(name));
         auto it = vars_.find(name);
         if (it != vars_.end())
             return Value::makeIndex(AffineExpr::makeVar(it->second));
-        fail("unknown identifier '" + name + "'");
+        fail("unknown identifier '" + std::string(name) + "'");
     }
 
     // ---- affine folding ----------------------------------------
@@ -537,18 +689,18 @@ class Parser
             return -*a;
           }
           case ValOp::Add:
-          case ValOp::Sub: {
-            auto a = tryAffine(v->kids[0]);
-            auto b = tryAffine(v->kids[1]);
-            if (!a || !b)
-                return std::nullopt;
-            return v->op == ValOp::Add ? *a + *b : *a - *b;
-          }
+          case ValOp::Sub:
           case ValOp::Mul: {
             auto a = tryAffine(v->kids[0]);
-            auto b = tryAffine(v->kids[1]);
-            if (!a || !b)
+            if (!a)
                 return std::nullopt;
+            auto b = tryAffine(v->kids[1]);
+            if (!b)
+                return std::nullopt;
+            if (v->op == ValOp::Add)
+                return *a + *b;
+            if (v->op == ValOp::Sub)
+                return *a - *b;
             if (a->isConstant())
                 return *b * a->constant();
             if (b->isConstant())
@@ -561,30 +713,42 @@ class Parser
     }
 
     /** Collapse affine arithmetic over index variables into single
-     *  Index leaves so parse(print(p)) prints identically. */
+     *  Index leaves so parse(print(p)) prints identically. A subtree
+     *  with nothing to collapse is returned as is, not copied. */
     ValuePtr
     fold(const ValuePtr &v)
     {
-        auto aff = tryAffine(v);
-        if (aff && !aff->isConstant() && v->op != ValOp::Index)
-            return Value::makeIndex(*aff);
         if (v->kids.empty())
+            return v;
+        auto aff = tryAffine(v);
+        if (aff && !aff->isConstant())
+            return Value::makeIndex(std::move(*aff));
+        std::vector<ValuePtr> kids;
+        for (size_t k = 0; k < v->kids.size(); ++k) {
+            ValuePtr kid = fold(v->kids[k]);
+            if (kids.empty() && kid == v->kids[k])
+                continue;
+            if (kids.empty()) {
+                kids.reserve(v->kids.size());
+                kids.assign(v->kids.begin(), v->kids.begin() + k);
+            }
+            kids.push_back(std::move(kid));
+        }
+        if (kids.empty())
             return v;
         auto out = std::make_shared<Value>();
         out->op = v->op;
         out->constant = v->constant;
         out->index = v->index;
         out->load = v->load;
-        out->kids.reserve(v->kids.size());
-        for (const auto &kid : v->kids)
-            out->kids.push_back(fold(kid));
+        out->kids = std::move(kids);
         return out;
     }
 
     Lexer lex_;
     Program prog_;
-    std::map<std::string, VarId> vars_;
-    std::map<std::string, ArrayId> arrays_;
+    NameMap<VarId> vars_;
+    NameMap<ArrayId> arrays_;
     int loopDepth_ = 0;
     int exprDepth_ = 0;
 };

@@ -16,15 +16,23 @@
  *   END
  *
  * Expressions support + - * /, unary minus, SQRT/MIN/MAX/MOD, array
- * references and numeric literals. Subscripts written in [brackets]
+ * references and numeric literals. Keywords and intrinsics match in
+ * any case; names are case-sensitive. Subscripts written in [brackets]
  * parse as opaque (unanalyzable) subscripts. Purely affine arithmetic
  * over index variables folds into affine Index leaves, so parsing a
  * printed program reaches a print fixpoint.
  *
+ * Tokens are views into the source, and loop bounds, extents and
+ * affine subscripts parse straight into AffineExpr. On anything that
+ * is not affine the parser rewinds to the expression's first token and
+ * builds a Value tree, which reports the error; so every ParseError is
+ * the one the Value path gives, whichever path saw the text first.
+ *
  * The parser is safe on hostile input: loop nesting and expression
- * nesting are bounded (64 and 256 levels), so deeply nested text
- * produces a ParseError instead of exhausting the stack, and every
- * error carries the line and column of the offending token.
+ * nesting are bounded (64 and 256 levels, counted the same on both
+ * paths), so deeply nested text produces a ParseError instead of
+ * exhausting the stack, and every error carries the line and column
+ * of the offending token.
  */
 
 #ifndef MEMORIA_FRONTEND_PARSER_HH

@@ -489,7 +489,9 @@ Tape::execute(Interpreter &interp, Emitter &em)
                 pc = static_cast<size_t>(in.b) + 1;
                 continue;
             }
-            L.remaining = static_cast<int64_t>(span / mag) + 1;
+            // Unit steps, the common case, need no 128-bit division.
+            L.remaining =
+                static_cast<int64_t>(mag == 1 ? span : span / mag) + 1;
             if ((++stats.loopIterations & (kInterpPollStride - 1)) == 0)
                 harness::chargeIterations(kInterpPollStride,
                                           "interp.loop");

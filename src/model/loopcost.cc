@@ -283,6 +283,16 @@ Poly
 partialCost(const NestAnalysis &na, const Node *candidate,
             const Node *inner)
 {
+    // When every reference bottoms out at `inner`, the sub-nest is the
+    // whole nest: the same references in the same order, the same
+    // edges and spatial pairs, so the groups and the sum below are
+    // LoopCost's own, term for term. Reuse its cached value.
+    const auto &refs = na.refs();
+    if (std::all_of(refs.begin(), refs.end(), [inner](const NestRef &r) {
+            return !r.loops.empty() && r.loops.back() == inner;
+        }))
+        return na.loopCost(candidate);
+
     Poly total;
     const auto &sg = na.groupsWithin(candidate, inner);
     for (const auto &g : sg.groups) {

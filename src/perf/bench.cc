@@ -190,6 +190,8 @@ benchSuite()
                               {"tape_compiles", "interp.tape_compiles"},
                               {"trip_computations",
                                "model.trip.computations"},
+                              {"refgroup_computations",
+                               "model.refgroup.computations"},
                               {"poly_heap_spills",
                                "support.poly.heap_spills"}});
         for (const Program &p : progs) {
@@ -221,7 +223,8 @@ benchSuite()
                 }
                 return v;
             }();
-        CounterDeltas deltas({{"tape_compiles", "interp.tape_compiles"}});
+        CounterDeltas deltas({{"tape_compiles", "interp.tape_compiles"},
+                              {"bound_arrays", "check.equiv.bound_arrays"}});
         uint64_t compared = 0, equivalent = 0;
         for (const auto &[ref, cand] : pairs) {
             EquivResult r = checkEquivalence(ref, cand);
@@ -306,6 +309,9 @@ benchSuite()
                               {"tape_compiles", "interp.tape_compiles"},
                               {"trip_computations",
                                "model.trip.computations"},
+                              {"refgroup_computations",
+                               "model.refgroup.computations"},
+                              {"bound_arrays", "check.equiv.bound_arrays"},
                               {"poly_heap_spills",
                                "support.poly.heap_spills"}});
         harness::BatchReport rep =

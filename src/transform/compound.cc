@@ -70,33 +70,115 @@ guardEquivOptions()
     return eo;
 }
 
-/**
- * Reusable reference/candidate Program buffers for the per-nest
- * verification. The symbol and array tables are copied from the source
- * program once per compoundTransform (on first use) instead of per
- * nest; each nest only swaps the cloned bodies in and out.
- */
-struct VerifyScratch
+/** Mark every array the subtree writes or reads. */
+void
+markArrays(Node &root, std::vector<uint8_t> &used)
 {
-    Program refP;
-    Program candP;
-    bool ready = false;
+    for (const StmtContext &ctx : collectStmts(&root))
+        for (const RefOcc &occ : collectRefs(ctx.node->stmt))
+            if (occ.ref->array >= 0 &&
+                static_cast<size_t>(occ.ref->array) < used.size())
+                used[occ.ref->array] = 1;
+}
 
-    /** Prime the tables on first use and clear any previous bodies. */
-    void
-    prime(const Program &prog)
+/**
+ * Renumbers array ids from a program's table into a nest-local one.
+ * An id outside the source table maps to -1, so validation still
+ * rejects it.
+ */
+class ArrayRemap
+{
+  public:
+    explicit ArrayRemap(std::vector<ArrayId> newId)
+        : newId_(std::move(newId))
     {
-        if (!ready) {
-            refP.vars = prog.vars;
-            refP.arrays = prog.arrays;
-            candP.vars = prog.vars;
-            candP.arrays = prog.arrays;
-            ready = true;
-        }
-        refP.body.clear();
-        candP.body.clear();
     }
+
+    /** Deep copy of `n` in the nest-local numbering. */
+    NodePtr
+    clone(const Node &n) const
+    {
+        NodePtr out = cloneNode(n);
+        for (const StmtContext &ctx : collectStmts(out.get())) {
+            Statement &s = ctx.node->stmt;
+            s.write = ref(s.write);
+            s.rhs = value(s.rhs);
+        }
+        return out;
+    }
+
+  private:
+    ArrayRef
+    ref(const ArrayRef &r) const
+    {
+        ArrayRef out;
+        out.array = r.array >= 0 && static_cast<size_t>(r.array) <
+                                        newId_.size()
+                        ? newId_[r.array]
+                        : -1;
+        out.subs.reserve(r.subs.size());
+        for (const Subscript &s : r.subs)
+            out.subs.push_back(s.isAffine()
+                                   ? s
+                                   : Subscript::makeOpaque(value(s.opaque)));
+        return out;
+    }
+
+    /** `v` itself for a leaf that loads nothing; else a copy with its
+     *  loads renumbered. */
+    ValuePtr
+    value(const ValuePtr &v) const
+    {
+        if (v->op != ValOp::Load && v->kids.empty())
+            return v;
+        auto out = std::make_shared<Value>(*v);
+        if (v->op == ValOp::Load)
+            out->load = ref(v->load);
+        for (ValuePtr &kid : out->kids)
+            kid = value(kid);
+        return out;
+    }
+
+    std::vector<ArrayId> newId_;
 };
+
+/**
+ * The two versions of one nest as programs for the oracle: `refP` runs
+ * `orig`, `candP` runs the `slots` nodes of `ownerBody` from `index`.
+ * Both keep every variable of `prog` but declare only the arrays
+ * either version references, in `prog`'s order and renumbered the same
+ * way on both sides, so validation, binding and the array comparison
+ * scale with the nest rather than with the program's tables.
+ */
+void
+buildNestPrograms(const Program &prog, Node &orig,
+                  const std::vector<NodePtr> &ownerBody, size_t index,
+                  size_t slots, Program &refP, Program &candP)
+{
+    std::vector<uint8_t> used(prog.arrays.size(), 0);
+    markArrays(orig, used);
+    for (size_t s = 0; s < slots; ++s)
+        markArrays(*ownerBody[index + s], used);
+    std::vector<ArrayId> newId(prog.arrays.size(), -1);
+    std::vector<ArrayDecl> arrays;
+    for (size_t a = 0; a < prog.arrays.size(); ++a) {
+        if (!used[a])
+            continue;
+        newId[a] = static_cast<ArrayId>(arrays.size());
+        arrays.push_back(prog.arrays[a]);
+    }
+    const ArrayRemap remap(std::move(newId));
+
+    refP.name = prog.name + "#orig";
+    refP.vars = prog.vars;
+    refP.arrays = arrays;
+    refP.body.push_back(remap.clone(orig));
+    candP.name = prog.name + "#opt";
+    candP.vars = prog.vars;
+    candP.arrays = std::move(arrays);
+    for (size_t s = 0; s < slots; ++s)
+        candP.body.push_back(remap.clone(*ownerBody[index + s]));
+}
 
 /**
  * Guard a transformation: structural validation of the candidate, then
@@ -260,7 +342,7 @@ size_t
 optimizeNest(const Program &prog, std::vector<NodePtr> &ownerBody,
              size_t index, const std::vector<Node *> &enclosing,
              const ModelParams &params, const CompoundOptions &opts,
-             CompoundResult &result, VerifyScratch &scratch)
+             CompoundResult &result)
 {
     const bool verify = opts.verify;
     harness::poll("compound.nest");
@@ -314,14 +396,10 @@ optimizeNest(const Program &prog, std::vector<NodePtr> &ownerBody,
         ++cVerifySkipped;
 
     if (verified) {
-        scratch.prime(prog);
-        Program &refP = scratch.refP;
-        Program &candP = scratch.candP;
-        refP.name = prog.name + "#orig";
-        refP.body.push_back(cloneNode(*snapshot));
-        candP.name = prog.name + "#opt";
-        for (size_t s = 0; s < slots; ++s)
-            candP.body.push_back(cloneNode(*ownerBody[index + s]));
+        Program refP;
+        Program candP;
+        buildNestPrograms(prog, *snapshot, ownerBody, index, slots, refP,
+                          candP);
         std::string why = verifyAgainst(refP, candP);
         if (!why.empty()) {
             auto first =
@@ -432,7 +510,6 @@ compoundTransform(Program &prog, const ModelParams &params,
             result.totalLoops +=
                 static_cast<int>(collectLoops(top.get()).size());
 
-    VerifyScratch scratch;
     size_t index = 0;
     while (index < prog.body.size()) {
         Node *n = prog.body[index].get();
@@ -442,7 +519,7 @@ compoundTransform(Program &prog, const ModelParams &params,
         }
         ++result.totalNests;
         index += optimizeNest(prog, prog.body, index, {}, params, opts,
-                              result, scratch);
+                              result);
     }
 
     // Final pass: fuse adjacent compatible nests (and, through the
@@ -457,9 +534,10 @@ compoundTransform(Program &prog, const ModelParams &params,
                 snapshot.push_back(cloneNode(*top));
         result.fusion = fuseSiblings(prog, prog.body, {}, params, true);
         if (opts.verify && result.fusion.fused > 0) {
-            scratch.prime(prog);
-            Program &refP = scratch.refP;
+            Program refP;
             refP.name = prog.name + "#prefuse";
+            refP.vars = prog.vars;
+            refP.arrays = prog.arrays;
             refP.body = std::move(snapshot);
             std::string why = verifyAgainst(refP, prog);
             if (!why.empty()) {

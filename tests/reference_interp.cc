@@ -212,9 +212,11 @@ class ReferenceEvaluator
         loops_.push_back(n.var);
         int64_t lb = affine(n.lb);
         int64_t ub = affine(n.ub);
-        for (int64_t v = lb; n.step > 0 ? v <= ub : v >= ub; v += n.step) {
+        // A 128-bit index: stepping past a bound at the end of int64
+        // must end the loop, not overflow.
+        for (__int128 v = lb; n.step > 0 ? v <= ub : v >= ub; v += n.step) {
             ++stats_.loopIterations;
-            env_[n.var] = v;
+            env_[n.var] = static_cast<int64_t>(v);
             for (const NodePtr &kid : n.body)
                 exec(*kid);
         }

@@ -1,5 +1,6 @@
-/** Allocation budget of the cost model: heap allocations per nest made
- *  by Compound with verification off, over the kernels and the corpus.
+/** Allocation budgets of the cost model and the front end: heap
+ *  allocations per nest made by Compound with verification off, and
+ *  per program made by the parser, over the kernels and the corpus.
  *
  *  This binary replaces the global operator new/delete with counting
  *  versions over malloc/free, so the budget counts every allocation the
@@ -12,7 +13,9 @@
 #include <new>
 #include <vector>
 
+#include "frontend/parser.hh"
 #include "harness/batch.hh"
+#include "ir/printer.hh"
 #include "transform/compound.hh"
 
 namespace {
@@ -108,6 +111,36 @@ TEST(AllocBudget, CompoundPerNestWithoutVerify)
     // memo, and 848 without them; the bound leaves ~25% headroom.
     EXPECT_LT(perNest, 390.0)
         << allocs << " allocations over " << nests << " nests";
+}
+
+/** Parses the printed text of every program; returns {allocations,
+ *  programs}. */
+std::pair<uint64_t, uint64_t>
+parseAllocations()
+{
+    std::vector<std::string> texts;
+    for (const Program &p : budgetPrograms())
+        texts.push_back(printProgram(p));
+    const uint64_t before = gNews.load();
+    for (const std::string &text : texts) {
+        std::optional<Program> p = parseProgram(text);
+        EXPECT_TRUE(p.has_value());
+    }
+    return {gNews.load() - before, texts.size()};
+}
+
+TEST(AllocBudget, ParsePerProgram)
+{
+    parseAllocations();  // first-use registrations stay out
+    auto [allocs, programs] = parseAllocations();
+    ASSERT_GT(programs, 40u);
+    const double perProgram = static_cast<double>(allocs) / programs;
+    // Measured 1735 per program with bounds, extents and subscripts
+    // parsed straight into AffineExpr and source-viewing tokens, and
+    // 3870 when each went through a Value tree and every token owned
+    // its text; the bound leaves ~25% headroom.
+    EXPECT_LT(perProgram, 2170.0)
+        << allocs << " allocations over " << programs << " programs";
 }
 
 } // namespace

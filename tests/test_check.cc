@@ -323,6 +323,105 @@ TEST_F(VerifySkipTest, SabotageOfAnUntouchedNestIsStillCaught)
     EXPECT_EQ(printProgram(p), before);
 }
 
+/** A J-I nest already in memory order, writing A then B, declared
+ *  amid arrays it never touches: U and V before A, Z after B. */
+Program
+nestAmidUnusedArrays()
+{
+    ProgramBuilder b("amid");
+    Var n = b.param("N", 8);
+    b.array("U", {n});
+    b.array("V", {n, n});
+    Arr a = b.array("A", {n, n});
+    Arr c = b.array("B", {n, n});
+    b.array("Z", {n});
+    Var j = b.loopVar("J");
+    Var i = b.loopVar("I");
+    b.add(b.loop(j, 1, n,
+                 b.loop(i, 1, n, b.assign(a(i, j), Val(a(i, j)) + 1.0),
+                        b.assign(c(i, j), Val(a(i, j)) * 2.0))));
+    return b.finish();
+}
+
+/** The innermost loop of a perfect nest. */
+Node *
+innermostLoop(Node *n)
+{
+    while (n->body[0]->isLoop())
+        n = n->body[0].get();
+    return n;
+}
+
+/** The detail of the one verify_failed trace event. */
+std::string
+verifyFailedDetail(const obs::RecordingSink &rec)
+{
+    std::string detail;
+    for (const auto &e : rec.events)
+        if (e.type == obs::TraceEvent::Type::Event &&
+            e.category == "check" && e.name == "verify_failed")
+            for (const auto &[key, value] : e.args)
+                if (key == "detail")
+                    detail = value.render();
+    return detail;
+}
+
+TEST_F(VerifySkipTest, CandidateWritingAnArrayTheReferenceNeverTouches)
+{
+    // The per-nest oracle declares only the arrays either version of
+    // the nest references. Z is one only through the candidate: the
+    // reference must still declare it, or the stray write would go
+    // unseen.
+    Program p = nestAmidUnusedArrays();
+    const std::string before = printProgram(p);
+    const ArrayId z = 4;
+    ASSERT_EQ(p.arrays[z].name, "Z");
+    setCompoundSabotageHook(
+        [z](std::vector<NodePtr> &ownerBody, size_t index, size_t) {
+            Node *inner = innermostLoop(ownerBody[index].get());
+            Statement s;
+            s.id = 100;
+            s.write.array = z;
+            s.write.subs.push_back(AffineExpr::makeVar(inner->var));
+            s.rhs = Value::makeConst(-1.0);
+            inner->body.push_back(Node::makeStmt(std::move(s)));
+        });
+    CompoundResult r = compoundTransform(p, ModelParams{},
+                                         CompoundOptions{});
+
+    ASSERT_EQ(r.nests.size(), 1u);
+    EXPECT_TRUE(r.nests[0].rolledBack);
+    EXPECT_EQ(count("pass.compound.nests_verify_failed"), 1u);
+    EXPECT_EQ(printProgram(p), before);
+    // A, B and Z on each side; U and V are left out.
+    EXPECT_EQ(count("check.equiv.bound_arrays"), 6u);
+    // The failure names the array by its source name, not by its
+    // nest-local id.
+    EXPECT_EQ(verifyFailedDetail(*rec_).rfind("array 'Z' diverges", 0), 0u)
+        << verifyFailedDetail(*rec_);
+}
+
+TEST_F(VerifySkipTest, CandidateDroppingAWriteIsRolledBack)
+{
+    // Only the reference references B once its write is dropped.
+    Program p = nestAmidUnusedArrays();
+    const std::string before = printProgram(p);
+    setCompoundSabotageHook(
+        [](std::vector<NodePtr> &ownerBody, size_t index, size_t) {
+            innermostLoop(ownerBody[index].get())->body.pop_back();
+        });
+    CompoundResult r = compoundTransform(p, ModelParams{},
+                                         CompoundOptions{});
+
+    ASSERT_EQ(r.nests.size(), 1u);
+    EXPECT_TRUE(r.nests[0].rolledBack);
+    EXPECT_EQ(count("pass.compound.nests_verify_failed"), 1u);
+    EXPECT_EQ(printProgram(p), before);
+    EXPECT_EQ(count("check.equiv.bound_arrays"), 4u);
+    EXPECT_EQ(verifyFailedDetail(*rec_).rfind("array 'B' diverges", 0), 0u)
+        << verifyFailedDetail(*rec_);
+}
+
 TEST_F(VerifySkipTest, EveryNestIsEitherVerifiedOrSkipped)
 {
     std::vector<Program> programs;

@@ -140,6 +140,159 @@ TEST(Parser, CommentsIgnored)
     ASSERT_TRUE(p.has_value());
 }
 
+/** A program declaring N = 8, A(N) and B(N), with `body` as its
+ *  statements from line 4 on. */
+std::string
+withDecls(const std::string &body)
+{
+    return "PROGRAM x\n  PARAMETER N = 8\n  REAL*8 A(N), B(N)\n" + body +
+           "END\n";
+}
+
+/** `body` inside a DO I = 1, N loop (line 4); its first line is 5. */
+std::string
+inLoop(const std::string &body)
+{
+    return withDecls("  DO I = 1, N\n" + body + "  ENDDO\n");
+}
+
+std::string
+parens(int depth, const std::string &inner)
+{
+    return std::string(depth, '(') + inner + std::string(depth, ')');
+}
+
+struct ErrorCase
+{
+    const char *what;
+    std::string source;
+    int line;
+    int col;
+    std::string message;
+};
+
+/**
+ * Bounds, extents and subscripts parse straight into AffineExpr and
+ * rewind to the Value path on anything that is not affine. Every such
+ * rewind must report the error the Value path always reported: the
+ * expected line, column and message below are those of the parser
+ * that built a Value tree for every expression.
+ */
+TEST(Parser, AffineRewindKeepsEveryError)
+{
+    const std::string notAffine =
+        "subscript is not affine (use [expr] for opaque)";
+    const std::string depth =
+        "expression nesting exceeds the depth limit of 256";
+    const std::vector<ErrorCase> cases = {
+        {"division in a subscript", inLoop("    A(I/2) = 1\n"), 5, 10,
+         notAffine},
+        {"division after affine terms", inLoop("    A(2*I/2 + 1) = 1\n"), 5,
+         16, notAffine},
+        {"array load in a subscript", inLoop("    A(B(I)) = 1\n"), 5, 11,
+         notAffine},
+        {"load in a subscript of a load",
+         inLoop("    A(I) = B(I + B(1))\n"), 5, 22, notAffine},
+        {"product of two variables", inLoop("    A(I*N) = 1\n"), 5, 10,
+         notAffine},
+        {"MOD in a bound",
+         withDecls("  DO I = 1, MOD(N, 3)\n    A(I) = 1\n  ENDDO\n"), 5, 5,
+         "expected an affine expression"},
+        {"MIN in a bound",
+         withDecls("  DO I = MIN(1, N), N\n    A(I) = 1\n  ENDDO\n"), 4, 19,
+         "expected an affine expression"},
+        {"MAX in a bound",
+         withDecls("  DO I = 1, MAX(N, 2) - 1\n    A(I) = 1\n  ENDDO\n"), 5,
+         5, "expected an affine expression"},
+        {"SQRT in a bound",
+         withDecls("  DO I = 1, 2 * SQRT(N)\n    A(I) = 1\n  ENDDO\n"), 5, 5,
+         "expected an affine expression"},
+        {"MIN with one argument in a bound",
+         withDecls("  DO I = 1, MIN(N)\n    A(I) = 1\n  ENDDO\n"), 5, 5,
+         "MIN takes two arguments"},
+        {"real constant in an extent",
+         "PROGRAM x\n  PARAMETER N = 8\n  REAL*8 A(N, 2.5)\nEND\n", 3, 18,
+         "expected an affine expression"},
+        {"256-deep parentheses in a subscript",
+         inLoop("    A(" + parens(256, "I") + ") = 1\n"), 5, 263, depth},
+        {"300-deep parentheses in a subscript",
+         inLoop("    A(" + parens(300, "I") + ") = 1\n"), 5, 263, depth},
+        {"subscript of a load one level too deep",
+         inLoop("    A(I) = B(" + parens(255, "I") + ")\n"), 5, 269, depth},
+        {"256-deep parentheses in a bound",
+         withDecls("  DO I = 1, " + parens(256, "N") +
+                   "\n    A(I) = 1\n  ENDDO\n"),
+         4, 269, depth},
+        {"unknown identifier in a subscript", inLoop("    A(I + K) = 1\n"),
+         5, 12, "unknown identifier 'K'"},
+        {"unknown identifier in a bound",
+         withDecls("  DO I = 1, M\n    A(I) = 1\n  ENDDO\n"), 5, 5,
+         "unknown identifier 'M'"},
+        {"unknown identifier in an extent",
+         "PROGRAM x\n  REAL*8 A(N)\nEND\n", 2, 13,
+         "unknown identifier 'N'"},
+        {"unclosed parenthesis in a subscript",
+         inLoop("    A((I + 1) = 1\n"), 5, 15, "expected ')'"},
+        {"lower-case do/enddo",
+         "program x\n  parameter N = 8\n  real*8 A(N)\n  do I = 1, N\n"
+         "    A(I*I) = 1\n  enddo\nend\n",
+         5, 10, notAffine},
+        {"names stay case-sensitive",
+         "Program x\n  Parameter N = 8\n  Real*8 A(N)\n  Do I = 1, n\n"
+         "    A(I) = 1\n  EndDo\nEnd\n",
+         5, 5, "unknown identifier 'n'"},
+        {"end of input after a comment on the same line",
+         "PROGRAM x ! demo\n  DO I = 1, 4 ! open loop", 2, 26,
+         "unexpected end of input"},
+        {"error after comments and a tab",
+         withDecls("  ! a comment line\n  DO I = 1, N   ! bounds\n"
+                   "\t A(I/2) = 1 ! halve\n  ENDDO\n"),
+         6, 8, notAffine},
+        {"error on the line after a trailing comment",
+         inLoop("    A(I) = Q ! unknown\n"), 6, 3,
+         "unknown identifier 'Q'"},
+    };
+    for (const ErrorCase &c : cases) {
+        ParseError err;
+        EXPECT_FALSE(parseProgram(c.source, &err).has_value()) << c.what;
+        EXPECT_EQ(err.line, c.line) << c.what;
+        EXPECT_EQ(err.col, c.col) << c.what;
+        EXPECT_EQ(err.message, c.message) << c.what;
+    }
+}
+
+/** The direct affine path accepts what the Value path folded: the
+ *  depth limit's last legal level, integral real constants, nested
+ *  products by constants, and lower-case keywords. */
+TEST(Parser, AffineDirectPathMatchesValuePath)
+{
+    const std::vector<std::string> sources = {
+        inLoop("    A(" + parens(255, "I") + ") = 1\n"),
+        inLoop("    A(I) = B(" + parens(254, "I") + ")\n"),
+        "PROGRAM x\n  PARAMETER N = 8\n  REAL*8 A(N, 2.0)\n"
+        "  A(1, 2) = 1\nEND\n",
+        inLoop("    A(-(2*(I - 1)*3) + 6*N - -1 - 5*N) = 2.0 * I\n"),
+        "program x\n  parameter N = 8\n  real*8 A(N)\n  do I = 1, N\n"
+        "    A(I) = I\n  enddo\nend\n",
+    };
+    for (const std::string &src : sources) {
+        ParseError err;
+        auto p = parseProgram(src, &err);
+        ASSERT_TRUE(p.has_value()) << err.str() << "\n" << src;
+        auto q = parseProgram(printProgram(*p), &err);
+        ASSERT_TRUE(q.has_value()) << err.str();
+        EXPECT_EQ(printProgram(*q), printProgram(*p));
+    }
+    auto p = parseProgram(
+        inLoop("    A(-(2*(I - 1)*3) + 6*N - -1 - 5*N) = 1\n"));
+    ASSERT_TRUE(p.has_value());
+    const Subscript &sub = p->body[0]->body[0]->stmt.write.subs[0];
+    ASSERT_TRUE(sub.isAffine());
+    // -6*I + 6 + 6*N + 1 - 5*N, with I = var 1 and N = var 0.
+    EXPECT_EQ(sub.affine, AffineExpr::makeVar(0) +
+                              AffineExpr::makeVar(1, -6) + 7);
+}
+
 /** Round trip: print -> parse reaches a print fixpoint and preserves
  *  semantics, for every kernel. */
 class RoundTrip : public ::testing::TestWithParam<int>

@@ -440,6 +440,58 @@ TEST(Checksum, TwoSignFlipsChangeTheHash)
     }
 }
 
+/** C(1) counts the trips of one loop from `lb` to `ub` by `step`,
+ *  and C(2) holds the index's last value. */
+Program
+limitLoopProgram(int64_t lb, int64_t ub, int64_t step)
+{
+    ProgramBuilder b("limits");
+    Arr c = b.array("C", {2});
+    Var i = b.loopVar("I");
+    std::vector<NodePtr> body;
+    body.push_back(b.assign(c(1), Val(c(1)) + 1.0));
+    body.push_back(b.assign(c(2), Val(i)));
+    b.add(b.loop(i, lb, ub, std::move(body), step));
+    return b.finish();
+}
+
+TEST(Tape, LoopTripCountsAtTheInt64Limits)
+{
+    // Unit steps take the trip count without a 128-bit division; the
+    // other steps still divide. Both must agree with the reference
+    // evaluator where the bounds sit at the ends of int64.
+    struct Case
+    {
+        int64_t lb, ub, step;
+        uint64_t trips;
+    };
+    const Case cases[] = {
+        {INT64_MAX, INT64_MIN, 1, 0},
+        {INT64_MIN, INT64_MAX, -1, 0},
+        {INT64_MAX - 2, INT64_MAX, 1, 3},
+        {INT64_MIN + 2, INT64_MIN, -1, 3},
+        {INT64_MAX - 4, INT64_MAX, 2, 3},
+        {INT64_MIN + 5, INT64_MIN, -2, 3},
+        {INT64_MAX, INT64_MAX, 1, 1},
+        {INT64_MIN, INT64_MIN, -1, 1},
+    };
+    for (const Case &c : cases) {
+        Program p = limitLoopProgram(c.lb, c.ub, c.step);
+        std::ostringstream where;
+        where << c.lb << " .. " << c.ub << " step " << c.step;
+        Interpreter interp(p);
+        ASSERT_TRUE(interp.run().ok()) << where.str();
+        EXPECT_EQ(interp.stats().loopIterations, c.trips) << where.str();
+        EXPECT_EQ(interp.stats().stmtsExecuted, 2 * c.trips) << where.str();
+        ReferenceRun ref = runReference(p);
+        ASSERT_TRUE(ref.status.ok()) << where.str();
+        EXPECT_EQ(ref.stats.loopIterations, c.trips) << where.str();
+        EXPECT_EQ(ref.stats.stmtsExecuted, interp.stats().stmtsExecuted)
+            << where.str();
+        EXPECT_EQ(ref.checksum, interp.checksum()) << where.str();
+    }
+}
+
 /** Parameters the oracle rebinds to the trial size. */
 bool
 isSymbolic(const VarInfo &v)
