@@ -28,27 +28,26 @@ isSymbolicParam(const VarInfo &v)
 
 /**
  * One side of a check bound to one trial size. Binding (construction,
- * setParam per symbolic parameter, the tape compile on the first run)
- * happens once; every seed round then re-seeds the data and reruns.
+ * one setParams for every symbolic parameter, the tape compile on the
+ * first run) happens once; every seed round then re-seeds the data and
+ * reruns.
  */
 struct BoundSide
 {
     Interpreter interp;
-    std::optional<Diag> bindError;  ///< setParam fault, if any
+    std::optional<Diag> bindError;  ///< setParams fault, if any
 
     BoundSide(const Program &prog, int64_t size) : interp(prog)
     {
         if (size <= 0)
             return;  // keep the program's own parameter values
-        for (const auto &v : prog.vars) {
-            if (!isSymbolicParam(v))
-                continue;
-            Status st = interp.setParam(v.name, size);
-            if (!st.ok()) {
-                bindError = st.diag();
-                return;
-            }
-        }
+        std::vector<std::pair<std::string_view, int64_t>> values;
+        for (const auto &v : prog.vars)
+            if (isSymbolicParam(v))
+                values.emplace_back(v.name, size);
+        Status st = interp.setParams(values);
+        if (!st.ok())
+            bindError = st.diag();
     }
 
     /** Run under `seed`; the fault that stopped it, if any. */

@@ -77,10 +77,11 @@ class Validator
                 report("validate.array_name",
                        "duplicate symbol name '" + a.name + "'");
             }
-            if (a.elemSize <= 0)
+            if (a.elemSize <= 0 || a.elemSize > kMaxElemSize)
                 report("validate.elem_size",
                        "array '" + a.name + "' has element size " +
-                           std::to_string(a.elemSize));
+                           std::to_string(a.elemSize) + ", not 1 to " +
+                           std::to_string(kMaxElemSize));
             for (const auto &e : a.extents)
                 checkParamOnly(e, [&] {
                     return "extent of array '" + a.name + "'";

@@ -1,8 +1,11 @@
 #include "frontend/parser.hh"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <climits>
+#include <cmath>
 #include <string_view>
+#include <system_error>
 #include <unordered_map>
 #include <vector>
 
@@ -20,11 +23,17 @@ harness::FaultSite gParseFault("parser.parse", /*supportsDiag=*/true);
 
 // ------------------------------------------------------------- lexer
 
+struct Bail
+{
+    ParseError err;
+};
+
 struct Token
 {
     enum class Kind { Ident, Number, Sym, End } kind = Kind::End;
-    std::string_view text;  ///< Ident: a view into the source
+    std::string_view text;  ///< Ident, Number: a view into the source
     double number = 0;      ///< Number
+    int64_t integer = 0;    ///< Number with isInt: its exact value
     bool isInt = false;
     char sym = 0;  ///< Sym
     int line = 1;
@@ -47,32 +56,27 @@ class Lexer
         return t;
     }
 
-    /** Everything the lexer's future output depends on. */
-    struct Mark
-    {
-        size_t pos;
-        size_t lineStart;
-        int line;
-        Token tok;
-    };
-
-    Mark mark() const { return {pos_, lineStart_, line_, tok_}; }
-
-    void
-    rewind(const Mark &m)
-    {
-        pos_ = m.pos;
-        lineStart_ = m.lineStart;
-        line_ = m.line;
-        tok_ = m.tok;
-    }
-
   private:
     bool
     isDigitAt(size_t p) const
     {
         return p < src_.size() &&
                std::isdigit(static_cast<unsigned char>(src_[p]));
+    }
+
+    bool
+    isAnyAt(size_t p, std::string_view set) const
+    {
+        return p < src_.size() &&
+               set.find(src_[p]) != std::string_view::npos;
+    }
+
+    bool
+    isWordAt(size_t p) const
+    {
+        return p < src_.size() &&
+               (std::isalnum(static_cast<unsigned char>(src_[p])) ||
+                src_[p] == '_');
     }
 
     void
@@ -102,41 +106,71 @@ class Lexer
         char c = src_[pos_];
         if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
             size_t start = pos_;
-            while (pos_ < src_.size() &&
-                   (std::isalnum(
-                        static_cast<unsigned char>(src_[pos_])) ||
-                    src_[pos_] == '_'))
+            while (isWordAt(pos_))
                 ++pos_;
             tok_.kind = Token::Kind::Ident;
             tok_.text = std::string_view(src_).substr(start, pos_ - start);
             return;
         }
         if (isDigitAt(pos_) || (c == '.' && isDigitAt(pos_ + 1))) {
-            size_t start = pos_;
-            bool isInt = true;
-            while (pos_ < src_.size()) {
-                char d = src_[pos_];
-                if (std::isdigit(static_cast<unsigned char>(d))) {
-                    ++pos_;
-                } else if (d == '.' || d == 'e' || d == 'E') {
-                    isInt = false;
-                    ++pos_;
-                    if (pos_ < src_.size() &&
-                        (src_[pos_] == '+' || src_[pos_] == '-') &&
-                        (d == 'e' || d == 'E'))
-                        ++pos_;
-                } else {
-                    break;
-                }
-            }
-            tok_.kind = Token::Kind::Number;
-            tok_.number = std::strtod(src_.c_str() + start, nullptr);
-            tok_.isInt = isInt;
+            lexNumber();
             return;
         }
         tok_.kind = Token::Kind::Sym;
         tok_.sym = c;
         ++pos_;
+    }
+
+    /** digits [. digits] [(e|E) [+|-] digits], valued from exactly
+     *  those characters. A letter, digit or '.' glued on after them
+     *  makes the whole run malformed. */
+    void
+    lexNumber()
+    {
+        const size_t start = pos_;
+        bool isInt = true;
+        bool wellFormed = true;
+        auto skipDigits = [&] {
+            while (isDigitAt(pos_))
+                ++pos_;
+        };
+        skipDigits();
+        if (isAnyAt(pos_, ".")) {
+            isInt = false;
+            ++pos_;
+            skipDigits();
+        }
+        if (isAnyAt(pos_, "eE")) {
+            isInt = false;
+            pos_ += isAnyAt(pos_ + 1, "+-") ? 2 : 1;
+            wellFormed = isDigitAt(pos_);
+            skipDigits();
+        }
+        const size_t end = pos_;
+        while (isWordAt(pos_) || isAnyAt(pos_, ".")) {
+            wellFormed = false;
+            ++pos_;
+        }
+        tok_.kind = Token::Kind::Number;
+        tok_.text = std::string_view(src_).substr(start, pos_ - start);
+        if (!wellFormed)
+            fail("malformed number '" + std::string(tok_.text) + "'");
+        const char *first = src_.data() + start;
+        const char *last = src_.data() + end;
+        const std::errc ec =
+            isInt ? std::from_chars(first, last, tok_.integer).ec
+                  : std::from_chars(first, last, tok_.number).ec;
+        if (ec != std::errc())
+            fail("number '" + std::string(tok_.text) + "' is out of range");
+        if (isInt)
+            tok_.number = static_cast<double>(tok_.integer);
+        tok_.isInt = isInt;
+    }
+
+    [[noreturn]] void
+    fail(const std::string &msg) const
+    {
+        throw Bail{{tok_.line, msg, tok_.col}};
     }
 
     const std::string &src_;
@@ -184,10 +218,93 @@ struct NameHash
 template <class Id>
 using NameMap = std::unordered_map<std::string, Id, NameHash, std::equal_to<>>;
 
-struct Bail
+/** `c` as an integer, when it is a whole number int64_t can hold. */
+std::optional<int64_t>
+integral(double c)
 {
-    ParseError err;
+    if (!(c >= -0x1p63 && c < 0x1p63) || c != std::trunc(c))
+        return std::nullopt;
+    return static_cast<int64_t>(c);
+}
+
+/**
+ * A parsed (sub)expression: its affine form when it has one, and the
+ * makings of its Value tree. The tree is built only once a non-affine
+ * operator needs it (value()), following three rules: a non-constant
+ * affine operand becomes one Index leaf, a constant subexpression keeps
+ * its own tree, and a bare literal, under any unary minuses, allocates
+ * nothing until then.
+ */
+struct Operand
+{
+    std::optional<AffineExpr> affine;
+    /** Built tree; null for a non-constant affine operand and for a
+     *  bare literal. */
+    ValuePtr tree;
+    double literal = 0;  ///< bare literal: its value
+    int negations = 0;   ///< bare literal: unary minuses applied to it
 };
+
+/** An operand with no affine form. */
+Operand
+nonAffine(ValuePtr tree)
+{
+    Operand o;
+    o.tree = std::move(tree);
+    return o;
+}
+
+/** The Value tree of `o`, built by Operand's rules. */
+ValuePtr
+value(Operand &&o)
+{
+    if (o.tree)
+        return std::move(o.tree);
+    if (o.affine && !o.affine->isConstant())
+        return Value::makeIndex(std::move(*o.affine));
+    ValuePtr v = Value::makeConst(o.literal);
+    for (int k = 0; k < o.negations; ++k)
+        v = Value::make(ValOp::Neg, {std::move(v)});
+    return v;
+}
+
+/** `lhs op rhs` for a binary operator. Affine when both sides are and
+ *  the operator keeps them so: +, -, and * by an integer constant. */
+Operand
+combine(ValOp op, Operand &&lhs, Operand &&rhs)
+{
+    Operand out;
+    if (lhs.affine && rhs.affine) {
+        const AffineExpr &a = *lhs.affine;
+        const AffineExpr &b = *rhs.affine;
+        if (op == ValOp::Add)
+            out.affine = a + b;
+        else if (op == ValOp::Sub)
+            out.affine = a - b;
+        else if (op == ValOp::Mul && a.isConstant())
+            out.affine = b * a.constant();
+        else if (op == ValOp::Mul && b.isConstant())
+            out.affine = a * b.constant();
+    }
+    if (out.affine && !out.affine->isConstant())
+        return out;
+    out.tree = Value::make(op, {value(std::move(lhs)), value(std::move(rhs))});
+    return out;
+}
+
+/** Unary minus. */
+void
+negate(Operand &o)
+{
+    if (o.affine)
+        o.affine = -*o.affine;
+    if (o.affine && !o.affine->isConstant())
+        return;
+    if (o.tree)
+        o.tree = Value::make(ValOp::Neg, {std::move(o.tree)});
+    else
+        ++o.negations;
+}
 
 class Parser
 {
@@ -215,9 +332,15 @@ class Parser
     static constexpr int kMaxExprDepth = 256;
 
     [[noreturn]] void
+    failAt(const Token &at, const std::string &msg)
+    {
+        throw Bail{{at.line, msg, at.col}};
+    }
+
+    [[noreturn]] void
     fail(const std::string &msg)
     {
-        throw Bail{{lex_.peek().line, msg, lex_.peek().col}};
+        failAt(lex_.peek(), msg);
     }
 
     static void
@@ -284,7 +407,7 @@ class Parser
         if (lex_.peek().kind != Token::Kind::Number ||
             !lex_.peek().isInt)
             fail("expected integer");
-        int64_t v = static_cast<int64_t>(lex_.next().number);
+        int64_t v = lex_.next().integer;
         return neg ? -v : v;
     }
 
@@ -308,8 +431,14 @@ class Parser
             } else if (peekKeyword("REAL")) {
                 lex_.next();
                 int elemSize = 8;
-                if (acceptSym('*'))
-                    elemSize = static_cast<int>(expectInt());
+                if (acceptSym('*')) {
+                    const Token at = lex_.peek();
+                    int64_t size = expectInt();
+                    if (size < INT_MIN || size > INT_MAX)
+                        failAt(at, "element size " + std::to_string(size) +
+                                       " is out of range");
+                    elemSize = static_cast<int>(size);
+                }
                 do {
                     parseArrayDecl(elemSize, false);
                 } while (acceptSym(','));
@@ -405,8 +534,12 @@ class Parser
         expectSym(',');
         AffineExpr ub = parseAffine();
         int64_t step = 1;
-        if (acceptSym(','))
+        if (acceptSym(',')) {
+            const Token at = lex_.peek();
             step = expectInt();
+            if (step == 0)
+                failAt(at, "loop step must be non-zero");
+        }
         std::vector<NodePtr> body;
         parseStmtList(body, "ENDDO");
         expectKeyword("ENDDO");
@@ -423,7 +556,7 @@ class Parser
         expectSym('=');
         Statement s;
         s.write = std::move(lhs);
-        s.rhs = fold(parseExpr());
+        s.rhs = value(parseExpr());
         return Node::makeStmt(std::move(s));
     }
 
@@ -455,183 +588,87 @@ class Parser
     parseSubscript()
     {
         if (acceptSym('[')) {
-            ValuePtr v = fold(parseExpr());
+            ValuePtr v = value(parseExpr());
             expectSym(']');
             return Subscript::makeOpaque(std::move(v));
         }
-        if (std::optional<AffineExpr> direct = parseAffineDirect())
-            return Subscript(std::move(*direct));
-        ValuePtr v = parseExpr();
-        auto aff = tryAffine(v);
-        if (!aff)
-            fail("subscript is not affine (use [expr] for opaque)");
-        return Subscript(std::move(*aff));
+        return Subscript(
+            parseAffine("subscript is not affine (use [expr] for opaque)"));
     }
 
+    /** A bound, an extent or a subscript: the whole expression is
+     *  parsed before `notAffine` can fire, at the token after it. */
     AffineExpr
-    parseAffine()
+    parseAffine(const char *notAffine = "expected an affine expression")
     {
-        if (std::optional<AffineExpr> direct = parseAffineDirect())
-            return std::move(*direct);
-        ValuePtr v = parseExpr();
-        auto aff = tryAffine(v);
-        if (!aff)
-            fail("expected an affine expression");
-        return std::move(*aff);
-    }
-
-    // ---- direct affine path ------------------------------------
-
-    /**
-     * Parse an expression straight into an AffineExpr, skipping the
-     * Value tree. The grammar and the depth accounting are parseExpr's,
-     * and the arithmetic is tryAffine's, so an accepted expression
-     * consumes the same tokens and yields the same AffineExpr. On
-     * anything else (a division, a call, an array, an unknown name, a
-     * non-integral constant, the depth limit, a syntax error) the lexer
-     * is rewound to the expression's first token and nullopt returned:
-     * the caller's Value path then reparses it and reports every error
-     * exactly as it always has.
-     */
-    std::optional<AffineExpr>
-    parseAffineDirect()
-    {
-        const Lexer::Mark start = lex_.mark();
-        const int depth = exprDepth_;
-        AffineExpr out;
-        if (affineExpr(out))
-            return out;
-        lex_.rewind(start);
-        exprDepth_ = depth;
-        return std::nullopt;
-    }
-
-    bool
-    affineExpr(AffineExpr &out)
-    {
-        if (exprDepth_ >= kMaxExprDepth)
-            return false;
-        ++exprDepth_;
-        if (!affineTerm(out))
-            return false;
-        for (;;) {
-            AffineExpr rhs;
-            if (acceptSym('+')) {
-                if (!affineTerm(rhs))
-                    return false;
-                out = out + rhs;
-            } else if (acceptSym('-')) {
-                if (!affineTerm(rhs))
-                    return false;
-                out = out - rhs;
-            } else {
-                break;
-            }
-        }
-        --exprDepth_;
-        return true;
-    }
-
-    bool
-    affineTerm(AffineExpr &out)
-    {
-        if (!affineFactor(out))
-            return false;
-        for (;;) {
-            if (peekSym('/'))
-                return false;
-            if (!acceptSym('*'))
-                return true;
-            AffineExpr rhs;
-            if (!affineFactor(rhs))
-                return false;
-            if (out.isConstant())
-                out = rhs * out.constant();
-            else if (rhs.isConstant())
-                out = out * rhs.constant();
-            else
-                return false;
-        }
-    }
-
-    bool
-    affineFactor(AffineExpr &out)
-    {
-        if (acceptSym('-')) {
-            if (!affineFactor(out))
-                return false;
-            out = -out;
-            return true;
-        }
-        if (acceptSym('('))
-            return affineExpr(out) && acceptSym(')');
-        const Token &t = lex_.peek();
-        if (t.kind == Token::Kind::Number) {
-            double c = t.number;
-            if (c != static_cast<double>(static_cast<int64_t>(c)))
-                return false;
-            lex_.next();
-            out = AffineExpr(static_cast<int64_t>(c));
-            return true;
-        }
-        if (t.kind != Token::Kind::Ident || intrinsicName(t.text))
-            return false;
-        auto it = vars_.find(t.text);
-        if (it == vars_.end())
-            return false;  // an array, or an unknown name
-        lex_.next();
-        out = AffineExpr::makeVar(it->second);
-        return true;
+        Operand o = parseExpr();
+        if (!o.affine)
+            fail(notAffine);
+        return std::move(*o.affine);
     }
 
     // ---- expressions -------------------------------------------
 
-    ValuePtr
+    Operand
     parseExpr()
     {
         if (exprDepth_ >= kMaxExprDepth)
             fail("expression nesting exceeds the depth limit of " +
                  std::to_string(kMaxExprDepth));
         ++exprDepth_;
-        ValuePtr lhs = parseTerm();
+        Operand lhs = parseTerm();
         for (;;) {
+            ValOp op;
             if (acceptSym('+'))
-                lhs = Value::make(ValOp::Add, {lhs, parseTerm()});
+                op = ValOp::Add;
             else if (acceptSym('-'))
-                lhs = Value::make(ValOp::Sub, {lhs, parseTerm()});
+                op = ValOp::Sub;
             else
                 break;
+            Operand rhs = parseTerm();
+            lhs = combine(op, std::move(lhs), std::move(rhs));
         }
         --exprDepth_;
         return lhs;
     }
 
-    ValuePtr
+    Operand
     parseTerm()
     {
-        ValuePtr lhs = parseFactor();
+        Operand lhs = parseFactor();
         for (;;) {
+            ValOp op;
             if (acceptSym('*'))
-                lhs = Value::make(ValOp::Mul, {lhs, parseFactor()});
+                op = ValOp::Mul;
             else if (acceptSym('/'))
-                lhs = Value::make(ValOp::Div, {lhs, parseFactor()});
+                op = ValOp::Div;
             else
                 return lhs;
+            Operand rhs = parseFactor();
+            lhs = combine(op, std::move(lhs), std::move(rhs));
         }
     }
 
-    ValuePtr
+    Operand
     parseFactor()
     {
-        if (acceptSym('-'))
-            return Value::make(ValOp::Neg, {parseFactor()});
-        if (acceptSym('(')) {
-            ValuePtr v = parseExpr();
-            expectSym(')');
-            return v;
+        if (acceptSym('-')) {
+            Operand o = parseFactor();
+            negate(o);
+            return o;
         }
-        if (lex_.peek().kind == Token::Kind::Number)
-            return Value::makeConst(lex_.next().number);
+        if (acceptSym('(')) {
+            Operand o = parseExpr();
+            expectSym(')');
+            return o;
+        }
+        if (lex_.peek().kind == Token::Kind::Number) {
+            Operand o;
+            o.literal = lex_.next().number;
+            if (std::optional<int64_t> c = integral(o.literal))
+                o.affine = AffineExpr(*c);
+            return o;
+        }
         if (lex_.peek().kind != Token::Kind::Ident)
             fail("expected expression");
 
@@ -639,110 +676,32 @@ class Parser
         if (const char *kw = intrinsicName(name)) {
             expectSym('(');
             std::vector<ValuePtr> args;
-            args.push_back(parseExpr());
+            args.push_back(value(parseExpr()));
             while (acceptSym(','))
-                args.push_back(parseExpr());
+                args.push_back(value(parseExpr()));
             expectSym(')');
             std::string_view op = kw;
             if (op == "SQRT") {
                 if (args.size() != 1)
                     fail("SQRT takes one argument");
-                return Value::make(ValOp::Sqrt, std::move(args));
+                return nonAffine(Value::make(ValOp::Sqrt, std::move(args)));
             }
             if (args.size() != 2)
                 fail(std::string(op) + " takes two arguments");
             ValOp vop = op == "MIN" ? ValOp::Min
                                     : (op == "MAX" ? ValOp::Max
                                                    : ValOp::IMod);
-            return Value::make(vop, std::move(args));
+            return nonAffine(Value::make(vop, std::move(args)));
         }
 
         if (arrays_.find(name) != arrays_.end())
-            return Value::makeLoad(parseRefAfterName(name));
+            return nonAffine(Value::makeLoad(parseRefAfterName(name)));
         auto it = vars_.find(name);
-        if (it != vars_.end())
-            return Value::makeIndex(AffineExpr::makeVar(it->second));
-        fail("unknown identifier '" + std::string(name) + "'");
-    }
-
-    // ---- affine folding ----------------------------------------
-
-    /** Affine view of a value tree, when one exists: integer
-     *  constants, Index leaves, +/-, and multiplication by an
-     *  integer constant. */
-    std::optional<AffineExpr>
-    tryAffine(const ValuePtr &v)
-    {
-        switch (v->op) {
-          case ValOp::Const: {
-            double c = v->constant;
-            if (c != static_cast<double>(static_cast<int64_t>(c)))
-                return std::nullopt;
-            return AffineExpr(static_cast<int64_t>(c));
-          }
-          case ValOp::Index:
-            return v->index;
-          case ValOp::Neg: {
-            auto a = tryAffine(v->kids[0]);
-            if (!a)
-                return std::nullopt;
-            return -*a;
-          }
-          case ValOp::Add:
-          case ValOp::Sub:
-          case ValOp::Mul: {
-            auto a = tryAffine(v->kids[0]);
-            if (!a)
-                return std::nullopt;
-            auto b = tryAffine(v->kids[1]);
-            if (!b)
-                return std::nullopt;
-            if (v->op == ValOp::Add)
-                return *a + *b;
-            if (v->op == ValOp::Sub)
-                return *a - *b;
-            if (a->isConstant())
-                return *b * a->constant();
-            if (b->isConstant())
-                return *a * b->constant();
-            return std::nullopt;
-          }
-          default:
-            return std::nullopt;
-        }
-    }
-
-    /** Collapse affine arithmetic over index variables into single
-     *  Index leaves so parse(print(p)) prints identically. A subtree
-     *  with nothing to collapse is returned as is, not copied. */
-    ValuePtr
-    fold(const ValuePtr &v)
-    {
-        if (v->kids.empty())
-            return v;
-        auto aff = tryAffine(v);
-        if (aff && !aff->isConstant())
-            return Value::makeIndex(std::move(*aff));
-        std::vector<ValuePtr> kids;
-        for (size_t k = 0; k < v->kids.size(); ++k) {
-            ValuePtr kid = fold(v->kids[k]);
-            if (kids.empty() && kid == v->kids[k])
-                continue;
-            if (kids.empty()) {
-                kids.reserve(v->kids.size());
-                kids.assign(v->kids.begin(), v->kids.begin() + k);
-            }
-            kids.push_back(std::move(kid));
-        }
-        if (kids.empty())
-            return v;
-        auto out = std::make_shared<Value>();
-        out->op = v->op;
-        out->constant = v->constant;
-        out->index = v->index;
-        out->load = v->load;
-        out->kids = std::move(kids);
-        return out;
+        if (it == vars_.end())
+            fail("unknown identifier '" + std::string(name) + "'");
+        Operand o;
+        o.affine = AffineExpr::makeVar(it->second);
+        return o;
     }
 
     Lexer lex_;

@@ -18,21 +18,24 @@
  * Expressions support + - * /, unary minus, SQRT/MIN/MAX/MOD, array
  * references and numeric literals. Keywords and intrinsics match in
  * any case; names are case-sensitive. Subscripts written in [brackets]
- * parse as opaque (unanalyzable) subscripts. Purely affine arithmetic
- * over index variables folds into affine Index leaves, so parsing a
- * printed program reaches a print fixpoint.
+ * parse as opaque (unanalyzable) subscripts.
  *
- * Tokens are views into the source, and loop bounds, extents and
- * affine subscripts parse straight into AffineExpr. On anything that
- * is not affine the parser rewinds to the expression's first token and
- * builds a Value tree, which reports the error; so every ParseError is
- * the one the Value path gives, whichever path saw the text first.
+ * There is one expression grammar, and each token is lexed once. Every
+ * subexpression carries its affine form when it has one: whole-number
+ * constants, variables, +, -, and * by a constant. Loop bounds, extents
+ * and subscripts take that form, and fail after the whole expression
+ * when there is none. Value nodes are built only where a non-affine
+ * operator (a division, a call, a load, a non-whole constant, a product
+ * of two variables) needs them; a non-constant affine operand becomes
+ * one Index leaf there, so parsing a printed program reaches a print
+ * fixpoint.
  *
  * The parser is safe on hostile input: loop nesting and expression
- * nesting are bounded (64 and 256 levels, counted the same on both
- * paths), so deeply nested text produces a ParseError instead of
- * exhausting the stack, and every error carries the line and column
- * of the offending token.
+ * nesting are bounded (64 and 256 levels), so deeply nested text
+ * produces a ParseError instead of exhausting the stack. A number is
+ * read from exactly its characters, and a malformed one, an integer
+ * beyond int64, a zero loop step or a REAL*K beyond int is an error.
+ * Every error carries the line and column of the offending token.
  */
 
 #ifndef MEMORIA_FRONTEND_PARSER_HH

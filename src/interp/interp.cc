@@ -118,21 +118,30 @@ Interpreter::compiledTape()
 }
 
 Status
-Interpreter::setParam(const std::string &name, int64_t value)
+Interpreter::setParams(
+    const std::vector<std::pair<std::string_view, int64_t>> &values)
 {
-    MEMORIA_ASSERT(!ran_, "setParam after run");
-    for (size_t v = 0; v < prog_.vars.size(); ++v) {
-        if (prog_.vars[v].kind == VarKind::Param &&
-            prog_.vars[v].name == name) {
-            env_[v] = value;
-            allocate();
-            if (allocError_)
-                return Status::err(*allocError_);
-            return Status{};
-        }
-    }
-    return Status::err(
-        Diag::error("interp.param", "unknown parameter '" + name + "'"));
+    MEMORIA_ASSERT(!ran_, "setParams after run");
+    if (values.empty())
+        return Status{};
+    auto paramId = [&](std::string_view name) {
+        for (size_t v = 0; v < prog_.vars.size(); ++v)
+            if (prog_.vars[v].kind == VarKind::Param &&
+                prog_.vars[v].name == name)
+                return static_cast<VarId>(v);
+        return kNoVar;
+    };
+    for (const auto &[name, value] : values)
+        if (paramId(name) == kNoVar)
+            return Status::err(Diag::error(
+                "interp.param",
+                "unknown parameter '" + std::string(name) + "'"));
+    for (const auto &[name, value] : values)
+        env_[paramId(name)] = value;
+    allocate();
+    if (allocError_)
+        return Status::err(*allocError_);
+    return Status{};
 }
 
 void
@@ -154,7 +163,7 @@ Interpreter::setInitSeed(uint64_t seed)
  * Recompute the binding: concrete extents, virtual base addresses and
  * the deferred allocation error. Array contents are NOT filled here —
  * they materialize lazily (ensureArray) so the rebinding the
- * equivalence oracle performs (construct, setParam per parameter)
+ * equivalence oracle performs (construct, setParams)
  * costs extent arithmetic, not a full data refill each time. An array
  * whose extents are unchanged keeps its filled data.
  */

@@ -26,6 +26,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cachesim/cache.hh"
@@ -60,11 +62,13 @@ class Interpreter
     explicit Interpreter(const Program &prog);
     ~Interpreter();
 
-    /** Override a parameter value before the first run (by name).
-     *  Unknown names and non-positive resulting extents report a Diag.
-     *  A new value re-lays the arrays out and drops the compiled
-     *  tape. */
-    Status setParam(const std::string &name, int64_t value);
+    /** Override parameter values by name before the first run, then
+     *  lay the arrays out once for the whole binding and drop the
+     *  compiled tape. An unknown name reports a Diag and binds
+     *  nothing; so does a non-positive extent under the new binding.
+     *  An empty list changes nothing. */
+    Status setParams(
+        const std::vector<std::pair<std::string_view, int64_t>> &values);
 
     /**
      * Re-seed the deterministic initial array contents. Only the data
@@ -147,7 +151,7 @@ class Interpreter
      * Array contents, filled lazily (mutable: reads through the const
      * accessors materialize on demand). A verification pass touches a
      * handful of a program's arrays; eagerly hashing initial values
-     * into every buffer on construction, after every setParam and
+     * into every buffer on construction, after every setParams and
      * again after setInitSeed dominated the equivalence oracle.
      *
      * Invariant the compiled tape relies on: a buffer is resized only

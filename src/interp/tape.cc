@@ -299,7 +299,7 @@ Tape::compileRef(const ArrayRef &r, bool isStore)
     }
 
     const ArrayDecl &decl = prog_->arrayDecl(r.array);
-    MEMORIA_ASSERT(decl.elemSize > 0 && decl.elemSize < 65536,
+    MEMORIA_ASSERT(decl.elemSize > 0 && decl.elemSize <= kMaxElemSize,
                    "element size out of tape range");
     uint8_t flags = decl.isRegister ? kFlagRegister : 0;
     uint16_t elem = static_cast<uint16_t>(decl.elemSize);

@@ -70,7 +70,7 @@ constexpr uint64_t kInterpPollStride = 4096;
 /**
  * One compiled program binding. Valid for the Interpreter's current
  * allocation (extents, bases, parameter values and data buffers); the
- * interpreter recompiles lazily after setParam. setInitSeed refills
+ * interpreter recompiles lazily after setParams. setInitSeed refills
  * the same buffers in place, so the tape survives a re-seed.
  */
 class Tape

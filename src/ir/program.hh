@@ -169,6 +169,10 @@ struct VarInfo
     Poly paramPoly;
 };
 
+/** Largest element size in bytes a valid program declares: the tape
+ *  stores it in 16 bits. validateProgram rejects anything larger. */
+constexpr int kMaxElemSize = 65535;
+
 /** A declared array: name, per-dimension extents, element size.
  *  Rank-0 arrays (no extents) act as scalars. */
 struct ArrayDecl

@@ -50,6 +50,7 @@
 #include <unistd.h>
 
 #include "cachesim/reuse.hh"
+#include "check/validate.hh"
 #include "driver/fuzzcheck.hh"
 #include "perf/bench.hh"
 #include "frontend/parser.hh"
@@ -1306,6 +1307,11 @@ runProgram(const Args &args)
         std::cout << printProgram(prog);
         return 0;
     }
+    // Batch and serve validate every program before the pipeline; an
+    // invalid one (an element size the tape cannot hold, say) is the
+    // input's fault, not a crash.
+    if (std::vector<Diag> errs = validateProgram(prog); !errs.empty())
+        return failed(errs.front());
     if (cmd == "analyze")
         return cmdAnalyze(std::move(prog));
     const OptimizedProgram opt = optimizeProgram(prog, ModelParams{});

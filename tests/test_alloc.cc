@@ -135,10 +135,11 @@ TEST(AllocBudget, ParsePerProgram)
     auto [allocs, programs] = parseAllocations();
     ASSERT_GT(programs, 40u);
     const double perProgram = static_cast<double>(allocs) / programs;
-    // Measured 1735 per program with bounds, extents and subscripts
-    // parsed straight into AffineExpr and source-viewing tokens, and
-    // 3870 when each went through a Value tree and every token owned
-    // its text; the bound leaves ~25% headroom.
+    // Measured 1590 per program with one expression grammar that
+    // builds Value nodes only where a non-affine operator needs them
+    // and source-viewing tokens, and 3870 when every expression went
+    // through a Value tree and every token owned its text; the bound
+    // is unchanged from 1735 plus ~25% headroom.
     EXPECT_LT(perProgram, 2170.0)
         << allocs << " allocations over " << programs << " programs";
 }

@@ -12,6 +12,7 @@
 #include "check/fuzz.hh"
 #include "check/validate.hh"
 #include "driver/fuzzcheck.hh"
+#include "frontend/parser.hh"
 #include "ir/builder.hh"
 #include "ir/printer.hh"
 #include "ir/walk.hh"
@@ -102,6 +103,20 @@ TEST(Validate, RejectsNullRhs)
     EXPECT_FALSE(validateProgram(p).empty());
 }
 
+TEST(Validate, RejectsElementSizesTheTapeCannotHold)
+{
+    for (int size : {0, -8, kMaxElemSize + 1, 70000}) {
+        Program p = makeMatmul("IJK", 8);
+        p.arrays[0].elemSize = size;
+        std::vector<Diag> diags = validateProgram(p);
+        ASSERT_FALSE(diags.empty()) << size;
+        EXPECT_EQ(diags.front().code, "validate.elem_size") << size;
+    }
+    Program p = makeMatmul("IJK", 8);
+    p.arrays[0].elemSize = kMaxElemSize;
+    EXPECT_TRUE(validateProgram(p).empty());
+}
+
 TEST(Validate, RejectsExcessiveNestingDepth)
 {
     Program p = makeMatmul("IJK", 8);  // depth 3
@@ -120,6 +135,28 @@ TEST(Equiv, EquivalentProgramsAgree)
         checkEquivalence(makeMatmul("IJK", 8), makeMatmul("JKI", 8));
     EXPECT_TRUE(eq.equivalent) << eq.detail;
     EXPECT_GT(eq.comparedRuns, 0);
+}
+
+/** Every symbolic parameter is bound before the arrays are laid out:
+ *  A's first extent N-M+1 is 1 at the trial size, although binding N
+ *  alone (N = 6, M = 64) would make it -57. */
+TEST(Equiv, BindsAllParametersBeforeLayingOut)
+{
+    std::optional<Program> p = parseProgram("PROGRAM twoparams\n"
+                                            "  PARAMETER N = 64\n"
+                                            "  PARAMETER M = 64\n"
+                                            "  REAL*8 A(N-M+1,N)\n"
+                                            "  DO J = 1, N\n"
+                                            "    A(1,J) = A(1,J) + 1.0\n"
+                                            "  ENDDO\n"
+                                            "END\n");
+    ASSERT_TRUE(p.has_value());
+    EquivOptions opts;
+    opts.sizes = {6};
+    EquivResult eq = checkEquivalence(*p, *p, opts);
+    EXPECT_TRUE(eq.equivalent) << eq.detail;
+    EXPECT_EQ(eq.comparedRuns, 3);
+    EXPECT_EQ(eq.skippedRuns, 0);
 }
 
 TEST(Equiv, DetectsChangedComputation)

@@ -172,11 +172,11 @@ struct ErrorCase
 };
 
 /**
- * Bounds, extents and subscripts parse straight into AffineExpr and
- * rewind to the Value path on anything that is not affine. Every such
- * rewind must report the error the Value path always reported: the
- * expected line, column and message below are those of the parser
- * that built a Value tree for every expression.
+ * Bounds, extents and subscripts go through the one expression grammar
+ * and must have an affine form. Whatever makes one not affine, the
+ * error is the one a parser that built a Value tree for every
+ * expression reported: the expected line, column and message below
+ * are that parser's.
  */
 TEST(Parser, AffineRewindKeepsEveryError)
 {
@@ -261,9 +261,9 @@ TEST(Parser, AffineRewindKeepsEveryError)
     }
 }
 
-/** The direct affine path accepts what the Value path folded: the
- *  depth limit's last legal level, integral real constants, nested
- *  products by constants, and lower-case keywords. */
+/** Affine positions accept what a Value tree folded to an affine form
+ *  did: the depth limit's last legal level, integral real constants,
+ *  nested products by constants, and lower-case keywords. */
 TEST(Parser, AffineDirectPathMatchesValuePath)
 {
     const std::vector<std::string> sources = {
@@ -291,6 +291,84 @@ TEST(Parser, AffineDirectPathMatchesValuePath)
     // -6*I + 6 + 6*N + 1 - 5*N, with I = var 1 and N = var 0.
     EXPECT_EQ(sub.affine, AffineExpr::makeVar(0) +
                               AffineExpr::makeVar(1, -6) + 7);
+}
+
+/** Inputs that used to reach an assertion, parse a prefix of a number
+ *  or wrap an integer are errors at the offending token. */
+TEST(Parser, RejectsBadStepsSizesAndLiterals)
+{
+    const std::string notAffine =
+        "subscript is not affine (use [expr] for opaque)";
+    const std::string huge = "99999999999999999999999";
+    const std::vector<ErrorCase> cases = {
+        {"zero step",
+         withDecls("  DO I = 1, N, 0\n    A(I) = 1\n  ENDDO\n"), 4, 16,
+         "loop step must be non-zero"},
+        {"negative zero step",
+         withDecls("  DO I = 1, N, -0\n    A(I) = 1\n  ENDDO\n"), 4, 16,
+         "loop step must be non-zero"},
+        {"two decimal points", inLoop("    A(I) = 1.5.3\n"), 5, 12,
+         "malformed number '1.5.3'"},
+        {"exponent without digits", inLoop("    A(I) = 2E\n"), 5, 12,
+         "malformed number '2E'"},
+        {"signed exponent without digits", inLoop("    A(I) = 2E+\n"), 5,
+         12, "malformed number '2E+'"},
+        {"two exponents", inLoop("    A(I) = 1e5e5\n"), 5, 12,
+         "malformed number '1e5e5'"},
+        {"a name glued to a number", inLoop("    A(2I) = 1\n"), 5, 7,
+         "malformed number '2I'"},
+        {"parameter out of int64 range",
+         "PROGRAM x\n  PARAMETER N = " + huge + "\nEND\n", 2, 17,
+         "number '" + huge + "' is out of range"},
+        {"integer constant out of int64 range",
+         inLoop("    A(I) = " + huge + "\n"), 5, 12,
+         "number '" + huge + "' is out of range"},
+        {"real constant out of double range", inLoop("    A(I) = 1e999\n"),
+         5, 12, "number '1e999' is out of range"},
+        {"whole real beyond int64 in a subscript",
+         inLoop("    A(1e19) = 1\n"), 5, 11, notAffine},
+        {"element size beyond int",
+         "PROGRAM x\n  REAL*4294967304 A(8)\nEND\n", 2, 8,
+         "element size 4294967304 is out of range"},
+        {"negative element size beyond int",
+         "PROGRAM x\n  REAL*-3000000000 A(8)\nEND\n", 2, 8,
+         "element size -3000000000 is out of range"},
+    };
+    for (const ErrorCase &c : cases) {
+        ParseError err;
+        EXPECT_FALSE(parseProgram(c.source, &err).has_value()) << c.what;
+        EXPECT_EQ(err.line, c.line) << c.what;
+        EXPECT_EQ(err.col, c.col) << c.what;
+        EXPECT_EQ(err.message, c.message) << c.what;
+    }
+}
+
+/** A number's value comes from exactly its characters: integers
+ *  exactly, in the whole int64 range, and every real form the printer
+ *  writes. */
+TEST(Parser, NumberLiteralsReadExactlyTheirCharacters)
+{
+    auto p = parseProgram("PROGRAM x\n"
+                          "  PARAMETER N = 9007199254740993\n"
+                          "  PARAMETER M = 9223372036854775807\n"
+                          "  REAL*65535 A(8)\n"
+                          "  A(1) = 1.\n"
+                          "  A(2) = .5\n"
+                          "  A(3) = 2.5E-3\n"
+                          "  A(4) = 1e+06\n"
+                          "  A(5) = 1.E1\n"
+                          "END\n");
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->vars[0].paramValue, 9007199254740993);
+    EXPECT_EQ(p->vars[1].paramValue, INT64_MAX);
+    EXPECT_EQ(p->arrays[0].elemSize, 65535);
+    const double want[] = {1.0, 0.5, 2.5e-3, 1e6, 10.0};
+    ASSERT_EQ(p->body.size(), 5u);
+    for (size_t k = 0; k < 5; ++k) {
+        const ValuePtr &rhs = p->body[k]->stmt.rhs;
+        ASSERT_EQ(rhs->op, ValOp::Const) << k;
+        EXPECT_EQ(rhs->constant, want[k]) << k;
+    }
 }
 
 /** Round trip: print -> parse reaches a print fixpoint and preserves

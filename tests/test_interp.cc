@@ -108,9 +108,21 @@ TEST(Interp, ParamOverride)
 {
     Program p = makeMatmul("IJK", 64);
     Interpreter interp(p);
-    interp.setParam("N", 4);
+    ASSERT_TRUE(interp.setParams({{"N", 4}}).ok());
     interp.run();
     EXPECT_EQ(interp.stats().stmtsExecuted, 64u);
+}
+
+TEST(Interp, SetParamsBindsAllOrNothing)
+{
+    Program p = makeMatmul("IJK", 64);
+    Interpreter interp(p);
+    Status st = interp.setParams({{"N", 4}, {"NOPE", 1}});
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.diag().code, "interp.param");
+    EXPECT_EQ(interp.arrayElems(0), 64u * 64u);  // N kept its value
+    ASSERT_TRUE(interp.setParams({{"N", 4}}).ok());
+    EXPECT_EQ(interp.arrayElems(0), 16u);
 }
 
 TEST(Interp, RunWithCacheCyclesAccounting)

@@ -511,13 +511,13 @@ freshRoundOracle(const Program &ref, const Program &cand,
     auto runFresh = [](const Program &p, Interpreter &interp,
                        int64_t size,
                        uint64_t seed) -> std::optional<Diag> {
-        for (const VarInfo &v : p.vars) {
-            if (size <= 0 || !isSymbolic(v))
-                continue;
-            Status st = interp.setParam(v.name, size);
-            if (!st.ok())
-                return st.diag();
-        }
+        std::vector<std::pair<std::string_view, int64_t>> values;
+        for (const VarInfo &v : p.vars)
+            if (size > 0 && isSymbolic(v))
+                values.emplace_back(v.name, size);
+        Status bound = interp.setParams(values);
+        if (!bound.ok())
+            return bound.diag();
         interp.setInitSeed(seed);
         Status st = interp.run();
         if (!st.ok())

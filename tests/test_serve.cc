@@ -412,6 +412,50 @@ TEST(Serve, MixedCorpusGetsExactlyOneResponseEach)
     EXPECT_EQ(out.lines.size(), static_cast<size_t>(expected));
 }
 
+/** Programs the pipeline cannot run, a zero step and an element size
+ *  the tape cannot hold, are answered with their diagnostic, and the
+ *  request queued behind them on the one worker is still served. */
+TEST(Serve, InvalidProgramsAreAnsweredAndTheNextRequestServed)
+{
+    ServeOptions opts = quietOptions();
+    opts.jobs = 1;
+    Server server(opts);
+    server.start();
+
+    const std::string zeroStep = "PROGRAM z\n"
+                                 "  REAL*8 A(10)\n"
+                                 "  DO I = 1, 10, 0\n"
+                                 "    A(1) = 1.0\n"
+                                 "  ENDDO\n"
+                                 "END\n";
+    const std::string wideElems = "PROGRAM w\n"
+                                  "  PARAMETER N = 8\n"
+                                  "  REAL*70000 A(N)\n"
+                                  "  DO I = 1, N\n"
+                                  "    A(I) = A(I) + 1.0\n"
+                                  "  ENDDO\n"
+                                  "END\n";
+    Collector out;
+    server.handleLine(requestLine("step", "simulate", zeroStep), out.fn());
+    server.handleLine(requestLine("elem", "simulate", wideElems), out.fn());
+    server.handleLine(requestLine("ok", "simulate", kSmallProgram),
+                      out.fn());
+    server.drain();
+
+    ASSERT_EQ(out.lines.size(), 3u);
+    std::map<std::string, json::Value> byId;
+    for (size_t i = 0; i < out.lines.size(); ++i)
+        byId[out.parsed(i).getString("id")] = out.parsed(i);
+    EXPECT_EQ(byId["step"].getString("status"), "diag");
+    EXPECT_EQ(byId["step"].getString("diag"),
+              "parse.error at 3:17: loop step must be non-zero");
+    EXPECT_EQ(byId["elem"].getString("status"), "diag");
+    EXPECT_EQ(byId["elem"].getString("diag").rfind("validate.elem_size:", 0),
+              0u);
+    EXPECT_EQ(byId["ok"].getString("type"), "result");
+    EXPECT_EQ(byId["ok"].getString("status"), "ok");
+}
+
 // ---------------------------------------------------------------------
 // Request telemetry: timings, trace ids, the metrics kind, and top
 
